@@ -1,22 +1,21 @@
-"""E18 — parallel + memoized census scaling (ISSUE PR 3 acceptance).
+"""E18 — keyed census and batched bounded-degree evaluation, serially.
 
-Measures the two hot paths the parallel layer rebuilt:
+Measures the two algorithmic floors of the locality census:
 
 * ``neighborhood_census`` (ball-presentation keys + fingerprint-bucketed
-  registry, fanned out over workers) against
-  ``neighborhood_census_baseline`` (the per-element reference loop) on a
-  degree-bounded structure with n >= 1000 — acceptance requires >= 2x
-  wall-clock and >= 5x fewer isomorphism calls;
-* ``BoundedDegreeEvaluator.evaluate_many`` (batched fast census) against
-  the ``census_mode="baseline"`` evaluator on a family of n = 1000
-  bounded-degree structures.
+  registry) against ``neighborhood_census_baseline`` (the per-element
+  reference loop) on a degree-bounded structure with n = 1000 — the
+  floor is >= 2x wall-clock and >= 5x fewer isomorphism calls;
+* ``BoundedDegreeEvaluator.evaluate_many`` (keyed census) against the
+  ``census_mode="baseline"`` evaluator on a family of n = 1000
+  bounded-degree structures — the floor is >= 2x.
 
-A scaling curve for the new pipeline at n in {200, 1000, 4000} and
-workers in {1, 2, 4} feeds EXPERIMENTS.md E18.  The baseline is only
-timed at n <= 1000 — it is quadratic and takes tens of seconds beyond
-that, which is the point of the exercise.
+A scaling curve for the keyed pipeline at n in {200, 1000, 4000} feeds
+EXPERIMENTS.md E18.  The baseline is only timed at n <= 1000 — it is
+quadratic and takes tens of seconds beyond that, which is the point of
+the exercise.
 
-Results land under the ``"parallel"`` key of ``BENCH_engine.json``
+Results land under the ``"census"`` key of ``BENCH_engine.json``
 (read-modify-write, so the engine benchmark's rows survive).
 """
 
@@ -36,14 +35,12 @@ from repro.locality.neighborhoods import (
     neighborhood_census_baseline,
 )
 from repro.logic.parser import parse
-from repro.parallel import shutdown
 from repro.structures.builders import disjoint_cycles, grid_graph
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 CENSUS_RADIUS = 1
 CENSUS_SIZES = (200, 1000, 4000)
-WORKER_COUNTS = (1, 2, 4)
 BASELINE_SIZE_CAP = 1000
 
 MUTUAL = parse("exists x exists y (E(x, y) & E(y, x))")
@@ -75,9 +72,7 @@ def census_rows() -> tuple[list[dict], dict]:
     structure = _grid(1000)
     fast_registry = TypeRegistry()
     fast_census, fast_seconds = _timed(
-        lambda: neighborhood_census(
-            structure, CENSUS_RADIUS, fast_registry, max_workers=4
-        )
+        lambda: neighborhood_census(structure, CENSUS_RADIUS, fast_registry)
     )
     base_registry = TypeRegistry()
     base_census, base_seconds = _timed(
@@ -109,54 +104,36 @@ def census_rows() -> tuple[list[dict], dict]:
         }
         for name, seconds, registry in (
             ("baseline", base_seconds, base_registry),
-            ("fast@4", fast_seconds, fast_registry),
+            ("fast", fast_seconds, fast_registry),
         )
     ]
     return rows, summary
 
 
 def scaling_rows() -> list[dict]:
-    """E18 curve: new pipeline at n in CENSUS_SIZES x workers, baseline
-    only where it stays affordable (n <= BASELINE_SIZE_CAP)."""
+    """E18 curve: keyed pipeline at every n in CENSUS_SIZES, baseline only
+    where it stays affordable (n <= BASELINE_SIZE_CAP)."""
     rows: list[dict] = []
     for n in CENSUS_SIZES:
         structure = _grid(n)
+        pipelines = [("fast", neighborhood_census)]
         if n <= BASELINE_SIZE_CAP:
+            pipelines.insert(0, ("baseline", neighborhood_census_baseline))
+        for name, census in pipelines:
             _, seconds = _timed(
-                lambda: neighborhood_census_baseline(
-                    structure, CENSUS_RADIUS, TypeRegistry()
-                )
+                lambda: census(structure, CENSUS_RADIUS, TypeRegistry())
             )
             rows.append(
-                {
-                    "pipeline": "baseline",
-                    "n": structure.size,
-                    "workers": 1,
-                    "seconds": round(seconds, 6),
-                }
-            )
-        for workers in WORKER_COUNTS:
-            _, seconds = _timed(
-                lambda: neighborhood_census(
-                    structure, CENSUS_RADIUS, TypeRegistry(), max_workers=workers
-                )
-            )
-            rows.append(
-                {
-                    "pipeline": "fast",
-                    "n": structure.size,
-                    "workers": workers,
-                    "seconds": round(seconds, 6),
-                }
+                {"pipeline": name, "n": structure.size, "seconds": round(seconds, 6)}
             )
     return rows
 
 
 def evaluator_summary() -> dict:
-    """Batched fast-census evaluator vs the baseline-census evaluator."""
+    """Keyed-census evaluator vs the baseline-census evaluator."""
     fast = BoundedDegreeEvaluator(MUTUAL, degree_bound=2)
     fast_values, fast_seconds = _timed(
-        lambda: fast.evaluate_many(_cycle_family(), max_workers=4)
+        lambda: fast.evaluate_many(_cycle_family())
     )
     baseline = BoundedDegreeEvaluator(
         MUTUAL, degree_bound=2, census_mode="baseline"
@@ -183,7 +160,6 @@ def collect() -> dict:
         snapshot = telemetry.metrics_snapshot()
     finally:
         telemetry.disable()
-        shutdown()
     return {
         "census": census,
         "census_rows": rows,
@@ -193,45 +169,40 @@ def collect() -> dict:
             "counters": {
                 name: value
                 for name, value in snapshot["counters"].items()
-                if name.startswith(("parallel.", "locality."))
+                if name.startswith("locality.")
             }
         },
     }
 
 
-class TestParallelSpeedup:
+class TestCensusSpeedup:
     def test_census_and_evaluator_speedups_and_record_json(self):
         data = collect()
         census = data["census"]
         evaluator = data["evaluator"]
 
         print_table(
-            "E18: census scaling (fast pipeline vs quadratic baseline)",
-            ["pipeline", "n", "workers", "seconds"],
+            "E18: census scaling (keyed pipeline vs quadratic baseline)",
+            ["pipeline", "n", "seconds"],
             [
-                (
-                    row["pipeline"],
-                    row["n"],
-                    row.get("workers", 1),
-                    f"{row['seconds']:.4f}",
-                )
+                (row["pipeline"], row["n"], f"{row['seconds']:.4f}")
                 for row in data["scaling"]
             ],
         )
 
-        # ISSUE acceptance: >= 2x census speedup at 4 workers, n >= 1000.
+        # Floor: >= 2x census speedup at n = 1000.
         assert census["speedup"] >= 2.0, census
-        # ISSUE acceptance: >= 5x fewer isomorphism calls.
+        # Floor: >= 5x fewer isomorphism calls.
         assert census["baseline_iso_tests"] >= 5 * max(
             census["fast_iso_tests"], 1
         ), census
-        # ISSUE acceptance: >= 2x evaluator speedup on n >= 1000 family.
+        # Floor: >= 2x evaluator speedup on the n = 1000 family.
         assert evaluator["speedup"] >= 2.0, evaluator
 
         existing = (
             json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
         )
-        existing["parallel"] = data
+        existing["census"] = data
         BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
         assert BENCH_PATH.exists()
 

@@ -18,8 +18,8 @@ at the repo root, so future PRs can track the perf trajectory.
 E23 adds the columnar executor tier section: per-zoo-row timings for
 naive vs tuple vs columnar vs auto-dispatched engine, plus a cold batch
 workload, recorded under the ``"columnar"`` key of the same JSON (the
-main section owns the top-level keys, ``bench_parallel.py`` owns
-``"parallel"``).
+main section owns the top-level keys, ``bench_census.py`` owns
+``"census"`` and ``bench_updates.py`` owns ``"incremental"``).
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class TestEngineSpeedup:
         bd = telemetry_doc["workloads"]["bounded_degree_family"]["engines"]["family"]
         assert bd["fast_path_dispatches"] > 0
         assert telemetry_doc["metrics"]["counters"]
-        # Read-modify-write: bench_parallel.py owns the "parallel" key.
+        # Read-modify-write: bench_census.py owns the "census" key.
         existing = (
             json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
         )

@@ -1,7 +1,7 @@
 """Differential & metamorphic conformance fuzzing for every evaluation path.
 
-After the engine / circuits / bounded-degree / parallel PRs the library
-has *five* independent ways to answer the same FO query.  This package
+The library has several independent ways to answer the same FO query
+(naive, algebra, engine, circuits, bounded-degree census).  This package
 is the correctness backbone that cross-checks them:
 
 * :mod:`repro.conformance.generate` — seeded, size-budgeted random

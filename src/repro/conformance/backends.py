@@ -6,7 +6,8 @@ The library can answer ``ans(φ, A)`` five independent ways:
 ``naive``             the recursive model checker (PSPACE upper bound, §3.1)
 ``algebra``           the FO → relational algebra compiler (FO = RA)
 ``engine``            the planned/cached engine, fast path included
-``engine-batch``      the engine's batched APIs (parallel execution path)
+``engine-batch``      the engine's batch APIs (``answers_batch``,
+                      ``evaluate_batch``)
 ``engine-columnar``   the engine with the columnar tier forced
                       (``executor="columnar"``): compiled integer-key
                       kernel pipelines instead of the tuple executor
@@ -404,9 +405,9 @@ def remote_backend(base_url: str, tenant: str = "conformance") -> Backend:
                 "page": page,
             }
             if token is not None:
-                # Ship the *remaining* allowance, like CancelToken.to_payload,
-                # so the server's admission control enforces this client's
-                # budget — deadline and row cap both.
+                # Ship the *remaining* allowance so the server's admission
+                # control enforces this client's budget — deadline and row
+                # cap both.
                 remaining = token.remaining_seconds()
                 if remaining is not None:
                     payload["deadline_ms"] = max(remaining * 1000.0, 1.0)

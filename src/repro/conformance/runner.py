@@ -9,8 +9,8 @@ the full serialized case, ready for shrinking and corpus promotion.
 
 The generated case stream is hashed (SHA-256 over the serialized JSON of
 every case) into :attr:`ConformanceReport.stream_digest`; the
-determinism test asserts the digest is identical across serial, thread-
-and process-parallel runs of the same seed.
+determinism test asserts that two runs of the same seed produce the
+same digest.
 """
 
 from __future__ import annotations

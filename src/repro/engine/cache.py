@@ -10,8 +10,8 @@ but they can no longer be deleted by key, so :meth:`evict_where` and
 eviction generally must never assume ``del d[key]`` works for a key
 listed by iteration; see :meth:`evict_where`.
 
-The cache is **thread-safe**: under ``REPRO_PARALLEL_BACKEND=thread``
-the engine's caches are hit by pool workers concurrently, and an
+The cache is **thread-safe**: the threaded server shares one engine
+across its request threads, so its caches are hit concurrently, and an
 unguarded ``OrderedDict`` corrupts under concurrent ``move_to_end`` /
 ``popitem`` (and double-counts hit/miss stats). Every mutating path —
 including the counter updates — runs under one internal lock, and

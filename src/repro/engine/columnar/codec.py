@@ -7,9 +7,9 @@ bijection plus the columnar materialization of each base relation:
 parallel ``array('q')`` columns of element ids instead of frozensets of
 tuples of arbitrary Python objects. Both are cached on the structure
 (via :meth:`Structure.cached`), so the coding cost is paid once per
-(structure, domain) and the caches evaporate on pickling exactly like
-every other per-structure memo (:meth:`Structure.__getstate__` ships
-the mathematical content only — workers rebuild codecs on demand).
+(structure, domain) and the caches evaporate on pickling or copying
+exactly like every other per-structure memo (:meth:`Structure.__getstate__`
+keeps the mathematical content only — a copy rebuilds codecs on demand).
 
 Row encodings come in two flavors, chosen per plan execution:
 
@@ -300,8 +300,8 @@ def codec_for(structure: Structure, domain: tuple[Element, ...]) -> DomainCodec:
     queried under both universe and active-domain semantics; under
     ``"universe"`` the domain *is* ``structure.universe``, so the common
     path shares a single codec. Like every ``Structure.cached`` memo the
-    codec is excluded from pickles (see ``Structure.__getstate__``) and
-    rebuilt on demand in worker processes.
+    codec is excluded from pickles and copies (see
+    ``Structure.__getstate__``) and rebuilt on demand.
 
     **Epoch check.**  ``Structure.insert``/``delete`` keeps the memo
     (see ``Structure._patch_memos``) but bumps the epoch; the check here

@@ -210,10 +210,6 @@ class Engine:
         ``columnar_min_rows`` → columnar (integer kernels win on bulk);
         in between → the tuple executor (both are fast; the reference
         path keeps its production mileage).
-    max_workers:
-        Default worker count for the batch APIs (:meth:`answers_batch`,
-        :meth:`evaluate_batch`, :meth:`evaluate_many`). ``None`` defers
-        to ``REPRO_PARALLEL``; single calls are always serial.
     """
 
     def __init__(
@@ -229,7 +225,6 @@ class Engine:
         executor: str | None = None,
         tiny_plan_rows: int = 64,
         columnar_min_rows: int = 512,
-        max_workers: int | None = None,
     ) -> None:
         if domain not in ("universe", "active"):
             raise EvaluationError(f"domain must be 'universe' or 'active', got {domain!r}")
@@ -248,7 +243,6 @@ class Engine:
         self.fast_path_threshold = fast_path_threshold
         self.enable_fast_path = enable_fast_path
         self.small_plan_rows = small_plan_rows
-        self.max_workers = max_workers
         self.plan_cache = LRUCache(plan_cache_size, name="plan")
         self.answer_cache = LRUCache(answer_cache_size, name="answer")
         self._bounded_degree = LRUCache(64, name="bounded_degree")
@@ -386,151 +380,60 @@ class Engine:
         self,
         requests: list[tuple[Structure, Formula]],
         *,
-        max_workers: int | None = None,
         budget: "Budget | CancelToken | None" = None,
     ) -> list[frozenset[tuple[Element, ...]]]:
-        """:meth:`answers` for many (structure, formula) pairs at once.
+        """:meth:`answers` for many (structure, formula) pairs, in request order.
 
-        Normalization and planning happen once per distinct (formula,
-        signature, statistics) combination in the calling process (the
-        shared plan cache does the deduplication); only plan *execution*
-        fans out across workers. Answer-cache hits skip execution
-        entirely, duplicate requests execute once, and every computed
-        answer set is merged back into the answer cache — a later
-        :meth:`answers` call sees exactly the state a serial loop would
-        have left. Results are ordered like ``requests``.
-
-        ``budget`` bounds the whole batch: workers inherit the remaining
-        allowance (thread workers share the live token, process workers
-        get a snapshot), and the parent additionally bounds its wait on
-        stragglers by the remaining deadline.
+        A loop over :meth:`answers`: the plan cache plans each distinct
+        (formula, signature, statistics) combination once, the answer
+        cache executes duplicate requests once, and reads after a
+        ``Structure.insert``/``delete`` are patched exactly as single
+        reads are. ``budget`` is one token for the whole batch.
         """
-        from repro.parallel import parallel_map
-
         token = as_token(budget)
-        requests = [(structure, formula) for structure, formula in requests]
-        results: list = [None] * len(requests)
-        pending: dict[tuple, list[int]] = {}
-        for position, (structure, formula) in enumerate(requests):
-            sorted_names = tuple(sorted(var.name for var in free_variables(formula)))
-            key = (structure, formula, self.domain_mode, sorted_names)
-            if key not in pending:
-                cached = self.answer_cache.get(key)
-                if cached is not None:
-                    results[position] = cached
-                    continue
-            pending.setdefault(key, []).append(position)
-
-        keys = list(pending)
-        payloads = []
-        for structure, formula, _, sorted_names in keys:
-            plan, _ = self._plan_for(structure, formula)
-            payloads.append(
-                (
-                    plan,
-                    structure,
-                    self._domain_values(structure),
-                    sorted_names,
-                    sorted_names,
-                    plan.total_estimated_rows() > self.small_plan_rows,
-                    self._use_columnar(plan),
-                    token.to_payload() if token is not None else None,
-                )
-            )
-        workers = max_workers if max_workers is not None else self.max_workers
         with _span("engine.answers_batch") as batch_span:
-            batch_span.set("requests", len(requests)).set("executions", len(payloads))
-            outcomes = parallel_map(
-                _execute_payload, payloads, max_workers=workers, cancel_token=token
-            )
-        for key, (rows, run_stats) in zip(keys, outcomes):
-            self.answer_cache.put(key, rows)
-            self.stats.executions += 1
-            execution = self.stats.execution
-            execution.rows_materialized += run_stats["rows_materialized"]
-            execution.joins += run_stats["joins"]
-            execution.semijoin_filters += run_stats["semijoin_filters"]
-            execution.antijoins += run_stats["antijoins"]
-            for position in pending[key]:
-                results[position] = rows
+            results = [
+                self.answers(structure, formula, budget=token)
+                for structure, formula in requests
+            ]
+            batch_span.set("requests", len(results))
         if _telemetry_enabled():
-            _counter("engine.batch.requests").inc(len(requests))
-            _counter("engine.executions").inc(len(payloads))
+            _counter("engine.batch.requests").inc(len(results))
         return results
 
     def evaluate_batch(
         self,
         requests: list[tuple[Structure, Formula]],
         *,
-        max_workers: int | None = None,
         budget: "Budget | CancelToken | None" = None,
     ) -> list[bool]:
-        """:meth:`evaluate` for many (structure, sentence) pairs at once.
+        """:meth:`evaluate` for many (structure, sentence) pairs, in request order.
 
-        Sentences eligible for the bounded-degree fast path are grouped
-        per formula and decided through one batched census
-        (:meth:`repro.locality.bounded_degree.BoundedDegreeEvaluator.evaluate_many`);
-        the rest go through :meth:`answers_batch`. Results match a
-        serial :meth:`evaluate` loop, in request order. ``budget``
-        bounds the whole batch (census loops and plan execution alike).
+        Every formula must be a sentence. ``budget`` is one token for the
+        whole batch (census loops and plan execution alike).
         """
         token = as_token(budget)
-        requests = [(structure, formula) for structure, formula in requests]
+        requests = list(requests)
         for _, formula in requests:
             if free_variables(formula):
                 raise EvaluationError(
                     "evaluate_batch expects sentences; use answers_batch for queries"
                 )
-        results: list = [None] * len(requests)
-        fast_groups: dict[Formula, list[int]] = {}
-        slow: list[int] = []
-        for position, (structure, formula) in enumerate(requests):
-            dispatch, _ = self.fast_path_decision(structure, formula)
-            if dispatch:
-                fast_groups.setdefault(formula, []).append(position)
-            else:
-                slow.append(position)
-        workers = max_workers if max_workers is not None else self.max_workers
-        for formula, positions in fast_groups.items():
-            evaluator = self._bounded_degree_evaluator(formula)
-            structures = [requests[position][0] for position in positions]
-            self.stats.fast_path_dispatches += len(positions)
-            if _telemetry_enabled():
-                _counter("engine.fast_path.dispatches").inc(len(positions))
-            with _span("engine.fast_path"):
-                try:
-                    values = evaluator.evaluate_many(
-                        structures, max_workers=workers, cancel_token=token
-                    )
-                except LocalityError:  # pragma: no cover - decision guards this
-                    slow.extend(positions)
-                    continue
-            for position, value in zip(positions, values):
-                results[position] = value
-        if slow:
-            slow.sort()
-            answer_sets = self.answers_batch(
-                [requests[position] for position in slow],
-                max_workers=workers,
-                budget=token,
-            )
-            for position, rows in zip(slow, answer_sets):
-                results[position] = bool(rows)
-        return results
+        return [
+            self.evaluate(structure, formula, budget=token)
+            for structure, formula in requests
+        ]
 
     def evaluate_many(
         self,
         structures: list[Structure],
         formula: Formula,
         *,
-        max_workers: int | None = None,
         budget: "Budget | CancelToken | None" = None,
     ) -> list[bool]:
-        """Decide one sentence on many structures (batched evaluation)."""
+        """Decide one sentence on many structures."""
         return self.evaluate_batch(
-            [(structure, formula) for structure in structures],
-            max_workers=max_workers,
-            budget=budget,
+            [(structure, formula) for structure in structures], budget=budget
         )
 
     def evaluate(
@@ -821,43 +724,6 @@ class Engine:
         if relation.attributes != order_names:
             relation = relation.project(order_names)
         return relation.rows
-
-
-def _execute_payload(payload: tuple) -> tuple[frozenset, dict[str, int]]:
-    """Worker body for one :meth:`Engine.answers_batch` execution.
-
-    Takes a pre-built plan (planning stays in the calling process) plus
-    everything the executor needs, and returns the shaped answer rows
-    together with the execution counters, so the parent can merge both
-    back into its caches and stats.
-    """
-    (
-        plan,
-        structure,
-        domain,
-        sorted_names,
-        order_names,
-        semijoin_filtering,
-        use_columnar,
-        token_payload,
-    ) = payload
-    token = CancelToken.from_payload(token_payload) if token_payload is not None else None
-    run_stats = ExecutionStats()
-    executor_class = ColumnarExecutor if use_columnar else Executor
-    executor = executor_class(
-        structure,
-        domain,
-        run_stats,
-        semijoin_filtering=semijoin_filtering,
-        cancel_token=token,
-    )
-    relation = executor.run(plan)
-    extra = tuple(name for name in order_names if name not in sorted_names)
-    if extra:
-        relation = relation.extend_columns(extra, structure.universe)
-    if relation.attributes != order_names:
-        relation = relation.project(order_names)
-    return relation.rows, run_stats.as_dict()
 
 
 def relation_answers(

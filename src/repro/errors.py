@@ -47,15 +47,6 @@ class EvaluationError(FMTError):
     """Query evaluation failed, e.g. a free variable had no binding."""
 
 
-class ParallelError(FMTError):
-    """The parallel layer was misconfigured.
-
-    Raised, for example, when ``REPRO_PARALLEL`` holds a value that is
-    neither a switch nor a worker count, or when an unknown backend is
-    requested.
-    """
-
-
 class GameError(FMTError):
     """A game was configured or played incorrectly.
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 
+from repro.structures.gaifman import ball
 from repro.structures.structure import Structure, _sort_key
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
@@ -105,7 +106,7 @@ class CensusIndex:
         seeds: set = set()
         for _, _, row in deltas:
             seeds.update(row)
-        dirty = _dirty_ball(structure, seeds, radius)
+        dirty = ball(structure, seeds, radius)
         with _span("incremental.census.patch") as patch_span:
             patch_span.set("radius", radius).set("deltas", len(deltas))
             patch_span.set("dirty", len(dirty)).set("size", structure.size)
@@ -132,23 +133,3 @@ class CensusIndex:
             _counter("incremental.census.dirty_elements").inc(len(dirty))
         return Counter(census)
 
-
-def _dirty_ball(structure: Structure, seeds: set, radius: int) -> set:
-    """Radius-r ball around the touched elements in the current graph."""
-    from collections import deque
-
-    from repro.structures.gaifman import gaifman_adjacency
-
-    adjacency = gaifman_adjacency(structure)
-    distances = {element: 0 for element in seeds}
-    queue = deque(seeds)
-    while queue:
-        current = queue.popleft()
-        depth = distances[current]
-        if depth >= radius:
-            continue
-        for neighbor in adjacency[current]:
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                queue.append(neighbor)
-    return set(distances)

@@ -38,7 +38,6 @@ from repro.locality.neighborhoods import (
     max_ball_size,
     neighborhood_census,
     neighborhood_census_baseline,
-    neighborhood_census_many,
     neighborhood_type,
     tuple_type_classes,
 )
@@ -46,8 +45,8 @@ from repro.locality.neighborhoods import (
 __all__ = [
     # neighborhoods
     "TypeRegistry", "neighborhood_type", "neighborhood_census",
-    "neighborhood_census_baseline", "neighborhood_census_many",
-    "tuple_type_classes", "max_ball_size", "ball_key",
+    "neighborhood_census_baseline", "tuple_type_classes", "max_ball_size",
+    "ball_key",
     # hanf
     "hanf_equivalent", "threshold_hanf_equivalent",
     "hanf_locality_counterexample", "hanf_locality_radius",

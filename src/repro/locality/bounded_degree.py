@@ -35,7 +35,6 @@ from repro.locality.neighborhoods import (
     TypeRegistry,
     neighborhood_census,
     neighborhood_census_baseline,
-    neighborhood_census_many,
 )
 from repro.logic.analysis import free_variables, quantifier_rank
 from repro.logic.syntax import Formula
@@ -94,15 +93,12 @@ class BoundedDegreeEvaluator:
         :func:`repro.locality.neighborhoods.neighborhood_census`;
         ``"baseline"`` forces the per-element reference implementation
         (ablation and determinism testing).
-    max_workers:
-        Worker count for the census pipeline. ``None`` defers to
-        ``REPRO_PARALLEL``; 1 forces serial.
 
     After a warm-up evaluation, any structure with a previously seen
     census is answered by a linear-time census computation plus a table
     lookup — no formula evaluation at all. Experiment E10 measures the
     crossover against the naive O(n^qr) evaluator; E18 measures the
-    census pipeline's scaling.
+    keyed census against the per-element baseline.
     """
 
     def __init__(
@@ -113,7 +109,6 @@ class BoundedDegreeEvaluator:
         threshold: int | None = None,
         fallback: Callable[[Structure, Formula], bool] | None = None,
         census_mode: str = "fast",
-        max_workers: int | None = None,
     ) -> None:
         free = free_variables(sentence)
         if free:
@@ -135,7 +130,6 @@ class BoundedDegreeEvaluator:
         self.threshold = threshold
         self.fallback = fallback if fallback is not None else evaluate
         self.census_mode = census_mode
-        self.max_workers = max_workers
         self.registry = TypeRegistry()
         self.table: dict[tuple, bool] = {}
         self.stats = EvaluatorStats()
@@ -149,32 +143,7 @@ class BoundedDegreeEvaluator:
                 structure, self.radius, self.registry, cancel_token=cancel_token
             )
         return neighborhood_census(
-            structure,
-            self.radius,
-            self.registry,
-            max_workers=self.max_workers,
-            cancel_token=cancel_token,
-        )
-
-    def censuses_of(
-        self,
-        structures: list[Structure],
-        max_workers: int | None = None,
-        cancel_token: CancelToken | None = None,
-    ) -> list[Counter]:
-        """Censuses of a whole family, ball work shared across one pool."""
-        workers = max_workers if max_workers is not None else self.max_workers
-        if self.census_mode == "baseline":
-            return [
-                self.census_of(structure, cancel_token=cancel_token)
-                for structure in structures
-            ]
-        return neighborhood_census_many(
-            structures,
-            self.radius,
-            self.registry,
-            max_workers=workers,
-            cancel_token=cancel_token,
+            structure, self.radius, self.registry, cancel_token=cancel_token
         )
 
     def evaluate(
@@ -195,24 +164,23 @@ class BoundedDegreeEvaluator:
     def evaluate_many(
         self,
         structures: list[Structure],
-        max_workers: int | None = None,
         cancel_token: CancelToken | None = None,
     ) -> list[bool]:
-        """Decide φ on every structure, census work fanned out together.
+        """Decide φ on every structure, in order.
 
-        Results are identical (and identically ordered) to calling
-        :meth:`evaluate` one structure at a time — the census pipeline
-        batches, the truth-table logic stays serial and deterministic.
+        Every degree is checked before any census runs, so an
+        out-of-class structure fails the call without partial work.
         """
         structures = list(structures)
         for structure in structures:
             self._check_degree(structure)
-        censuses = self.censuses_of(
-            structures, max_workers=max_workers, cancel_token=cancel_token
-        )
         return [
-            self._decide(structure, census, cancel_token=cancel_token)
-            for structure, census in zip(structures, censuses)
+            self._decide(
+                structure,
+                self.census_of(structure, cancel_token=cancel_token),
+                cancel_token=cancel_token,
+            )
+            for structure in structures
         ]
 
     def _check_degree(self, structure: Structure) -> None:

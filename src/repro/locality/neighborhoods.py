@@ -9,9 +9,7 @@ up to isomorphism. This module provides:
 * :func:`neighborhood_type` / :func:`tuple_type_classes` — the type of a
   point or tuple, and the partition of all tuples by type;
 * :func:`neighborhood_census` — the multiset {type: count} of point
-  types, the object Hanf equivalence compares;
-* :func:`neighborhood_census_many` — censuses of a whole family, with
-  the ball work for *all* structures fanned out over one worker pool.
+  types, the object Hanf equivalence compares.
 
 **The fast census pipeline.**  The naive algorithm (kept as
 :func:`neighborhood_census_baseline`) materializes one neighborhood
@@ -19,9 +17,9 @@ up to isomorphism. This module provides:
 through the registry — O(n) structure constructions, WL refinements, and
 isomorphism probes.  The fast pipeline instead computes a cheap *ball
 key* per element — the ball relabeled into BFS-layer order, a concrete
-presentation of N_r(ā) — in parallel chunks.  Equal keys *certify*
-isomorphic neighborhoods (the index-aligned map is an isomorphism), so
-only the first element realizing each distinct key ever builds a real
+presentation of N_r(ā).  Equal keys *certify* isomorphic
+neighborhoods (the index-aligned map is an isomorphism), so only the
+first element realizing each distinct key ever builds a real
 neighborhood; every other element is a dictionary hit.  Isomorphic balls
 with different presentations merely fall through to the registry's
 fingerprint bucket, where exact isomorphism merges them as before —
@@ -32,14 +30,14 @@ structure (the bounded-degree evaluator's common case) is one lookup.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 
 from repro.engine.cache import LRUCache
 from repro.incremental.census import CensusIndex
 from repro.resilience.budget import CancelToken
 from repro.resilience.faults import fault_point
-from repro.structures.gaifman import gaifman_adjacency, neighborhood
+from repro.structures.gaifman import _bfs_distances, neighborhood
 from repro.structures.invariants import structure_fingerprint
 from repro.structures.isomorphism import are_isomorphic
 from repro.structures.structure import Element, Structure, _sort_key
@@ -52,15 +50,10 @@ __all__ = [
     "neighborhood_type",
     "neighborhood_census",
     "neighborhood_census_baseline",
-    "neighborhood_census_many",
     "tuple_type_classes",
     "max_ball_size",
     "ball_key",
 ]
-
-#: Below this many balls the key pipeline stays serial — pool dispatch
-#: would cost more than the work.
-PARALLEL_MIN_BALLS = 64
 
 
 class TypeRegistry:
@@ -139,7 +132,7 @@ class TypeRegistry:
         return self._next_id
 
 
-# -- ball keys (the parallelizable per-element work) -------------------------
+# -- ball keys (the per-element work) ----------------------------------------
 
 
 def _row_incidence(
@@ -180,26 +173,10 @@ def ball_key(
     costs a duplicate registry probe, never a wrong merge.
 
     This is a pure function of (structure, centers, radius), touching
-    only the ball's own rows — O(|ball| · degree) per call, cheap enough
-    to fan out over worker processes by the thousands.
+    only the ball's own rows — O(|ball| · degree) per call.
     """
-    adjacency = gaifman_adjacency(structure)
     incidence = _row_incidence(structure)
-    distances: dict[Element, int] = {}
-    queue: deque[Element] = deque()
-    for center in centers:
-        if center not in distances:
-            distances[center] = 0
-            queue.append(center)
-    while queue:
-        current = queue.popleft()
-        depth = distances[current]
-        if depth >= radius:
-            continue
-        for neighbor in adjacency[current]:
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                queue.append(neighbor)
+    distances = _bfs_distances(structure, centers, radius)
     order = sorted(distances, key=lambda element: (distances[element], _sort_key(element)))
     index = {element: position for position, element in enumerate(order)}
     rows_by_name: dict[str, set[tuple[int, ...]]] = {}
@@ -224,45 +201,19 @@ def ball_key(
     return (radius, len(order), marks, rows, constants)
 
 
-def _ball_key_chunk(payload: tuple) -> list[tuple]:
-    """Worker task: ball keys for one chunk of center tuples."""
-    structure, centers_chunk, radius = payload
-    return [ball_key(structure, centers, radius) for centers in centers_chunk]
-
-
 def _ball_keys(
     structure: Structure,
     centers_list: Sequence[tuple[Element, ...]],
     radius: int,
-    max_workers: int | None,
     cancel_token: CancelToken | None = None,
 ) -> list[tuple]:
-    """Ball keys for many center tuples, fanned out when it pays."""
-    from repro.parallel import CHUNKS_PER_WORKER, parallel_map, resolve_workers
-
-    workers = resolve_workers(max_workers)
-    if workers <= 1 or len(centers_list) < PARALLEL_MIN_BALLS:
-        keys = []
-        for centers in centers_list:
-            if cancel_token is not None:
-                cancel_token.tick("locality.ball_keys")
-            keys.append(ball_key(structure, centers, radius))
-        return keys
-    chunk = max(1, -(-len(centers_list) // (workers * CHUNKS_PER_WORKER)))
-    payloads = [
-        (structure, tuple(centers_list[start : start + chunk]), radius)
-        for start in range(0, len(centers_list), chunk)
-    ]
-    with _span("locality.ball_keys") as keys_span:
-        keys_span.set("balls", len(centers_list)).set("workers", workers)
-        chunks = parallel_map(
-            _ball_key_chunk,
-            payloads,
-            max_workers=workers,
-            chunk_size=1,
-            cancel_token=cancel_token,
-        )
-    return [key for chunk_keys in chunks for key in chunk_keys]
+    """Ball keys for many center tuples, ticking ``cancel_token`` per ball."""
+    keys = []
+    for centers in centers_list:
+        if cancel_token is not None:
+            cancel_token.tick("locality.ball_keys")
+        keys.append(ball_key(structure, centers, radius))
+    return keys
 
 
 # -- types and censuses ------------------------------------------------------
@@ -282,16 +233,11 @@ def _census_via_keys(
     structure: Structure,
     radius: int,
     registry: TypeRegistry,
-    max_workers: int | None,
-    keys: list[tuple] | None = None,
     cancel_token: CancelToken | None = None,
     types_out: dict | None = None,
 ) -> Counter:
     centers_list = [(element,) for element in structure.universe]
-    if keys is None:
-        keys = _ball_keys(
-            structure, centers_list, radius, max_workers, cancel_token=cancel_token
-        )
+    keys = _ball_keys(structure, centers_list, radius, cancel_token=cancel_token)
     census: Counter = Counter()
     for centers, key in zip(centers_list, keys):
         if cancel_token is not None:
@@ -331,7 +277,6 @@ def neighborhood_census(
     radius: int,
     registry: TypeRegistry,
     *,
-    max_workers: int | None = None,
     cancel_token: CancelToken | None = None,
 ) -> Counter:
     """The census {type id: number of points realizing it}.
@@ -339,10 +284,8 @@ def neighborhood_census(
     "a realizes τ" in the paper's words — the census is the function
     τ ↦ #{a : N_r(a) has type τ} restricted to realized types.
 
-    Runs the fast ball-key pipeline (parallel when ``max_workers`` or
-    ``REPRO_PARALLEL`` says so), memoized per (structure, radius) on the
-    registry.  Serial and parallel runs produce identical censuses.
-    ``cancel_token`` is ticked per ball, so a deadline interrupts the
+    Runs the fast ball-key pipeline, memoized per (structure, radius) on
+    the registry.  ``cancel_token`` is ticked per ball, so a deadline interrupts the
     census mid-structure; memo hits never consume budget.
     """
     with _span("locality.census") as census_span:
@@ -365,12 +308,7 @@ def neighborhood_census(
                 return patched
             types: dict = {}
             census = _census_via_keys(
-                structure,
-                radius,
-                registry,
-                max_workers,
-                cancel_token=cancel_token,
-                types_out=types,
+                structure, radius, registry, cancel_token=cancel_token, types_out=types
             )
             registry.incremental.record(structure, radius, census, types)
         registry.census_memo.put(memo_key, Counter(census))
@@ -381,102 +319,19 @@ def neighborhood_census(
         return census
 
 
-def neighborhood_census_many(
-    structures: Sequence[Structure],
-    radius: int,
-    registry: TypeRegistry,
-    *,
-    max_workers: int | None = None,
-    cancel_token: CancelToken | None = None,
-) -> list[Counter]:
-    """Censuses of a whole family, ball keys fanned out across structures.
-
-    One :func:`repro.parallel.parallel_map` covers the ball work of
-    every structure in the family, so a family of a thousand small
-    structures parallelizes as well as one structure with a thousand
-    elements.  Type ids are assigned serially in family order —
-    identical to calling :func:`neighborhood_census` one by one.
-    """
-    from repro.parallel import parallel_map, resolve_workers
-
-    structures = list(structures)
-    workers = resolve_workers(max_workers)
-    pending: list[Structure] = []
-    seen: set[Structure] = set()
-    for structure in structures:
-        if structure in seen or structure.constants:
-            continue
-        if (structure, radius) in registry.census_memo:
-            continue
-        seen.add(structure)
-        pending.append(structure)
-
-    total_balls = sum(structure.size for structure in pending)
-    keys_by_structure: dict[Structure, list[tuple]] = {}
-    if workers > 1 and total_balls >= PARALLEL_MIN_BALLS and pending:
-        payloads = [
-            (structure, tuple((element,) for element in structure.universe), radius)
-            for structure in pending
-        ]
-        with _span("locality.ball_keys") as keys_span:
-            keys_span.set("balls", total_balls).set("workers", workers)
-            all_keys = parallel_map(
-                _ball_key_chunk,
-                payloads,
-                max_workers=workers,
-                chunk_size=1,
-                cancel_token=cancel_token,
-            )
-        keys_by_structure = dict(zip(pending, all_keys))
-
-    censuses: list[Counter] = []
-    for structure in structures:
-        keys = keys_by_structure.pop(structure, None)
-        if keys is not None:
-            types: dict = {}
-            census = _census_via_keys(
-                structure,
-                radius,
-                registry,
-                1,
-                keys=keys,
-                cancel_token=cancel_token,
-                types_out=types,
-            )
-            registry.incremental.record(structure, radius, census, types)
-            registry.census_memo.put((structure, radius), Counter(census))
-            if _telemetry_enabled():
-                _counter("locality.censuses_computed").inc()
-                _counter("locality.balls_computed").inc(structure.size)
-            censuses.append(census)
-        else:
-            censuses.append(
-                neighborhood_census(
-                    structure,
-                    radius,
-                    registry,
-                    max_workers=workers,
-                    cancel_token=cancel_token,
-                )
-            )
-    return censuses
-
-
 def tuple_type_classes(
     structure: Structure,
     tuples: Iterable[tuple[Element, ...]],
     radius: int,
     registry: TypeRegistry | None = None,
-    *,
-    max_workers: int | None = None,
 ) -> dict[int, list[tuple[Element, ...]]]:
     """Partition tuples of elements by the iso type of their r-neighborhood.
 
     Gaifman locality says an FO query must be constant on every class of
     this partition — which is exactly how
     :func:`repro.locality.gaifman_locality.gaifman_locality_counterexample`
-    checks it.  Ball keys for the tuples run through the same (optionally
-    parallel) pipeline as the point census.
+    checks it.  Ball keys for the tuples run through the same pipeline as
+    the point census.
     """
     if registry is None:
         registry = TypeRegistry()
@@ -487,7 +342,7 @@ def tuple_type_classes(
             type_id = neighborhood_type(structure, tuple_, radius, registry)
             classes[type_id].append(tuple_)
         return dict(classes)
-    keys = _ball_keys(structure, tuples, radius, max_workers)
+    keys = _ball_keys(structure, tuples, radius)
     for tuple_, key in zip(tuples, keys):
         type_id = registry.type_of_keyed(
             key, lambda centers=tuple_: neighborhood(structure, centers, radius)

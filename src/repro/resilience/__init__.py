@@ -6,8 +6,8 @@ evaluation is PSPACE-hard in combined complexity, so production serving
 needs per-query resource governance — a :class:`Budget` (wall-clock
 deadline, row budget, solver-node cap) enforced by a cooperative
 :class:`CancelToken` threaded through the engine executor, the locality
-census, the EF solver, the naive evaluator and the parallel pool — plus
-a :class:`FallbackChain` that degrades engine → bounded-degree census →
+census, the EF solver and the naive evaluator — plus a
+:class:`FallbackChain` that degrades engine → bounded-degree census →
 naive evaluator behind per-rung circuit breakers, and a deterministic
 fault injector (``REPRO_FAULT_INJECT``) proving the ladder degrades
 without ever returning a wrong answer.

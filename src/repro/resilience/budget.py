@@ -16,17 +16,11 @@ Two objects implement this:
 * :class:`CancelToken` — one *live* admission: the absolute monotonic
   deadline plus thread-safe consumption counters. The token is threaded
   through the hot loops of the executor (per operator batch), the
-  locality census (per ball), the EF solver (per expanded node), the
-  naive evaluator (per quantifier binding) and the parallel pool (per
-  chunk). Checks are cooperative: loops call :meth:`CancelToken.tick`
-  (amortized — a real clock read every ``stride`` calls) or
-  :meth:`CancelToken.check` (always reads the clock).
-
-Tokens do not cross process boundaries (they hold locks); the parallel
-layer ships :meth:`CancelToken.to_payload` — the *remaining* allowance —
-and workers rebuild a local token with :meth:`CancelToken.from_payload`.
-The parent still enforces the deadline on the futures it waits for, so a
-straggling worker bounds cleanup time, not answer time.
+  locality census (per ball), the EF solver (per expanded node) and the
+  naive evaluator (per quantifier binding). Checks are cooperative:
+  loops call :meth:`CancelToken.tick` (amortized — a real clock read
+  every ``stride`` calls) or :meth:`CancelToken.check` (always reads
+  the clock).
 
 ``REPRO_DEFAULT_DEADLINE_MS`` applies a default deadline to every entry
 point that accepts a budget but was given none — the CI resilience job
@@ -221,37 +215,6 @@ class CancelToken:
                 budget=self.max_solver_nodes,
             )
         self.tick(where)
-
-    # -- crossing process boundaries ----------------------------------------
-
-    def to_payload(self) -> tuple:
-        """The *remaining* allowance, as a picklable tuple for workers."""
-        remaining = self.remaining_seconds()
-        rows_left = None if self.max_rows is None else max(self.max_rows - self.rows, 0)
-        nodes_left = (
-            None
-            if self.max_solver_nodes is None
-            else max(self.max_solver_nodes - self.nodes, 0)
-        )
-        return (remaining, rows_left, nodes_left, self.stride)
-
-    @classmethod
-    def from_payload(cls, payload: tuple) -> CancelToken:
-        """Rebuild a worker-local token from :meth:`to_payload` output.
-
-        The deadline restarts from the worker's *own* clock, so a chunk
-        that waited in the queue gets the allowance that remained at
-        submit time — the parent's collection loop still enforces the
-        true deadline.
-        """
-        remaining, rows_left, nodes_left, stride = payload
-        deadline = None if remaining is None else time.monotonic() + remaining
-        return cls(
-            deadline=deadline,
-            max_rows=rows_left,
-            max_solver_nodes=nodes_left,
-            stride=stride,
-        )
 
     def __repr__(self) -> str:
         remaining = self.remaining_seconds()

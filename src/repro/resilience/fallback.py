@@ -140,8 +140,7 @@ class FallbackChain:
 
     Only budget-shaped failures degrade: a rung raising a non-budget
     error (a genuine bug) propagates immediately — masking it behind a
-    slower rung is exactly the silent-fallback failure mode the pickle
-    pre-check bugfix in ``repro.parallel`` removes.
+    slower rung would hide the bug behind a correct but slower answer.
     """
 
     def __init__(

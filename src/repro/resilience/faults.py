@@ -2,9 +2,9 @@
 
 The fallback chain's claim — *degrade, never lie* — is only testable if
 faults actually happen. This module plants named *fault points* inside
-the fast evaluation paths (engine execution, locality census, parallel
-fan-out, EF solving); each point, when the injector is enabled **and**
-armed, raises :class:`~repro.errors.InjectedFaultError` on a
+the fast evaluation paths (engine execution, locality census, EF
+solving, answer maintenance); each point, when the injector is enabled
+**and** armed, raises :class:`~repro.errors.InjectedFaultError` on a
 deterministic schedule (every ``period``-th visit per site). The
 conformance runner and the resilience tests then assert the chain still
 produces answers identical to the fault-free reference.

@@ -53,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request materialized-row budget for every tenant",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker fan-out for batched answer execution "
-        "(Engine.answers_batch; default: serial unless REPRO_PARALLEL is set)",
-    )
-    parser.add_argument(
         "--executor",
         choices=("tuple", "columnar", "auto"),
         default=None,
@@ -165,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     service = QueryService(
         default_budget=default_budget,
-        engine=Engine(max_workers=args.workers, executor=args.executor),
+        engine=Engine(executor=args.executor),
         degree_bound=args.degree_bound,
         trace_sample=args.trace_sample,
         access_log=open_access_log(args.access_log, slow_ms=args.slow_ms),

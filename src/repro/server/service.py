@@ -877,14 +877,12 @@ class QueryService:
 
         Each request dict carries ``structure_id`` plus ``query`` or
         ``formula`` (and optionally its own ``page``/``page_size``).
-        Planning is deduplicated by the shared plan cache; execution
-        fans out across the engine's workers.  The whole batch shares
-        one admission token — a batch is one unit of work, and a budget
-        that would refuse its parts refuses their sum.  It also shares
-        one trace context: every engine span of the batch (including
-        worker span trees merged back across ``parallel_map``) carries
-        the same trace id, and the access log gets one line for the
-        whole batch.
+        Planning is deduplicated by the shared plan cache and duplicate
+        requests by the answer cache.  The whole batch shares one
+        admission token — a batch is one unit of work, and a budget that
+        would refuse its parts refuses their sum.  It also shares one
+        trace context: every engine span of the batch carries the same
+        trace id, and the access log gets one line for the whole batch.
         """
         session = self.tenant(tenant)
         session.count("batch_requests")

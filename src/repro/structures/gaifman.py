@@ -65,7 +65,14 @@ def gaifman_graph(structure: Structure) -> Structure:
     return Structure(GRAPH, structure.universe, {"E": edges})
 
 
-def _bfs_distances(structure: Structure, sources: Iterable[Element]) -> dict[Element, int]:
+def _bfs_distances(
+    structure: Structure, sources: Iterable[Element], radius: float = math.inf
+) -> dict[Element, int]:
+    """Distance from the nearest source for every element within ``radius``.
+
+    The walk stops expanding at depth ``radius``, so a bounded call costs
+    O(|B_r| · degree), not O(|component|).
+    """
     adjacency = gaifman_adjacency(structure)
     distances: dict[Element, int] = {}
     queue: deque[Element] = deque()
@@ -77,23 +84,29 @@ def _bfs_distances(structure: Structure, sources: Iterable[Element]) -> dict[Ele
             queue.append(source)
     while queue:
         current = queue.popleft()
+        depth = distances[current]
+        if depth >= radius:
+            continue
         for neighbor in adjacency[current]:
             if neighbor not in distances:
-                distances[neighbor] = distances[current] + 1
+                distances[neighbor] = depth + 1
                 queue.append(neighbor)
     return distances
 
 
 def _as_centers(
-    structure: Structure, center: Element | tuple[Element, ...]
+    structure: Structure, center: Element | tuple[Element, ...] | set[Element]
 ) -> tuple[Element, ...]:
     """Interpret ``center`` as a tuple of universe elements.
 
     A value that is itself a universe element is a 1-tuple (this takes
     precedence, so structures whose elements are tuples — e.g. disjoint
     unions — work); otherwise a tuple of universe elements is accepted
-    as-is.
+    as-is.  A ``set`` is never an element (it is unhashable), so a set of
+    elements is unambiguous.
     """
+    if isinstance(center, set):
+        return tuple(center)
     if center in structure:
         return (center,)
     if isinstance(center, tuple):
@@ -115,13 +128,21 @@ def distance(structure: Structure, sources: Element | tuple[Element, ...], targe
     return distances.get(target, math.inf)
 
 
-def ball(structure: Structure, center: Element | tuple[Element, ...], radius: int) -> frozenset[Element]:
-    """B_r(ā) = {b : d(ā, b) ≤ r}, the radius-r ball around ā."""
+def ball(
+    structure: Structure,
+    center: Element | tuple[Element, ...] | set[Element],
+    radius: int,
+) -> frozenset[Element]:
+    """B_r(ā) = {b : d(ā, b) ≤ r}, the radius-r ball around ā.
+
+    ``center`` is an element, a tuple of elements, or a set of elements.
+    The breadth-first walk stops at depth r, so the cost is
+    O(|B_r(ā)| · degree) over the (memoized, update-patched) Gaifman
+    adjacency, independent of the size of ā's component.
+    """
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
-    center = _as_centers(structure, center)
-    distances = _bfs_distances(structure, center)
-    return frozenset(element for element, dist in distances.items() if dist <= radius)
+    return frozenset(_bfs_distances(structure, _as_centers(structure, center), radius))
 
 
 def neighborhood(

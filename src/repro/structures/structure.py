@@ -202,19 +202,16 @@ class Structure:
         )
         return f"Structure(|A|={self.size}, {rels or 'no relations'})"
 
-    # -- pickling (worker payloads) -------------------------------------------
+    # -- pickling and copying -------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        """Pickle the mathematical content only, not the memo caches.
+        """Pickle (and copy) the mathematical content only, not the memo caches.
 
-        Worker payloads (parallel census chunks, batch plan executions)
-        stay small, and each worker rebuilds Gaifman graphs / WL colors
-        on demand — those are cheaper to recompute than to ship. The
-        columnar tier's per-structure memos (domain codecs, compiled
-        kernel pipelines — :mod:`repro.engine.columnar`) live in the
-        same cache and are likewise rebuilt where they're used: shipping
-        compiled closures would be impossible anyway (they don't
-        pickle), and the rebuild is one linear pass over each relation.
+        Gaifman graphs, WL colors and the columnar tier's per-structure
+        memos (domain codecs, compiled kernel pipelines —
+        :mod:`repro.engine.columnar`) are rebuilt on demand by the copy:
+        compiled closures do not pickle, and each rebuild is one linear
+        pass over the relations.
         """
         return (self.signature, self.universe, self.relations, self.constants)
 
@@ -227,8 +224,8 @@ class Structure:
         self.constants = constants
         self._hash = None
         self._cache = {}
-        # A worker-side copy is a different object with its own update
-        # history; it must not alias the sender's incremental identity.
+        # A copy is a different object with its own update history; it
+        # must not alias the original's incremental identity.
         self.epoch = 0
         self.uid = next(_UIDS)
         self._deltas = []

@@ -11,8 +11,8 @@ per-phase costs instead of one opaque total:
   histograms (labeled, bounded-cardinality) with JSON snapshot and
   text report exports;
 * :mod:`repro.telemetry.context` — per-request :class:`TraceContext`
-  (trace id, sampling decision) with scoped span stacks and
-  cross-process propagation (telemetry v2, S19);
+  (trace id, sampling decision) with scoped span stacks (telemetry v2,
+  S19);
 * :mod:`repro.telemetry.prometheus` — text exposition 0.0.4 plus the
   strict parser CI scrapes with;
 * :mod:`repro.telemetry.logs` — the structured JSON access /
@@ -65,7 +65,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.prometheus import parse_exposition, render_exposition
 from repro.telemetry.tracer import (
     Span,
-    adopt_spans,
     current_span,
     disable,
     drain_spans,
@@ -87,7 +86,6 @@ __all__ = [
     "REGISTRY",
     "Span",
     "TraceContext",
-    "adopt_spans",
     "capture",
     "counter",
     "current_span",

@@ -8,7 +8,7 @@ into one story.  A :class:`TraceContext` is minted once per request
 the request's root span, and the **sampling decision**, and is installed
 on the handling thread with :func:`trace_scope`.
 
-Three properties the server stack relies on:
+Two properties the server stack relies on:
 
 * **Scoped, not global.** :func:`trace_scope` swaps in a *fresh* span
   stack for the duration of the request and restores the previous one on
@@ -21,11 +21,6 @@ Three properties the server stack relies on:
   so a client replaying a trace id reproduces the sampling outcome, and
   always-on tracing can run at a fixed fraction of requests with zero
   coordination.
-* **Process-boundary propagation.** :func:`propagation_payload` /
-  :func:`scope_from_payload` ship the context to ``parallel_map``
-  workers the way :meth:`repro.resilience.budget.CancelToken.to_payload`
-  ships the remaining allowance; worker span trees come back serialized
-  and merge into the parent trace (see :mod:`repro.parallel.pool`).
 """
 
 from __future__ import annotations
@@ -45,9 +40,7 @@ __all__ = [
     "mint",
     "new_span_id",
     "new_trace_id",
-    "propagation_payload",
     "sampling_decision",
-    "scope_from_payload",
     "trace_scope",
 ]
 
@@ -150,8 +143,7 @@ class trace_scope:
     context **unconditionally**, abandoning any spans an exception left
     open — the leak fix the reused-handler-thread scenario needs.  The
     scope collects the root spans finished inside it (:attr:`roots`),
-    which is what the server attaches to ``explain`` responses and what
-    workers ship back to the parent trace.
+    which is what the server attaches to ``explain`` responses.
     """
 
     __slots__ = ("context", "_tracer_token", "roots", "orphaned_spans")
@@ -181,33 +173,3 @@ class trace_scope:
         if contexts:
             contexts.pop()
         return False
-
-
-# -- crossing parallel_map boundaries ----------------------------------------
-
-
-def propagation_payload() -> tuple[str, str] | None:
-    """What to ship with a parallel chunk: ``(trace_id, span_id)``.
-
-    ``None`` when nothing is recording on this thread — workers then
-    skip span collection entirely, keeping the disabled path free.  When
-    tracing is on globally but no request context is installed (library
-    use outside the server), a fresh trace id is minted so the worker
-    trees still share one identity.
-    """
-    if not _tracer.is_recording():
-        return None
-    context = current_trace()
-    if context is not None:
-        return (context.trace_id, context.span_id)
-    return (new_trace_id(), new_span_id())
-
-
-def scope_from_payload(payload: tuple[str, str]) -> trace_scope:
-    """Rebuild a worker-side recording scope from
-    :func:`propagation_payload` output — same trace id, recording on
-    (the parent only ships a payload when it is itself recording)."""
-    trace_id, parent_span_id = payload
-    return trace_scope(
-        TraceContext(trace_id=trace_id, span_id=parent_span_id, sampled=True)
-    )

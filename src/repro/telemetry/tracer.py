@@ -24,9 +24,7 @@ stays free, and a request that dies mid-span can never leak open spans
 onto the reused handler thread — the scope's stack is discarded on exit
 and the previous one restored.  Every recorded span carries the scope's
 ``trace_id`` plus its own ``span_id``, and serializes with
-:meth:`Span.to_dict` / :func:`span_from_dict` so worker span trees can
-cross process boundaries and :func:`adopt_spans` can graft them back
-under the parent trace.
+:meth:`Span.to_dict` (what the server attaches to ``explain`` responses).
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from typing import Any
 
 __all__ = [
     "Span",
-    "adopt_spans",
     "current_span",
     "disable",
     "drain_spans",
@@ -55,7 +52,6 @@ __all__ = [
     "push_scope",
     "reset_tracer",
     "span",
-    "span_from_dict",
     "traced",
 ]
 
@@ -218,10 +214,9 @@ class Span:
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready snapshot of the subtree.
 
-        Durations only — ``perf_counter`` timestamps are meaningless
-        across processes, so worker trees ship relative costs and merge
-        cleanly into the parent trace.  A still-open span reports the
-        duration accumulated so far.
+        Durations only — ``perf_counter`` timestamps mean nothing outside
+        this process.  A still-open span reports the duration accumulated
+        so far.
         """
         end = self.end_s if self.end_s else time.perf_counter()
         duration_ms = max(end - self.start_s, 0.0) * 1000.0 if self.start_s else 0.0
@@ -312,50 +307,6 @@ def open_root() -> Span | None:
     """The outermost *open* span on this thread (the live request root)."""
     stack = _stack()
     return stack[0] if stack else None
-
-
-def span_from_dict(data: dict[str, Any]) -> Span:
-    """Rebuild a span subtree from :meth:`Span.to_dict` output."""
-    rebuilt = Span(str(data.get("name", "?")), data.get("attributes") or {})
-    rebuilt.span_id = str(data.get("span_id", rebuilt.span_id))
-    rebuilt.trace_id = data.get("trace_id")
-    rebuilt.start_s = 0.0
-    rebuilt.end_s = float(data.get("duration_ms", 0.0)) / 1000.0
-    rebuilt.children = [span_from_dict(child) for child in data.get("children", ())]
-    return rebuilt
-
-
-def adopt_spans(span_dicts: list[dict[str, Any]]) -> int:
-    """Graft serialized worker span trees into this thread's trace.
-
-    Each tree is re-parented under the innermost open span (the usual
-    case: the batch/fan-out span is still open while chunk results are
-    collected) and stamped with the adopting thread's trace id, so a
-    request's span tree stays single-trace even when parts of it ran in
-    a worker process.  With no span open the trees land as finished
-    roots.  Returns the number of trees adopted; no-ops (returns 0)
-    while not recording.
-    """
-    if not is_recording() or not span_dicts:
-        return 0
-    trace_id = getattr(_local, "trace_id", None)
-    parent = current_span()
-    adopted = 0
-    for data in span_dicts:
-        rebuilt = span_from_dict(data)
-        if trace_id is not None:
-            for node in rebuilt.walk():
-                node.trace_id = trace_id
-        if parent is not None:
-            parent.children.append(rebuilt)
-        else:
-            roots = getattr(_local, "roots", None)
-            if roots is not None:
-                roots.append(rebuilt)
-            with _finished_lock:
-                _finished.append(rebuilt)
-        adopted += 1
-    return adopted
 
 
 def finished_spans() -> tuple[Span, ...]:

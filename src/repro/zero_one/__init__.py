@@ -5,7 +5,6 @@ decisions μ(φ) ∈ {0, 1}.
 """
 
 from repro.zero_one.asymptotic import (
-    SentenceQuery,
     decide_almost_sure,
     decide_via_witness,
     mu_estimate_sentence,
@@ -32,5 +31,5 @@ __all__ = [
     "satisfies_extension_axiom", "extension_axiom_counterexample",
     "find_extension_witness",
     "decide_almost_sure", "mu_limit", "decide_via_witness",
-    "SentenceQuery", "mu_estimate_sentence",
+    "mu_estimate_sentence",
 ]

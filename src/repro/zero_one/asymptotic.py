@@ -24,7 +24,6 @@ the EF solver) makes this agree with the symbolic route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.errors import FMTError, FormulaError
 from repro.eval.evaluator import evaluate
@@ -53,26 +52,8 @@ __all__ = [
     "decide_almost_sure",
     "mu_limit",
     "decide_via_witness",
-    "SentenceQuery",
     "mu_estimate_sentence",
 ]
-
-
-@dataclass(frozen=True)
-class SentenceQuery:
-    """A picklable "does A ⊨ φ?" query for the Monte-Carlo sampler.
-
-    :func:`repro.zero_one.random_structures.mu_estimate` accepts any
-    callable, but only a *picklable* one can cross a process boundary;
-    lambdas and closures silently keep the sampler serial. Formulas are
-    frozen dataclasses and pickle fine, so this wrapper is all the 0–1
-    law experiments need to fan sampling out over worker processes.
-    """
-
-    sentence: Formula
-
-    def __call__(self, structure: Structure) -> bool:
-        return evaluate(structure, self.sentence)
 
 
 def mu_estimate_sentence(
@@ -81,15 +62,13 @@ def mu_estimate_sentence(
     n: int,
     samples: int = 200,
     seed: int = 0,
-    *,
-    max_workers: int | None = None,
 ) -> MuEstimate:
-    """Monte-Carlo μ_n(φ) for an FO sentence, sampled across workers.
+    """Monte-Carlo μ_n(φ) for an FO sentence.
 
-    The empirical companion to :func:`decide_almost_sure` (E12/E18): the
-    estimates converge to the almost-sure truth value as n grows. Seeds
-    are per sample index, so the estimate is identical at any worker
-    count.
+    The empirical companion to :func:`decide_almost_sure` (E12): the
+    estimates converge to the almost-sure truth value as n grows.
+    Seeds are per sample index, as in
+    :func:`~repro.zero_one.random_structures.mu_estimate`.
     """
     free = free_variables(sentence)
     if free:
@@ -97,7 +76,7 @@ def mu_estimate_sentence(
         raise FormulaError(f"μ is defined for sentences; free variables: {names}")
     validate(sentence, signature)
     return mu_estimate(
-        SentenceQuery(sentence), signature, n, samples, seed, max_workers=max_workers
+        lambda structure: evaluate(structure, sentence), signature, n, samples, seed
     )
 
 

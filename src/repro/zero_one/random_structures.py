@@ -43,56 +43,26 @@ class MuEstimate:
         return f"μ_{self.n} ≈ {self.value:.3f} ± {self.half_width:.3f} ({self.samples} samples)"
 
 
-def _sample_chunk(payload: tuple) -> int:
-    """Worker body: draw and test one contiguous range of sample indices.
-
-    Each index regenerates its structure from the same per-index seed the
-    serial loop uses (``seed * 1_000_003 + index``), so the success count
-    is independent of how the range was chunked or scheduled.
-    """
-    query, signature, n, seed, start, stop = payload
-    successes = 0
-    for index in range(start, stop):
-        structure = random_structure(signature, n, p=0.5, seed=seed * 1_000_003 + index)
-        if query(structure):
-            successes += 1
-    return successes
-
-
 def mu_estimate(
     query: Callable[[Structure], bool],
     signature: Signature,
     n: int,
     samples: int = 200,
     seed: int = 0,
-    *,
-    max_workers: int | None = None,
 ) -> MuEstimate:
     """Estimate μ_n(Q) by sampling STRUC(σ, n) uniformly.
 
-    Sampling fans out over the shared worker pool when ``max_workers``
-    (or ``REPRO_PARALLEL``) enables it. Seeds are assigned per sample
-    index, so the estimate is bit-identical at any worker count; if the
-    query cannot cross a process boundary the map itself degrades to the
-    serial path.
+    Sample ``index`` is drawn with seed ``seed * 1_000_003 + index``, so
+    an estimate is reproducible from ``(seed, samples)`` alone.
     """
     if samples < 1:
         raise FMTError(f"need at least one sample, got {samples}")
-    from repro.parallel import CHUNKS_PER_WORKER, parallel_map, resolve_workers
-
-    workers = resolve_workers(max_workers)
-    if workers <= 1 or samples < 2:
-        successes = _sample_chunk((query, signature, n, seed, 0, samples))
-        return MuEstimate(n=n, samples=samples, successes=successes)
-    size = max(1, math.ceil(samples / (workers * CHUNKS_PER_WORKER)))
-    payloads = [
-        (query, signature, n, seed, start, min(start + size, samples))
-        for start in range(0, samples, size)
-    ]
-    counts = parallel_map(
-        _sample_chunk, payloads, max_workers=workers, chunk_size=1
-    )
-    return MuEstimate(n=n, samples=samples, successes=sum(counts))
+    successes = 0
+    for index in range(samples):
+        structure = random_structure(signature, n, p=0.5, seed=seed * 1_000_003 + index)
+        if query(structure):
+            successes += 1
+    return MuEstimate(n=n, samples=samples, successes=successes)
 
 
 def mu_curve(
@@ -101,14 +71,9 @@ def mu_curve(
     sizes: list[int],
     samples: int = 200,
     seed: int = 0,
-    *,
-    max_workers: int | None = None,
 ) -> list[MuEstimate]:
     """μ_n estimates across a range of sizes — the convergence curve of E12."""
-    return [
-        mu_estimate(query, signature, n, samples, seed, max_workers=max_workers)
-        for n in sizes
-    ]
+    return [mu_estimate(query, signature, n, samples, seed) for n in sizes]
 
 
 def count_structures(signature: Signature, n: int) -> int:

@@ -3,15 +3,20 @@
 import pytest
 
 from repro.engine import Engine
-from repro.errors import EvaluationError
+from repro.errors import BudgetExceededError, EvaluationError
 from repro.eval.evaluator import answers as naive_answers
 from repro.eval.evaluator import evaluate as naive_evaluate
 from repro.logic.parser import parse
-from repro.structures.builders import directed_cycle, random_graph
+from repro.queries.zoo import fo_graph_corpus
+from repro.resilience import Budget
+from repro.structures.builders import complete_graph, directed_cycle, random_graph
+from repro.structures.structure import Structure
 
 DISTANCE_TWO = parse("exists z (E(x, z) & E(z, y)) & ~E(x, y)")
 MUTUAL = parse("exists x exists y (E(x, y) & E(y, x))")
 HAS_LOOP = parse("exists x E(x, x)")
+EDGE = parse("E(x, y)")
+ONE_WAY = parse("E(x, y) & ~E(y, x)")
 
 
 def _graphs():
@@ -64,14 +69,51 @@ class TestAnswersBatch:
         assert engine.stats.executions == len(graphs)
         assert engine.stats.execution.rows_materialized > 0
 
-    def test_parallel_workers_give_identical_results(self):
-        serial = Engine()
-        parallel = Engine()
-        graphs = _graphs()
-        requests = [(g, DISTANCE_TWO) for g in graphs]
-        assert serial.answers_batch(requests, max_workers=1) == parallel.answers_batch(
-            requests, max_workers=3
+    def test_zoo_corpus_batch_matches_single_calls(self):
+        engine = Engine()
+        reference = Engine()
+        graphs = [random_graph(n, 0.15, seed=n) for n in (7, 9, 11)]
+        for query in fo_graph_corpus():
+            batched = engine.answers_batch([(graph, query.formula) for graph in graphs])
+            singles = [reference.answers(graph, query.formula) for graph in graphs]
+            assert batched == singles, query.name
+
+    def test_budget_trip_partway_caches_no_partial_set(self):
+        engine = Engine()
+        small = directed_cycle(4)
+        dense = complete_graph(12)
+        small_key = (small, EDGE, "universe", ("x", "y"))
+        dense_key = (dense, DISTANCE_TWO, "universe", ("x", "y"))
+        with pytest.raises(BudgetExceededError):
+            engine.answers_batch(
+                [(small, EDGE), (dense, DISTANCE_TWO)], budget=Budget(max_rows=100)
+            )
+        # The request before the trip completed and was cached whole; the
+        # tripped one left nothing behind.
+        assert engine.answer_cache.get(small_key) == naive_answers(small, EDGE)
+        assert dense_key not in engine.answer_cache
+        assert engine.answers(dense, DISTANCE_TWO) == naive_answers(dense, DISTANCE_TWO)
+
+    def test_read_after_insert_is_patched(self):
+        engine = Engine()
+        graph = random_graph(10, 0.25, seed=10)
+        engine.answers_batch([(graph, ONE_WAY)])
+        missing = next(
+            (a, b)
+            for a in graph.universe
+            for b in graph.universe
+            if a != b and not graph.holds("E", (a, b))
         )
+        graph.insert("E", missing)
+        patched = engine.stats.answers_patched
+        (rows,) = engine.answers_batch([(graph, ONE_WAY)])
+        assert engine.stats.answers_patched == patched + 1
+        cold = Structure(
+            graph.signature,
+            graph.universe,
+            {name: set(tuples) for name, tuples in graph.relations.items()},
+        )
+        assert rows == Engine().answers(cold, ONE_WAY) == naive_answers(cold, ONE_WAY)
 
 
 class TestEvaluateBatch:

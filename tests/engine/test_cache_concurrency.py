@@ -1,7 +1,7 @@
 """Concurrency hammer for the engine's LRUCache (the thread-safety fix).
 
 Before the lock, concurrent ``move_to_end``/``popitem`` on the shared
-``OrderedDict`` corrupted the cache under ``REPRO_PARALLEL_BACKEND=thread``
+``OrderedDict`` corrupted the cache when several threads used one engine
 (KeyError from ``move_to_end``, over-capacity dicts, double-counted
 stats). These tests drive the exact interleavings that broke.
 """

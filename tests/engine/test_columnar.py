@@ -325,7 +325,7 @@ class TestExecutorParity:
 class TestPickling:
     def test_columnar_caches_do_not_ship(self):
         """Codec and pipeline memos live in Structure._cache, which
-        __getstate__ drops — workers rebuild them on demand."""
+        __getstate__ drops — a copy rebuilds them on demand."""
         graph = random_graph(8, 0.4, seed=3)
         engine = columnar_engine()
         engine.answers(graph, DISTANCE_TWO)

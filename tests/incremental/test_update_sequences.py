@@ -273,7 +273,7 @@ def test_update_validation_rejects_bad_deltas_untouched():
 
 
 def test_pickled_copies_get_fresh_identity():
-    """A worker's copy must not alias the sender's incremental records."""
+    """A pickled copy must not alias the original's incremental records."""
     import pickle
 
     live = directed_cycle(4)

@@ -9,6 +9,7 @@ from repro.locality.hanf import hanf_locality_radius
 from repro.logic.parser import parse
 from repro.logic.analysis import quantifier_rank
 from repro.structures.builders import (
+    directed_cycle,
     disjoint_cycles,
     grid_graph,
     undirected_chain,
@@ -62,6 +63,24 @@ class TestEvaluation:
         evaluator = BoundedDegreeEvaluator(sentence, degree_bound=2)
         with pytest.raises(LocalityError):
             evaluator.evaluate(grid_graph(3, 3))  # degree up to 4
+
+    def test_evaluate_many_equals_baseline_evaluations(self):
+        sentence = parse("exists x exists y (E(x, y) & E(y, x))")
+        cycles = [directed_cycle(n) for n in (6, 7, 8, 9, 6)]
+        fast = BoundedDegreeEvaluator(sentence, degree_bound=2)
+        baseline = BoundedDegreeEvaluator(
+            sentence, degree_bound=2, census_mode="baseline"
+        )
+        assert fast.evaluate_many(cycles) == [
+            baseline.evaluate(cycle) for cycle in cycles
+        ]
+
+    def test_evaluate_many_checks_every_degree_first(self):
+        sentence = parse("exists x E(x, x)")
+        evaluator = BoundedDegreeEvaluator(sentence, degree_bound=2)
+        with pytest.raises(LocalityError):
+            evaluator.evaluate_many([undirected_cycle(5), grid_graph(3, 3)])
+        assert evaluator.stats.misses == 0
 
     def test_cache_hit_on_hanf_equivalent_structure(self):
         # 2×C_m and C_2m share an exact census once m > 2r + 1; the

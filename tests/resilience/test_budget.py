@@ -92,31 +92,6 @@ class TestCancelToken:
         assert token.remaining_seconds() == 0.0
 
 
-class TestPayloadRoundTrip:
-    def test_payload_ships_remaining_allowance(self):
-        token = CancelToken(max_rows=100, max_solver_nodes=50, stride=7)
-        token.consume_rows(30)
-        token.consume_nodes(5)
-        remaining, rows_left, nodes_left, stride = token.to_payload()
-        assert remaining is None
-        assert rows_left == 70
-        assert nodes_left == 45
-        assert stride == 7
-
-    def test_rebuilt_token_enforces_remaining(self):
-        token = CancelToken(max_rows=10)
-        token.consume_rows(8)
-        worker = CancelToken.from_payload(token.to_payload())
-        worker.consume_rows(2)
-        with pytest.raises(BudgetExceededError):
-            worker.consume_rows(1)
-
-    def test_deadline_restarts_on_worker_clock(self):
-        token = Budget(deadline_ms=10_000).start()
-        worker = CancelToken.from_payload(token.to_payload())
-        assert worker.remaining_seconds() == pytest.approx(10.0, abs=0.5)
-
-
 class TestAsToken:
     def test_none_without_env_is_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_DEFAULT_DEADLINE_MS", raising=False)

@@ -2,8 +2,7 @@
 
 These tests pin the S17 contract at the places a budget actually bites:
 mid-join in the engine executor, mid-census in the locality pipeline,
-mid-expansion in the EF solver, per-binding in the naive evaluator, and
-at chunk granularity in the parallel fan-out.
+mid-expansion in the EF solver and per-binding in the naive evaluator.
 """
 
 import time
@@ -17,7 +16,6 @@ from repro.eval.evaluator import evaluate as naive_evaluate
 from repro.games.ef import ef_equivalent
 from repro.locality.bounded_degree import BoundedDegreeEvaluator
 from repro.logic.parser import parse
-from repro.parallel import parallel_map, shutdown
 from repro.resilience import Budget, CancelToken
 from repro.structures.builders import complete_graph, directed_cycle, linear_order
 
@@ -102,53 +100,3 @@ class TestEvaluatorBudgets:
         with pytest.raises(BudgetExceededError, match="deadline exceeded"):
             naive_evaluate(structure, sentence, cancel_token=_expired_token())
 
-
-def _slow_square(value):
-    time.sleep(0.02)
-    return value * value
-
-
-class TestParallelCancellation:
-    def teardown_method(self):
-        shutdown()
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_precancelled_token_refuses_upfront(self, backend):
-        token = CancelToken()
-        token.cancel("test asked")
-        with pytest.raises(BudgetExceededError, match="test asked"):
-            parallel_map(_slow_square, range(8), max_workers=2, backend=backend, cancel_token=token)
-
-    def test_precancelled_token_refuses_serial_path(self):
-        token = CancelToken()
-        token.cancel()
-        with pytest.raises(BudgetExceededError):
-            parallel_map(_slow_square, range(8), max_workers=1, cancel_token=token)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_deadline_cancels_in_flight_fanout(self, backend):
-        token = Budget(deadline_ms=40, stride=1).start()
-        with pytest.raises(BudgetExceededError):
-            parallel_map(
-                _slow_square, range(40), max_workers=2, backend=backend, cancel_token=token
-            )
-
-    def test_thread_workers_see_live_cancellation(self):
-        token = Budget(deadline_ms=60_000, stride=1).start()
-
-        calls = []
-
-        def record(value):
-            calls.append(value)
-            if len(calls) == 2:
-                token.cancel("mid-flight stop")
-            time.sleep(0.005)
-            return value
-
-        with pytest.raises(BudgetExceededError):
-            parallel_map(
-                record, range(64), max_workers=2, backend="thread",
-                chunk_size=4, cancel_token=token,
-            )
-        # The shared token stopped the fan-out long before all 64 items ran.
-        assert len(calls) < 64

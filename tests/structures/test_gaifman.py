@@ -97,6 +97,35 @@ class TestBalls:
         members = ball(chain, (0, 8), 1)
         assert members == {0, 1, 7, 8}
 
+    def test_set_center(self):
+        chain = undirected_chain(9)
+        assert ball(chain, {0, 8}, 1) == {0, 1, 7, 8}
+
+    def test_walk_stops_at_the_radius(self, monkeypatch):
+        import repro.structures.gaifman as gaifman_module
+
+        path = undirected_chain(1000)
+        counting = _CountingAdjacency(gaifman_adjacency(path))
+        monkeypatch.setattr(gaifman_module, "gaifman_adjacency", lambda _: counting)
+        assert ball(path, 500, 1) == {499, 500, 501}
+        # Only elements at distance < r are expanded — never the rest of
+        # the 1000-node component.
+        assert counting.lookups <= 3
+
+
+class _CountingAdjacency(dict):
+    """An adjacency map that counts neighbour lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, element):
+        self.lookups += 1
+        return super().__getitem__(element)
+
+    def get(self, element, default=None):
+        self.lookups += 1
+        return super().get(element, default)
+
 
 class TestNeighborhoods:
     def test_center_marked(self):

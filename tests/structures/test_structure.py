@@ -1,9 +1,12 @@
 """Tests for the core Structure class."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SignatureError, StructureError
 from repro.logic.signature import GRAPH, SET, Signature
+from repro.structures.builders import random_graph
 from repro.structures.structure import Structure
 
 
@@ -174,3 +177,22 @@ class TestDegrees:
     def test_is_graph(self, triangle):
         assert triangle.is_graph()
         assert not Structure(SET, [0]).is_graph()
+
+
+class TestPickling:
+    def test_roundtrip_drops_caches_keeps_content(self):
+        graph = random_graph(12, 0.3, seed=2)
+        graph.cached(("probe",), lambda: "cached-value")
+        clone = pickle.loads(pickle.dumps(graph))
+        # Memo slots arrive empty (they are rebuilt on demand)...
+        assert clone._cache == {}
+        assert clone._hash is None
+        # ...but the mathematical content survives exactly.
+        assert clone == graph
+        assert hash(clone) == hash(graph)
+
+    def test_signature_with_frozen_relations_roundtrips(self):
+        graph = random_graph(5, 0.5, seed=9)
+        clone = pickle.loads(pickle.dumps(graph.signature))
+        assert clone == graph.signature
+        assert hash(clone) == hash(graph.signature)

@@ -6,7 +6,12 @@ from repro.errors import FMTError, FormulaError
 from repro.eval.evaluator import evaluate
 from repro.logic.parser import parse
 from repro.logic.signature import GRAPH, Signature
-from repro.zero_one.asymptotic import decide_almost_sure, decide_via_witness, mu_limit
+from repro.zero_one.asymptotic import (
+    decide_almost_sure,
+    decide_via_witness,
+    mu_estimate_sentence,
+    mu_limit,
+)
 from repro.zero_one.random_structures import mu_estimate
 
 UNARY = Signature({"P": 1})
@@ -117,4 +122,23 @@ class TestWitnessRoute:
         sentence = parse("exists x E(x, x)")
         assert decide_via_witness(sentence, GRAPH, seed=1) == decide_almost_sure(
             sentence, GRAPH
+        )
+
+
+class TestMuEstimateSentence:
+    def test_converges_toward_almost_sure_value(self):
+        # μ(∃x∃y E(x,y)) = 1: at n = 8 nearly every sample satisfies it.
+        estimate = mu_estimate_sentence(
+            parse("exists x exists y E(x, y)"), GRAPH, 8, samples=50, seed=0
+        )
+        assert estimate.value > 0.9
+
+    def test_rejects_open_formulas(self):
+        with pytest.raises(FormulaError):
+            mu_estimate_sentence(parse("E(x, y)"), GRAPH, 4)
+
+    def test_matches_mu_estimate_of_the_model_check(self):
+        sentence = parse("exists x E(x, x)")
+        assert mu_estimate_sentence(sentence, GRAPH, 5, samples=60, seed=7) == (
+            mu_estimate(lambda s: evaluate(s, sentence), GRAPH, 5, samples=60, seed=7)
         )
