@@ -182,7 +182,7 @@ def quantified_update_row(n: int) -> dict:
         assert codec_stats["rebuilt"] == rebuilt_before, (
             "the benchmark loop paid a full re-encode"
         )
-        assert engine._answer_index.quant_patched >= REPS, engine._answer_index
+        assert engine._answer_index.patched["local"] >= REPS, engine._answer_index.patched
     finally:
         if not was_enabled:
             telemetry.disable()

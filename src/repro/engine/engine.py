@@ -300,12 +300,10 @@ class Engine:
             if maintain:
                 # The hit certifies the rows match the *current* content,
                 # so re-stamp the maintenance record at the current epoch.
-                self._answer_index.remember(structure, formula, order_names, cached)
+                self._answer_index.remember(structure, formula, cached)
             return cached
         if maintain:
-            patched = self._answer_index.patch(
-                structure, formula, order_names, cancel_token=token
-            )
+            patched = self._answer_index.patch(structure, formula, cancel_token=token)
             if patched is not None:
                 self.stats.answers_patched += 1
                 self.answer_cache.put(key, patched)
@@ -313,7 +311,7 @@ class Engine:
         rows = self._compute_answers(structure, formula, sorted_names, order_names, token)
         self.answer_cache.put(key, rows)
         if maintain:
-            self._answer_index.remember(structure, formula, order_names, rows)
+            self._answer_index.remember(structure, formula, rows)
         return rows
 
     def maintained_changed(
@@ -337,10 +335,8 @@ class Engine:
         """
         if self.domain_mode != "universe":
             return None
-        token = as_token(budget)
-        order_names = tuple(sorted(var.name for var in free_variables(formula)))
         return self._answer_index.changed(
-            structure, formula, order_names, cancel_token=token
+            structure, formula, cancel_token=as_token(budget)
         )
 
     def enumerate(

@@ -13,10 +13,12 @@ here maintain the *derived* state on top of that delta log:
   neighborhood map itself), so one multi-source BFS bounds the dirty set
   and everything outside it keeps its type.
 * :mod:`repro.incremental.answers` — :class:`~repro.incremental.answers.AnswerIndex`,
-  cached-answer maintenance for quantifier-free queries: a delta to
-  relation R can only flip tuples that unify with some R-atom of the
-  query, so candidate answers are enumerated from the delta, verified
-  point-wise, and spliced into the cached answer set.
+  cached-answer maintenance in three tiers behind one record per
+  (structure, query): quantifier-free queries patch the delta's
+  unification candidates, local-existential ones re-decide the census
+  module's dirty set, and other quantified queries with at most one
+  free variable transfer verdicts through a Hanf census re-keyed the
+  same way.
 * :mod:`repro.incremental.enumeration` — :class:`~repro.incremental.enumeration.AnswerStream`
   and the constant-delay enumeration strategies behind
   :meth:`repro.engine.engine.Engine.enumerate`, after Kazana–Segoufin

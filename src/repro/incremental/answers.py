@@ -3,32 +3,32 @@
 A cached answer set ans(φ, A) can be *patched* under a tuple delta
 instead of recomputed.  Three tiers, in decreasing order of strength:
 
-**Quantifier-free** (the original tier).  Whether ā ∈ ans(φ, A) depends
-only on which atoms of φ hold of ā — and a delta (op, R, t) can only
-flip the truth of an R-atom R(τ̄) on assignments where τ̄ evaluates to
-exactly t.  Unifying each R-atom's term tuple against t therefore
-enumerates a *complete* candidate set; each candidate is verified
-point-wise and spliced into the cached set.
+**Quantifier-free** (``qf``).  Whether ā ∈ ans(φ, A) depends only on
+which atoms of φ hold of ā — and a delta (op, R, t) can only flip the
+truth of an R-atom R(τ̄) on assignments where τ̄ evaluates to exactly t.
+Unifying each R-atom's term tuple against t therefore enumerates a
+*complete* candidate set; each candidate is verified point-wise and
+spliced into the cached set.
 
-**Local existential** (Kazana–Segoufin style, arXiv:1105.3583).  For
-φ(x) = ∃y₁…y_k ψ with ψ quantifier-free and every yᵢ *anchored* — each
-witness variable reachable from x in the variable co-occurrence graph
-built from atoms guaranteed to hold in any satisfying assignment — every
-witness tuple lies inside the Gaifman ball B_k(x).  The verdict of a is
-therefore a function of B_k(a) and of the rows over {a} ∪ B_k(a), so
-after a batch of deltas only elements in the radius-k ball around the
-touched elements (in the *patched* graph — the same dirty-set lemma the
-census index proves in :mod:`repro.incremental.census`) can change
-verdict, and each is re-decided by quantifying over its ball instead of
-the universe.  On bounded-degree structures this is O(deltas), the
-bounded-degree delta algorithm the ROADMAP asks for.
+**Local existential** (``local``, Kazana–Segoufin style,
+arXiv:1105.3583).  For φ(x) = ∃y₁…y_k ψ with ψ quantifier-free and every
+yᵢ *anchored* — each witness variable reachable from x in the variable
+co-occurrence graph built from atoms guaranteed to hold in any
+satisfying assignment — every witness tuple lies inside the Gaifman ball
+B_k(x).  The verdict of a is therefore a function of B_k(a) and of the
+rows over it, so only the radius-k dirty set of the deltas
+(:func:`repro.incremental.census.dirty_set`, whose completeness is the
+lemma proved in :mod:`repro.incremental.census`) can change verdict,
+and each of its elements is re-decided by quantifying over its ball
+instead of the universe.
 
-**Hanf census gate** (general rank-q, at most one free variable).  For
-arbitrary quantified φ(x) of rank q, A ⊨ φ(a) iff the *marked* structure
-(A, {a}) satisfies the rank-(q+1) sentence ∃x (P(x) ∧ φ(x)); by Hanf
-locality (Libkin, *Elements of Finite Model Theory*, Thm 4.12) that
-sentence is determined by the exact multiset of radius-r ball types of
-(A, {a}) with r = (3^{q+1} − 1)/2.  That census decomposes as
+**Hanf census gate** (``hanf``, general rank-q, at most one free
+variable).  For arbitrary quantified φ(x) of rank q, A ⊨ φ(a) iff the
+*marked* structure (A, {a}) satisfies the rank-(q+1) sentence
+∃x (P(x) ∧ φ(x)); by Hanf locality (Libkin, *Elements of Finite Model
+Theory*, Thm 4.12) that sentence is determined by the exact multiset of
+radius-r ball types of (A, {a}) with r = (3^{q+1} − 1)/2.  That census
+decomposes as
 
     census_r(A, {a}) = census_r(A)
                        − {unmarked types of b ∈ B_r(a)}
@@ -43,15 +43,21 @@ induced substructure is distance-faithful up to r.  Hence the
     equal pointed ball key at radius 2r  ⟹  equal verdict
 
 — sound for *all* finite structures (degree bounds only gate the cost).
-The record keeps every element's pointed key, the census fingerprint,
-and a (key, fingerprint) → verdict cache, so a delta re-keys only the
-dirty ball and re-evaluates at most one representative per new class.
+A promoted record keeps every element's pointed key, the census
+fingerprint, and a (key, fingerprint) → verdict cache, so a delta
+re-keys only the dirty set and re-evaluates at most one representative
+per new class.
 
-All tiers share the commit-at-end discipline: nothing in the record is
-mutated until the whole patch has been computed, so a candidate/dirty
-overflow, an injected fault, or a mid-patch budget expiry leaves the
-record exactly as it was (the ``incremental.answers.fallback`` counter
-makes the recompute escape hatch visible).
+One :class:`_Record` per (structure uid, formula) holds the rows, the
+epoch they answer, the scope classified when the record was made, and —
+for the Hanf tier — the census.  Every tier is a function from the
+record and the pending deltas to new rows; :meth:`AnswerIndex.patch`
+commits what it returns in one block at the end, so an overflow of the
+per-patch allowance (:data:`PATCH_LIMIT` units: candidates, dirty
+elements, witness tuples), an injected fault, or a mid-patch budget
+expiry leaves the record exactly as it was (the
+``incremental.answers.fallback`` counter makes the recompute escape
+hatch visible).
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from collections import Counter, OrderedDict, deque
 
 from repro.errors import FMTError
 from repro.eval.evaluator import evaluate as naive_evaluate
+from repro.incremental.census import dirty_set, rekey
 from repro.logic.analysis import free_variables, quantifier_rank, subformulas
 from repro.logic.syntax import (
     And,
@@ -86,27 +93,21 @@ __all__ = [
     "is_maintainable",
     "local_existential_scope",
     "hanf_scope",
-    "CANDIDATE_LIMIT",
+    "PATCH_LIMIT",
     "ANSWER_RECORDS_LIMIT",
-    "LOCAL_WITNESS_LIMIT",
     "QUANT_BALL_LIMIT",
     "QUANT_WORK_LIMIT",
     "QUANT_EVAL_LIMIT",
     "VERDICT_CACHE_LIMIT",
 ]
 
-#: Patch at most this many candidate answer tuples (or dirty elements)
-#: per maintenance pass; above it recomputing through the planned
+#: Work units one patch may spend — one per qf candidate, dirty element,
+#: or local witness tuple; above it recomputing through the planned
 #: pipeline is the better deal.
-CANDIDATE_LIMIT = 2048
+PATCH_LIMIT = 2048
 
 #: How many (structure uid, query) answer records the index retains.
 ANSWER_RECORDS_LIMIT = 256
-
-#: The local-existential tier enumerates at most ``|ball|^k`` witness
-#: tuples per re-decided element; past this the element's ball is too
-#: dense for local evaluation to beat a recompute.
-LOCAL_WITNESS_LIMIT = 4096
 
 #: Hanf-tier promotion requires ``min(max_ball_size(degree, 2r), n)``
 #: at most this large — the per-element key cost bound.
@@ -121,9 +122,6 @@ QUANT_EVAL_LIMIT = 256
 #: (key, fingerprint) → verdict entries retained per Hanf record.
 VERDICT_CACHE_LIMIT = 4096
 
-#: How many formula → scope classifications the index memoizes.
-_SCOPE_CACHE_LIMIT = 512
-
 
 def is_maintainable(formula: Formula) -> bool:
     """Whether the formula is quantifier-free (the strongest tier)."""
@@ -135,10 +133,21 @@ def is_maintainable(formula: Formula) -> bool:
 # -- scope classification -----------------------------------------------------
 
 
+class _QfScope:
+    """Quantifier-free φ: answers are columns in sorted-name order."""
+
+    __slots__ = ("names",)
+    tier = "qf"
+
+    def __init__(self, formula: Formula) -> None:
+        self.names = tuple(sorted(var.name for var in free_variables(formula)))
+
+
 class _LocalScope:
     """φ(x) = ∃ȳ ψ with every witness variable anchored to x."""
 
     __slots__ = ("name", "witnesses", "body", "depth")
+    tier = "local"
 
     def __init__(self, name: str, witnesses: tuple[str, ...], body: Formula) -> None:
         self.name = name
@@ -151,6 +160,7 @@ class _HanfScope:
     """General rank-q formula with at most one free variable."""
 
     __slots__ = ("name", "radius", "key_radius")
+    tier = "hanf"
 
     def __init__(self, name: str | None, radius: int, key_radius: int) -> None:
         self.name = name
@@ -158,11 +168,9 @@ class _HanfScope:
         self.key_radius = key_radius
 
 
-def _mentions_const_or_nullary(formula: Formula) -> bool:
+def _mentions_constant(formula: Formula) -> bool:
     for node in subformulas(formula):
         if isinstance(node, Atom):
-            if not node.terms:
-                return True
             if any(isinstance(term, Const) for term in node.terms):
                 return True
         elif isinstance(node, Eq):
@@ -208,11 +216,11 @@ def local_existential_scope(formula: Formula) -> _LocalScope | None:
     """Classify φ as local-existential, or ``None`` if out of fragment.
 
     Requires exactly one free variable x, a pure ∃-prefix over a
-    quantifier-free body with no constants or nullary atoms, distinct
-    witness names, and every witness variable connected to x in the
-    anchored co-occurrence graph — which bounds every witness value to
-    Gaifman distance ≤ k from x (k = number of witnesses): each edge of
-    an anchoring path joins values that co-occur in a row that holds.
+    quantifier-free, constant-free body, distinct witness names, and
+    every witness variable connected to x in the anchored co-occurrence
+    graph — which bounds every witness value to Gaifman distance ≤ k
+    from x (k = number of witnesses): each edge of an anchoring path
+    joins values that co-occur in a row that holds.
     """
     free = free_variables(formula)
     if len(free) != 1:
@@ -227,7 +235,7 @@ def local_existential_scope(formula: Formula) -> _LocalScope | None:
         return None
     if len(set(witnesses)) != len(witnesses) or name in witnesses:
         return None
-    if _mentions_const_or_nullary(body):
+    if _mentions_constant(body):
         return None
     adjacency: dict[str, set[str]] = {}
     for pair in _anchored_pairs(body):
@@ -249,10 +257,9 @@ def local_existential_scope(formula: Formula) -> _LocalScope | None:
 def hanf_scope(formula: Formula) -> _HanfScope | None:
     """Classify φ for the census-gated tier, or ``None``.
 
-    Requires at most one free variable, at least one quantifier, and a
-    purely relational reading — no constants (they would be unmarked
-    named points the census cannot see) and no nullary atoms (a global
-    bit invisible to ball types).
+    Requires at most one free variable, at least one quantifier, and no
+    constants (they would be unmarked named points the census cannot
+    see).
     """
     from repro.locality.hanf import hanf_locality_radius
 
@@ -261,53 +268,56 @@ def hanf_scope(formula: Formula) -> _HanfScope | None:
     free = free_variables(formula)
     if len(free) > 1:
         return None
-    if _mentions_const_or_nullary(formula):
+    if _mentions_constant(formula):
         return None
     radius = hanf_locality_radius(quantifier_rank(formula) + 1)
     name = next(iter(free)).name if free else None
     return _HanfScope(name, radius, 2 * radius)
 
 
-# -- records ------------------------------------------------------------------
+def _classify(formula: Formula) -> _QfScope | _LocalScope | _HanfScope | None:
+    if is_maintainable(formula):
+        return _QfScope(formula)
+    return local_existential_scope(formula) or hanf_scope(formula)
 
 
-class _LocalRecord:
-    __slots__ = ("epoch", "rows", "scope")
-
-    def __init__(self, epoch: int, rows: frozenset, scope: _LocalScope) -> None:
-        self.epoch = epoch
-        self.rows = rows
-        self.scope = scope
+# -- the record ---------------------------------------------------------------
 
 
-class _HanfRecord:
-    """``keys is None`` marks a *light* record: rows + epoch only.
+class _Census:
+    """A promoted Hanf record's state: every element's pointed ball key,
+    the key counts and their fingerprint, and the (key, fingerprint) →
+    verdict cache — whose entries are facts about *any* structure, so
+    old and new censuses share it."""
 
-    Light records cost nothing to carry; the index promotes one to a
-    full record (per-element pointed keys, census counts, verdict cache)
-    the first time a patch is attempted against it — so the O(n·ball)
-    keying cost is paid only by workloads that actually update and
-    re-query, never by one-shot evaluations.
+    __slots__ = ("keys", "counts", "fingerprint", "verdicts")
+
+    def __init__(self, keys: dict, counts: Counter, verdicts: dict) -> None:
+        self.keys = keys
+        self.counts = counts
+        self.fingerprint = frozenset(counts.items())
+        self.verdicts = verdicts
+
+
+class _Record:
+    """Maintained answers: ``rows`` as of ``epoch``, in the scope's tier.
+
+    ``census`` is ``None`` for qf and local records and for *light* Hanf
+    records, which cost nothing to carry; ``promote`` is set when a
+    patch fell back, and asks the next :meth:`AnswerIndex.remember` to
+    build the census — so the O(n·ball) keying cost is paid only by
+    workloads that actually update and re-query, never by one-shot
+    evaluations.
     """
 
-    __slots__ = (
-        "epoch",
-        "rows",
-        "scope",
-        "keys",
-        "counts",
-        "fingerprint",
-        "verdicts",
-    )
+    __slots__ = ("epoch", "rows", "scope", "census", "promote")
 
-    def __init__(self, epoch: int, rows: frozenset, scope: _HanfScope) -> None:
-        self.epoch = epoch
-        self.rows = rows
+    def __init__(self, scope: _QfScope | _LocalScope | _HanfScope) -> None:
+        self.epoch = -1
+        self.rows: frozenset = frozenset()
         self.scope = scope
-        self.keys: dict | None = None
-        self.counts: Counter | None = None
-        self.fingerprint: frozenset | None = None
-        self.verdicts: dict | None = None
+        self.census: _Census | None = None
+        self.promote = False
 
 
 class _Overflow(Exception):
@@ -321,44 +331,21 @@ _SENTENCE = "__sentence__"
 class AnswerIndex:
     """Epoch-stamped answer sets, patched under the owning structure's deltas.
 
-    Keys are ``(structure.uid, formula, order_names)`` — identity-based,
-    because a mutated structure changes content hash on every delta while
-    its uid names the same evolving object.  The engine's content-hash
-    answer cache stays the source of truth for "have I answered this
-    exact structure"; this index answers "I answered an earlier epoch of
-    this object — which rows may have flipped?".
+    Keys are ``(structure.uid, formula)`` — identity-based, because a
+    mutated structure changes content hash on every delta while its uid
+    names the same evolving object.  Rows are columns in sorted
+    free-variable order, the only order the engine maintains.  The
+    engine's content-hash answer cache stays the source of truth for
+    "have I answered this exact structure"; this index answers "I
+    answered an earlier epoch of this object — which rows may have
+    flipped?".
     """
 
-    def __init__(
-        self,
-        capacity: int = ANSWER_RECORDS_LIMIT,
-        candidate_limit: int = CANDIDATE_LIMIT,
-    ) -> None:
-        self.capacity = capacity
-        self.candidate_limit = candidate_limit
-        self._records: OrderedDict[tuple, tuple[int, frozenset]] = OrderedDict()
-        self._quants: OrderedDict[tuple, _LocalRecord | _HanfRecord] = OrderedDict()
-        self._scopes: dict[Formula, _LocalScope | _HanfScope | None] = {}
-        self._promote_pending: set[tuple] = set()
-        self.patched = 0
-        self.quant_patched = 0
+    def __init__(self) -> None:
+        self._records: OrderedDict[tuple, _Record] = OrderedDict()
+        self.patched = {"qf": 0, "local": 0, "hanf": 0}
         self.promoted = 0
         self.fallbacks = 0
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def _scope(self, formula: Formula) -> _LocalScope | _HanfScope | None:
-        if formula in self._scopes:
-            return self._scopes[formula]
-        scope = local_existential_scope(formula) or hanf_scope(formula)
-        if len(self._scopes) >= _SCOPE_CACHE_LIMIT:
-            self._scopes.clear()
-        self._scopes[formula] = scope
-        return scope
-
-    def _trim(self, records: OrderedDict) -> None:
-        while len(records) > self.capacity:
-            records.popitem(last=False)
 
     def forget(self, structure: Structure) -> int:
         """Drop every maintained record for ``structure``; return the count.
@@ -367,20 +354,13 @@ class AnswerIndex:
         force re-execution, so the maintenance layer may not answer the
         next read from a surviving record.
         """
-        dropped = 0
-        for records in (self._records, self._quants):
-            stale = [key for key in records if key[0] == structure.uid]
-            for key in stale:
-                del records[key]
-                self._promote_pending.discard(key)
-            dropped += len(stale)
-        return dropped
+        stale = [key for key in self._records if key[0] == structure.uid]
+        for key in stale:
+            del self._records[key]
+        return len(stale)
 
     def clear(self) -> None:
         self._records.clear()
-        self._quants.clear()
-        self._scopes.clear()
-        self._promote_pending.clear()
 
     def _note_fallback(self) -> None:
         self.fallbacks += 1
@@ -389,138 +369,54 @@ class AnswerIndex:
 
     # -- remember -------------------------------------------------------------
 
-    def remember(
-        self,
-        structure: Structure,
-        formula: Formula,
-        order_names: tuple[str, ...],
-        rows: frozenset,
-    ) -> None:
+    def remember(self, structure: Structure, formula: Formula, rows: frozenset) -> None:
         """Stamp ``rows`` as the answers at the structure's current epoch."""
-        if is_maintainable(formula):
-            key = (structure.uid, formula, order_names)
-            self._records[key] = (structure.epoch, rows)
-            self._records.move_to_end(key)
-            self._trim(self._records)
-            return
-        names = tuple(sorted(var.name for var in free_variables(formula)))
-        if order_names != names:
-            return  # bespoke column orders never take the maintenance path
-        scope = self._scope(formula)
-        if scope is None:
-            return
-        key = (structure.uid, formula, order_names)
-        if isinstance(scope, _LocalScope):
-            self._quants[key] = _LocalRecord(structure.epoch, rows, scope)
+        key = (structure.uid, formula)
+        record = self._records.get(key)
+        if record is None:
+            scope = _classify(formula)
+            if scope is None:
+                return
+            record = self._records[key] = _Record(scope)
+            while len(self._records) > ANSWER_RECORDS_LIMIT:
+                self._records.popitem(last=False)
         else:
-            self._remember_hanf(structure, formula, key, scope, rows)
-        self._quants.move_to_end(key)
-        self._trim(self._quants)
+            self._records.move_to_end(key)
+            if record.epoch == structure.epoch:
+                return  # same epoch, same content: the rows already match
+        if record.scope.tier == "hanf":
+            record.census = self._hanf_census(structure, record, rows)
+        record.rows, record.epoch, record.promote = rows, structure.epoch, False
 
-    def _remember_hanf(
-        self,
-        structure: Structure,
-        formula: Formula,
-        key: tuple,
-        scope: _HanfScope,
-        rows: frozenset,
-    ) -> None:
-        record = self._quants.get(key)
-        full = isinstance(record, _HanfRecord) and record.keys is not None
-        if full and record.epoch == structure.epoch:
-            record.rows = rows
-            self._seed_verdicts(record, rows)
-            return
-        if full and self._advance_hanf(record, structure, rows):
-            return
-        if (full or key in self._promote_pending) and self._hanf_promotable(
-            structure, scope
-        ):
-            self._promote_pending.discard(key)
-            self._quants[key] = self._build_hanf(structure, scope, rows)
-            self.promoted += 1
-            if _telemetry_enabled():
-                _counter("incremental.answers.promoted").inc()
-            return
-        self._promote_pending.discard(key)
-        self._quants[key] = _HanfRecord(structure.epoch, rows, scope)
-
-    def _hanf_promotable(self, structure: Structure, scope: _HanfScope) -> bool:
-        from repro.locality.neighborhoods import max_ball_size
-
-        size = structure.size
-        if not size:
-            return False
-        adjacency = gaifman_adjacency(structure)
-        degree = max((len(nbrs) for nbrs in adjacency.values()), default=0)
-        bound = min(max_ball_size(degree, scope.key_radius), size)
-        return bound <= QUANT_BALL_LIMIT and size * bound <= QUANT_WORK_LIMIT
-
-    def _build_hanf(
-        self, structure: Structure, scope: _HanfScope, rows: frozenset
-    ) -> _HanfRecord:
+    def _hanf_census(
+        self, structure: Structure, record: _Record, rows: frozenset
+    ) -> _Census | None:
+        """The census for ``rows`` at the current epoch: the record's own
+        brought forward over the dirty set, else a fresh one when the
+        record is promoted (or asked to be) and the structure is cheap
+        enough to key, else ``None`` (a light record)."""
         from repro.locality.neighborhoods import ball_key
 
-        record = _HanfRecord(structure.epoch, rows, scope)
-        record.keys = {
+        scope, census = record.scope, record.census
+        if census is not None:
+            deltas = structure.deltas_since(record.epoch)
+            dirty = None if deltas is None else dirty_set(structure, deltas, scope.key_radius)
+            if dirty is not None and len(dirty) <= PATCH_LIMIT:
+                fresh, counts = rekey(
+                    structure, dirty, scope.key_radius, census.keys, census.counts
+                )
+                census = _Census({**census.keys, **fresh}, counts, census.verdicts)
+                return _seed(census, scope, rows)
+        if (census is None and not record.promote) or not _promotable(structure, scope):
+            return None
+        self.promoted += 1
+        if _telemetry_enabled():
+            _counter("incremental.answers.promoted").inc()
+        keys = {
             element: ball_key(structure, (element,), scope.key_radius)
             for element in structure.universe
         }
-        record.counts = Counter(record.keys.values())
-        record.fingerprint = frozenset(record.counts.items())
-        record.verdicts = {}
-        self._seed_verdicts(record, rows)
-        return record
-
-    def _seed_verdicts(self, record: _HanfRecord, rows: frozenset) -> None:
-        """Pre-populate (key, fingerprint) → verdict from known answers.
-
-        Within one structure, equal pointed keys imply equal verdicts
-        (the verdict-transfer rule with a trivially equal census), so
-        every element's known membership is a valid cache entry — the
-        first patch after a toggle usually needs zero evaluations.
-        """
-        fp = record.fingerprint
-        verdicts = record.verdicts
-        if verdicts is None:
-            return
-        if len(verdicts) >= VERDICT_CACHE_LIMIT:
-            verdicts.clear()
-        if record.scope.name is None:
-            verdicts[(_SENTENCE, fp)] = bool(rows)
-            return
-        for element, key in record.keys.items():
-            verdicts[(key, fp)] = (element,) in rows
-
-    def _advance_hanf(
-        self, record: _HanfRecord, structure: Structure, rows: frozenset
-    ) -> bool:
-        """Re-key a full record to the current epoch given fresh rows."""
-        from repro.locality.neighborhoods import ball_key
-
-        deltas = structure.deltas_since(record.epoch)
-        if deltas is None or any(not row for _, _, row in deltas):
-            return False
-        seeds: set = set()
-        for _, _, row in deltas:
-            seeds.update(row)
-        dirty = ball(structure, seeds, record.scope.key_radius)
-        if len(dirty) > self.candidate_limit:
-            return False
-        for element in dirty:
-            new_key = ball_key(structure, (element,), record.scope.key_radius)
-            old_key = record.keys[element]
-            if new_key != old_key:
-                record.counts[old_key] -= 1
-                if not record.counts[old_key]:
-                    del record.counts[old_key]
-                record.counts[new_key] += 1
-                record.keys[element] = new_key
-        record.fingerprint = frozenset(record.counts.items())
-        record.rows = rows
-        record.epoch = structure.epoch
-        self._seed_verdicts(record, rows)
-        return True
+        return _seed(_Census(keys, Counter(keys.values()), {}), scope, rows)
 
     # -- patch ----------------------------------------------------------------
 
@@ -528,7 +424,6 @@ class AnswerIndex:
         self,
         structure: Structure,
         formula: Formula,
-        order_names: tuple[str, ...],
         cancel_token: CancelToken | None = None,
     ) -> frozenset | None:
         """Answers at the current epoch, patched from a recorded epoch.
@@ -536,235 +431,36 @@ class AnswerIndex:
         Returns ``None`` when maintenance cannot apply — no record, the
         delta log has been outrun, or the work limits trip — and the
         caller recomputes (and then calls :meth:`remember`).  A budget
-        expiry mid-patch raises with the record untouched (commit is a
-        single block at the end of every tier).
+        expiry mid-patch raises with the record untouched (the commit is
+        one block at the end).
         """
-        key = (structure.uid, formula, order_names)
+        key = (structure.uid, formula)
         record = self._records.get(key)
-        if record is not None:
-            return self._patch_qf(structure, formula, order_names, key, cancel_token)
-        quant = self._quants.get(key)
-        if quant is None:
+        if record is None:
             return None
-        deltas = structure.deltas_since(quant.epoch)
-        if deltas is None:
-            del self._quants[key]
-            self._note_fallback()
-            return None
-        self._quants.move_to_end(key)
-        if not deltas:
-            return quant.rows
-        if any(not row for _, _, row in deltas):
-            # A nullary flip is invisible to ball neighborhoods; the
-            # record cannot be maintained across it.
-            del self._quants[key]
-            self._note_fallback()
-            return None
-        if isinstance(quant, _LocalRecord):
-            return self._patch_local(structure, quant, deltas, cancel_token)
-        if quant.keys is None:
-            # Light record: ask the next recompute to pay the promotion.
-            self._promote_pending.add(key)
-            self._note_fallback()
-            return None
-        return self._patch_hanf(structure, formula, quant, deltas, cancel_token)
-
-    def _patch_qf(
-        self,
-        structure: Structure,
-        formula: Formula,
-        order_names: tuple[str, ...],
-        key: tuple,
-        cancel_token: CancelToken | None,
-    ) -> frozenset | None:
-        epoch, rows = self._records[key]
-        deltas = structure.deltas_since(epoch)
+        deltas = structure.deltas_since(record.epoch)
         if deltas is None:
             del self._records[key]
             self._note_fallback()
             return None
         self._records.move_to_end(key)
         if not deltas:
-            return rows
-        names = tuple(sorted(var.name for var in free_variables(formula)))
-        if names != order_names:
-            # Bespoke column orders never take the maintenance path —
-            # candidates below are built in sorted-name order.
-            return None
-        candidates = _candidates(
-            structure, formula, names, deltas, self.candidate_limit
-        )
-        if candidates is None:
-            self._note_fallback()
-            return None
+            return record.rows
+        tier = record.scope.tier
         with _span("incremental.answers.patch") as patch_span:
-            patch_span.set("deltas", len(deltas)).set("candidates", len(candidates))
-            added = set()
-            removed = set()
-            variables = tuple(Var(name) for name in names)
-            for candidate in candidates:
-                if cancel_token is not None:
-                    cancel_token.tick("incremental.answers")
-                fault_point("incremental.answers.verify")
-                assignment = dict(zip(variables, candidate))
-                if naive_evaluate(structure, formula, assignment):
-                    added.add(candidate)
-                else:
-                    removed.add(candidate)
-            new_rows = frozenset((set(rows) - removed) | added)
-        fault_point("incremental.answers.commit")
-        self._records[key] = (structure.epoch, new_rows)
-        self.patched += 1
-        if _telemetry_enabled():
-            _counter("incremental.answers.patched").inc()
-        return new_rows
-
-    def _patch_local(
-        self,
-        structure: Structure,
-        record: _LocalRecord,
-        deltas: list[tuple[str, str, tuple]],
-        cancel_token: CancelToken | None,
-    ) -> frozenset | None:
-        scope = record.scope
-        seeds: set = set()
-        for _, _, row in deltas:
-            seeds.update(row)
-        dirty = ball(structure, seeds, scope.depth)
-        if len(dirty) > self.candidate_limit:
-            self._note_fallback()
-            return None
-        with _span("incremental.answers.patch_local") as patch_span:
-            patch_span.set("deltas", len(deltas)).set("dirty", len(dirty))
-            new_rows = set(record.rows)
-            variables = (Var(scope.name),) + tuple(
-                Var(name) for name in scope.witnesses
-            )
-            for element in sorted(dirty, key=_sort_key):
-                if cancel_token is not None:
-                    cancel_token.tick("incremental.answers")
-                fault_point("incremental.answers.verify")
-                verdict = _local_verdict(structure, scope, variables, element)
-                if verdict is None:
-                    self._note_fallback()
-                    return None
-                if verdict:
-                    new_rows.add((element,))
-                else:
-                    new_rows.discard((element,))
-        fault_point("incremental.answers.commit")
-        record.rows = frozenset(new_rows)
-        record.epoch = structure.epoch
-        self.quant_patched += 1
-        if _telemetry_enabled():
-            _counter("incremental.answers.quant_patched").inc()
-            _counter("incremental.answers.dirty_elements").inc(len(dirty))
-        return record.rows
-
-    def _patch_hanf(
-        self,
-        structure: Structure,
-        formula: Formula,
-        record: _HanfRecord,
-        deltas: list[tuple[str, str, tuple]],
-        cancel_token: CancelToken | None,
-    ) -> frozenset | None:
-        from repro.locality.neighborhoods import ball_key
-
-        scope = record.scope
-        seeds: set = set()
-        for _, _, row in deltas:
-            seeds.update(row)
-        dirty = ball(structure, seeds, scope.key_radius)
-        if len(dirty) > self.candidate_limit:
-            self._note_fallback()
-            return None
-        with _span("incremental.answers.patch_hanf") as patch_span:
-            patch_span.set("deltas", len(deltas)).set("dirty", len(dirty))
-            new_keys: dict = {}
-            counts = Counter(record.counts)
-            for element in sorted(dirty, key=_sort_key):
-                if cancel_token is not None:
-                    cancel_token.tick("incremental.answers")
-                fault_point("incremental.answers.verify")
-                new_key = ball_key(structure, (element,), scope.key_radius)
-                new_keys[element] = new_key
-                old_key = record.keys[element]
-                if new_key != old_key:
-                    counts[old_key] -= 1
-                    if not counts[old_key]:
-                        del counts[old_key]
-                    counts[new_key] += 1
-            fingerprint = frozenset(counts.items())
-            verdicts = record.verdicts
-            evals = 0
-
-            def verdict_for(element, element_key) -> bool:
-                nonlocal evals
-                cached = verdicts.get((element_key, fingerprint))
-                if cached is not None:
-                    return cached
-                evals += 1
-                if evals > QUANT_EVAL_LIMIT:
-                    raise _Overflow
-                if cancel_token is not None:
-                    cancel_token.tick("incremental.answers")
-                if element is _SENTENCE:
-                    verdict = bool(naive_evaluate(structure, formula, {}))
-                else:
-                    verdict = bool(
-                        naive_evaluate(structure, formula, {Var(scope.name): element})
-                    )
-                if len(verdicts) >= VERDICT_CACHE_LIMIT:
-                    verdicts.clear()
-                verdicts[(element_key, fingerprint)] = verdict
-                return verdict
-
+            patch_span.set("tier", tier).set("deltas", len(deltas))
             try:
-                if scope.name is None:
-                    if fingerprint == record.fingerprint:
-                        new_rows = set(record.rows)
-                    else:
-                        new_rows = (
-                            {()} if verdict_for(_SENTENCE, _SENTENCE) else set()
-                        )
-                elif fingerprint == record.fingerprint:
-                    # Census unchanged: only dirty elements (whose pointed
-                    # key may have moved) can change verdict.
-                    new_rows = set(record.rows)
-                    for element in sorted(dirty, key=_sort_key):
-                        if verdict_for(element, new_keys[element]):
-                            new_rows.add((element,))
-                        else:
-                            new_rows.discard((element,))
-                else:
-                    # Census moved: every verdict is suspect, but the
-                    # cache collapses the pass to one evaluation per
-                    # *new* (key, fingerprint) class.
-                    new_rows = set()
-                    for element in structure.universe:
-                        element_key = (
-                            new_keys[element]
-                            if element in new_keys
-                            else record.keys[element]
-                        )
-                        if verdict_for(element, element_key):
-                            new_rows.add((element,))
+                rows, census = _TIERS[tier](structure, formula, record, deltas, cancel_token)
             except _Overflow:
+                record.promote = True
                 self._note_fallback()
                 return None
-            patch_span.set("evals", evals)
         fault_point("incremental.answers.commit")
-        record.keys.update(new_keys)
-        record.counts = counts
-        record.fingerprint = fingerprint
-        record.rows = frozenset(new_rows)
-        record.epoch = structure.epoch
-        self.quant_patched += 1
+        record.rows, record.census, record.epoch = rows, census, structure.epoch
+        self.patched[tier] += 1
         if _telemetry_enabled():
-            _counter("incremental.answers.quant_patched").inc()
-            _counter("incremental.answers.dirty_elements").inc(len(dirty))
-        return record.rows
+            _counter("incremental.answers.patched", tier=tier).inc()
+        return rows
 
     # -- change detection ------------------------------------------------------
 
@@ -772,7 +468,6 @@ class AnswerIndex:
         self,
         structure: Structure,
         formula: Formula,
-        order_names: tuple[str, ...],
         cancel_token: CancelToken | None = None,
     ) -> bool | None:
         """Did the maintained answers change across the pending deltas?
@@ -782,47 +477,153 @@ class AnswerIndex:
         record, log outrun, work limits) — callers that must not miss a
         change treat ``None`` as "assume changed".
         """
-        key = (structure.uid, formula, order_names)
-        record = self._records.get(key)
-        if record is not None:
-            before = record[1]
-        else:
-            quant = self._quants.get(key)
-            if quant is None:
-                return None
-            before = quant.rows
-        after = self.patch(structure, formula, order_names, cancel_token)
+        record = self._records.get((structure.uid, formula))
+        if record is None:
+            return None
+        before = record.rows
+        after = self.patch(structure, formula, cancel_token)
         if after is None:
             return None
         return after != before
 
 
-# -- local evaluation ---------------------------------------------------------
+# -- the tiers: (structure, formula, record, deltas, token) → (rows, census) --
 
 
-def _local_verdict(
-    structure: Structure,
-    scope: _LocalScope,
-    variables: tuple[Var, ...],
-    element,
-) -> bool | None:
-    """Decide ∃ȳ ψ(a, ȳ) by quantifying over B_k(a) instead of the universe.
+def _step(cancel_token: CancelToken | None) -> None:
+    """One unit of patch work: a budget tick and a fault point."""
+    if cancel_token is not None:
+        cancel_token.tick("incremental.answers")
+    fault_point("incremental.answers.verify")
+
+
+def _patch_qf(structure, formula, record, deltas, cancel_token):
+    """Verify every candidate the deltas unify with; one unit each."""
+    names = record.scope.names
+    variables = tuple(Var(name) for name in names)
+    rows = set(record.rows)
+    for candidate in _candidates(structure, formula, names, deltas):
+        _step(cancel_token)
+        if naive_evaluate(structure, formula, dict(zip(variables, candidate))):
+            rows.add(candidate)
+        else:
+            rows.discard(candidate)
+    return frozenset(rows), None
+
+
+def _patch_local(structure, formula, record, deltas, cancel_token):
+    """Re-decide ∃ȳ ψ(a, ȳ) for every dirty a by quantifying over B_k(a).
 
     Sound for anchored scopes: every satisfying witness tuple lies in
-    the ball (anchoring chains of held rows bound each witness to Gaifman
-    distance ≤ k from a), and the body is evaluated against the *full*
-    structure, so restricting only the quantifier range loses nothing.
-    Returns ``None`` when the witness space exceeds the work limit.
+    the ball (anchoring chains of held rows bound each witness to
+    Gaifman distance ≤ k from a), and the body is evaluated against the
+    *full* structure, so restricting only the quantifier range loses
+    nothing.  Each dirty element and each witness tuple is one unit.
     """
-    members = ball(structure, element, scope.depth)
-    if len(members) ** scope.depth > LOCAL_WITNESS_LIMIT:
-        return None
-    witnesses = sorted(members, key=_sort_key)
-    for combo in itertools.product(witnesses, repeat=scope.depth):
-        assignment = dict(zip(variables, (element,) + combo))
-        if naive_evaluate(structure, scope.body, assignment):
-            return True
-    return False
+    scope = record.scope
+    dirty = dirty_set(structure, deltas, scope.depth)
+    units = len(dirty)
+    variables = (Var(scope.name),) + tuple(Var(name) for name in scope.witnesses)
+    rows = set(record.rows)
+    for element in sorted(dirty, key=_sort_key):
+        _step(cancel_token)
+        members = sorted(ball(structure, element, scope.depth), key=_sort_key)
+        units += len(members) ** scope.depth
+        if units > PATCH_LIMIT:
+            raise _Overflow
+        if any(
+            naive_evaluate(structure, scope.body, dict(zip(variables, (element,) + combo)))
+            for combo in itertools.product(members, repeat=scope.depth)
+        ):
+            rows.add((element,))
+        else:
+            rows.discard((element,))
+    return frozenset(rows), None
+
+
+def _patch_hanf(structure, formula, record, deltas, cancel_token):
+    """Re-key the dirty set, then re-decide through the verdict cache."""
+    scope, old = record.scope, record.census
+    if old is None:
+        raise _Overflow  # a light record: the fallback asks for promotion
+    dirty = dirty_set(structure, deltas, scope.key_radius)
+    if len(dirty) > PATCH_LIMIT:
+        raise _Overflow
+    fresh, counts = rekey(
+        structure, dirty, scope.key_radius, old.keys, old.counts,
+        step=lambda: _step(cancel_token),
+    )
+    census = _Census({**old.keys, **fresh}, counts, old.verdicts)
+    evals = 0
+
+    def verdict(element, element_key) -> bool:
+        nonlocal evals
+        cached = census.verdicts.get((element_key, census.fingerprint))
+        if cached is not None:
+            return cached
+        evals += 1
+        if evals > QUANT_EVAL_LIMIT:
+            raise _Overflow
+        _step(cancel_token)
+        assignment = {} if element is _SENTENCE else {Var(scope.name): element}
+        found = bool(naive_evaluate(structure, formula, assignment))
+        if len(census.verdicts) >= VERDICT_CACHE_LIMIT:
+            census.verdicts.clear()
+        census.verdicts[(element_key, census.fingerprint)] = found
+        return found
+
+    if census.fingerprint == old.fingerprint:
+        # Census unchanged: only dirty elements (whose pointed key may
+        # have moved) can change verdict — and a sentence cannot.
+        if scope.name is None:
+            return record.rows, census
+        rows, elements = set(record.rows), sorted(dirty, key=_sort_key)
+    elif scope.name is None:
+        return frozenset({()} if verdict(_SENTENCE, _SENTENCE) else ()), census
+    else:
+        # Census moved: every verdict is suspect, but the cache
+        # collapses the pass to one evaluation per *new* class.
+        rows, elements = set(), structure.universe
+    for element in elements:
+        if verdict(element, census.keys[element]):
+            rows.add((element,))
+        else:
+            rows.discard((element,))
+    return frozenset(rows), census
+
+
+_TIERS = {"qf": _patch_qf, "local": _patch_local, "hanf": _patch_hanf}
+
+
+def _seed(census: _Census, scope: _HanfScope, rows: frozenset) -> _Census:
+    """Pre-populate (key, fingerprint) → verdict from known answers.
+
+    Within one structure, equal pointed keys imply equal verdicts (the
+    verdict-transfer rule with a trivially equal census), so every
+    element's known membership is a valid cache entry — the first patch
+    after a toggle usually needs zero evaluations.
+    """
+    fingerprint, verdicts = census.fingerprint, census.verdicts
+    if len(verdicts) >= VERDICT_CACHE_LIMIT:
+        verdicts.clear()
+    if scope.name is None:
+        verdicts[(_SENTENCE, fingerprint)] = bool(rows)
+    else:
+        for element, key in census.keys.items():
+            verdicts[(key, fingerprint)] = (element,) in rows
+    return census
+
+
+def _promotable(structure: Structure, scope: _HanfScope) -> bool:
+    from repro.locality.neighborhoods import max_ball_size
+
+    size = structure.size
+    if not size:
+        return False
+    adjacency = gaifman_adjacency(structure)
+    degree = max((len(nbrs) for nbrs in adjacency.values()), default=0)
+    bound = min(max_ball_size(degree, scope.key_radius), size)
+    return bound <= QUANT_BALL_LIMIT and size * bound <= QUANT_WORK_LIMIT
 
 
 # -- quantifier-free candidates ----------------------------------------------
@@ -833,14 +634,13 @@ def _candidates(
     formula: Formula,
     names: tuple[str, ...],
     deltas: list[tuple[str, str, tuple]],
-    limit: int,
-) -> set[tuple] | None:
+) -> set[tuple]:
     """Every answer tuple whose membership one of the deltas may flip.
 
     For each delta (op, R, t) and each R-atom of the formula, unify the
     atom's terms against t; each successful unifier, extended over the
     universe on the formula's remaining free variables, is a candidate.
-    Returns ``None`` when the extension would exceed ``limit``.
+    Raises :class:`_Overflow` past :data:`PATCH_LIMIT` candidates.
     """
     atoms_by_relation: dict[str, list[Atom]] = {}
     for node in subformulas(formula):
@@ -855,8 +655,8 @@ def _candidates(
                 continue
             unbound = [name for name in names if name not in binding]
             growth = len(universe) ** len(unbound) if unbound else 1
-            if len(candidates) + growth > limit:
-                return None
+            if len(candidates) + growth > PATCH_LIMIT:
+                raise _Overflow
             for combo in itertools.product(universe, repeat=len(unbound)):
                 env = dict(binding)
                 env.update(zip(unbound, combo))

@@ -30,6 +30,7 @@ on bounded-degree structures |B| is a constant independent of n.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from collections.abc import Callable
 
 from repro.structures.gaifman import ball
 from repro.structures.structure import Structure, _sort_key
@@ -37,10 +38,59 @@ from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 from repro.telemetry.tracer import span as _span
 
-__all__ = ["CensusIndex", "CENSUS_RECORDS_LIMIT"]
+__all__ = ["CensusIndex", "CENSUS_RECORDS_LIMIT", "dirty_set", "rekey"]
 
 #: How many (structure uid, radius) census records an index retains.
 CENSUS_RECORDS_LIMIT = 32
+
+
+def dirty_set(
+    structure: Structure, deltas: list[tuple[str, str, tuple]], radius: int
+) -> frozenset:
+    """B: the radius-``radius`` ball, in the current graph, around every
+    element of every delta row — the elements whose ball the deltas may
+    have changed (complete by the lemma above)."""
+    seeds: set = set()
+    for _, _, row in deltas:
+        seeds.update(row)
+    return ball(structure, seeds, radius)
+
+
+def rekey(
+    structure: Structure,
+    dirty: frozenset,
+    radius: int,
+    types: dict,
+    census: Counter,
+    type_of: Callable | None = None,
+    step: Callable[[], None] | None = None,
+) -> tuple[dict, Counter]:
+    """Re-type the ``dirty`` elements; return their types and the census.
+
+    Copy-on-write: ``types`` (element → type) and ``census`` (type →
+    count) are left as they were, for the caller to replace when it
+    commits.  A type is the element's radius-``radius`` ball key, mapped
+    through ``type_of(element, key)`` when given; ``step`` runs before
+    each element (budget ticks, fault points).
+    """
+    from repro.locality.neighborhoods import ball_key
+
+    fresh: dict = {}
+    census = Counter(census)
+    for element in sorted(dirty, key=_sort_key):
+        if step is not None:
+            step()
+        new_type = ball_key(structure, (element,), radius)
+        if type_of is not None:
+            new_type = type_of(element, new_type)
+        fresh[element] = new_type
+        old_type = types[element]
+        if new_type != old_type:
+            census[old_type] -= 1
+            if not census[old_type]:
+                del census[old_type]
+            census[new_type] += 1
+    return fresh, census
 
 
 class _CensusRecord:
@@ -88,7 +138,6 @@ class CensusIndex:
         recorded epoch) — the caller computes from scratch and calls
         :meth:`record`.
         """
-        from repro.locality.neighborhoods import ball_key
         from repro.structures.gaifman import neighborhood
 
         key = (structure.uid, radius)
@@ -103,33 +152,21 @@ class CensusIndex:
         if not deltas:
             self.reused += 1
             return Counter(record.census)
-        seeds: set = set()
-        for _, _, row in deltas:
-            seeds.update(row)
-        dirty = ball(structure, seeds, radius)
+        dirty = dirty_set(structure, deltas, radius)
         with _span("incremental.census.patch") as patch_span:
             patch_span.set("radius", radius).set("deltas", len(deltas))
             patch_span.set("dirty", len(dirty)).set("size", structure.size)
-            census = record.census
-            for element in sorted(dirty, key=_sort_key):
-                key_ = ball_key(structure, (element,), radius)
-                new_type = registry.type_of_keyed(
-                    key_,
-                    lambda element=element: neighborhood(structure, (element,), radius),
-                )
-                old_type = record.types[element]
-                if new_type == old_type:
-                    continue
-                census[old_type] -= 1
-                if census[old_type] <= 0:
-                    del census[old_type]
-                census[new_type] += 1
-                record.types[element] = new_type
-        record.epoch = structure.epoch
+            fresh, census = rekey(
+                structure, dirty, radius, record.types, record.census,
+                type_of=lambda element, key: registry.type_of_keyed(
+                    key, lambda: neighborhood(structure, (element,), radius)
+                ),
+            )
+        record.types.update(fresh)
+        record.census, record.epoch = census, structure.epoch
         self.patched += 1
         self.dirty_elements += len(dirty)
         if _telemetry_enabled():
             _counter("incremental.census.patched").inc()
             _counter("incremental.census.dirty_elements").inc(len(dirty))
         return Counter(census)
-

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 # HYPOTHESIS_PROFILE=thorough for a deeper run.
 settings.register_profile("fast", max_examples=25, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
-settings.load_profile("fast")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 
 @pytest.fixture

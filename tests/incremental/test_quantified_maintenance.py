@@ -14,10 +14,10 @@ for quantified formulas:
   rule proved in :mod:`repro.incremental.answers`), so a patch re-keys
   the dirty ball and re-decides only what the census says it must.
 
-Both tiers commit at the end, atomically: a budget expiry, injected
-fault, or work-limit overflow mid-patch leaves the record exactly as it
-was — the next read either patches again or recomputes, but never sees
-a half-updated answer set (satellite 2).
+Every tier — these two and the quantifier-free one — commits at the
+end, atomically: a budget expiry, injected fault, or work-limit overflow
+mid-patch leaves the record exactly as it was — the next read either
+patches again or recomputes, but never sees a half-updated answer set.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 from repro.engine.engine import Engine
 from repro.errors import BudgetExceededError, InjectedFaultError
 from repro.eval.evaluator import answers as naive_answers
-from repro.logic.analysis import free_variables
 from repro.logic.parser import parse
 from repro.resilience.budget import Budget, CancelToken
 from repro.resilience.faults import (
@@ -39,6 +38,7 @@ from repro.resilience.faults import (
 from repro.structures.builders import directed_cycle, random_graph
 from repro.structures.structure import Structure
 
+QF = parse("E(x, y) & ~E(y, x)")
 LOCAL = parse("exists y. (E(x, y) & E(y, x))")
 HANF = parse("exists y. ~E(x, y)")
 SENTENCE = parse("exists x. exists y. (E(x, y) & E(y, x))")
@@ -78,7 +78,7 @@ def test_local_existential_tier_patches_and_tracks_naive():
         _toggle(live, step)
         assert engine.answers(live, LOCAL) == naive_answers(_cold_copy(live), LOCAL)
     index = engine._answer_index
-    assert index.quant_patched >= 20
+    assert index.patched["local"] >= 20
     assert index.fallbacks == 0
 
 
@@ -91,7 +91,31 @@ def test_hanf_tier_promotes_then_patches():
         assert engine.answers(live, HANF) == naive_answers(_cold_copy(live), HANF)
     index = engine._answer_index
     assert index.promoted >= 1
-    assert index.quant_patched >= 1
+    assert index.patched["hanf"] >= 1
+
+
+def test_cache_hits_on_a_promoted_hanf_record_do_not_reseed(monkeypatch):
+    """A cache hit at the record's own epoch only refreshes LRU order: it
+    must not re-seed the verdict cache over every element."""
+    import repro.incremental.answers as answers_module
+
+    engine = Engine()
+    live = random_graph(6, 0.4, seed=2)
+    engine.answers(live, HANF)
+    _toggle(live, 0)
+    engine.answers(live, HANF)  # the patch falls back; the recompute promotes
+    assert _record(engine, live, HANF).census is not None
+    seedings = []
+    seed = answers_module._seed
+
+    def counting_seed(census, scope, rows):
+        seedings.append(len(census.keys))
+        return seed(census, scope, rows)
+
+    monkeypatch.setattr(answers_module, "_seed", counting_seed)
+    for _ in range(3):
+        assert engine.answers(live, HANF) == naive_answers(_cold_copy(live), HANF)
+    assert seedings == []
 
 
 def test_sentences_are_maintained_too():
@@ -103,7 +127,7 @@ def test_sentences_are_maintained_too():
         assert engine.answers(live, SENTENCE) == naive_answers(
             _cold_copy(live), SENTENCE
         )
-    assert engine._answer_index.quant_patched >= 5
+    assert engine._answer_index.patched["hanf"] >= 5
 
 
 def test_maintained_changed_reports_real_changes_only():
@@ -121,21 +145,20 @@ def test_maintained_changed_reports_real_changes_only():
 # -- atomicity: no partially-patched record survives (satellite 2) -----------
 
 
-def _quant_record(engine: Engine, structure: Structure, formula):
-    order = tuple(sorted(var.name for var in free_variables(formula)))
-    return engine._answer_index._quants[(structure.uid, formula, order)]
+def _record(engine: Engine, structure: Structure, formula):
+    return engine._answer_index._records[(structure.uid, formula)]
 
 
-@pytest.mark.parametrize("formula", [LOCAL, HANF], ids=["local", "hanf"])
+@pytest.mark.parametrize("formula", [QF, LOCAL, HANF], ids=["qf", "local", "hanf"])
 def test_injected_fault_mid_patch_leaves_record_untouched(formula):
     engine = Engine()
-    live = directed_cycle(12) if formula is LOCAL else random_graph(6, 0.4, seed=2)
+    live = random_graph(6, 0.4, seed=2) if formula is HANF else directed_cycle(12)
     engine.answers(live, formula)
     if formula is HANF:
         # Pay the promotion so the next patch runs the full Hanf path.
         _toggle(live, 0)
         engine.answers(live, formula)
-    record = _quant_record(engine, live, formula)
+    record = _record(engine, live, formula)
     rows_before, epoch_before = record.rows, record.epoch
     _toggle(live, 3)
     set_injector(FaultInjector(period=2))
@@ -156,15 +179,15 @@ def test_injected_fault_mid_patch_leaves_record_untouched(formula):
     assert engine.answers(live, formula) == naive_answers(_cold_copy(live), formula)
 
 
-@pytest.mark.parametrize("formula", [LOCAL, HANF], ids=["local", "hanf"])
+@pytest.mark.parametrize("formula", [QF, LOCAL, HANF], ids=["qf", "local", "hanf"])
 def test_budget_expiry_mid_patch_is_atomic(formula):
     engine = Engine()
-    live = directed_cycle(12) if formula is LOCAL else random_graph(6, 0.4, seed=2)
+    live = random_graph(6, 0.4, seed=2) if formula is HANF else directed_cycle(12)
     engine.answers(live, formula)
     if formula is HANF:
         _toggle(live, 0)
         engine.answers(live, formula)
-    record = _quant_record(engine, live, formula)
+    record = _record(engine, live, formula)
     rows_before, epoch_before = record.rows, record.epoch
     _toggle(live, 3)
     token = CancelToken(Budget())
@@ -189,7 +212,7 @@ def test_fault_at_commit_point_specifically_is_atomic():
     engine = Engine()
     live = directed_cycle(16)
     engine.answers(live, LOCAL)
-    record = _quant_record(engine, live, LOCAL)
+    record = _record(engine, live, LOCAL)
     injector = _CommitOnlyInjector(period=2)
     set_injector(injector)
     commit_faults = 0

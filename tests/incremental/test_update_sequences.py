@@ -13,7 +13,7 @@ from-scratch census baseline for the locality indexes.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.conformance.backends import default_registry
@@ -68,7 +68,6 @@ def deltas(max_element: int = 5, max_steps: int = 8):
     steps=deltas(),
     formula=strategies.formulas(max_leaves=4),
 )
-@settings(max_examples=25, deadline=None)
 def test_update_sequence_answers_match_cold_rebuild(structure, steps, formula):
     registry = default_registry()
     live = _cold_copy(structure)
@@ -89,7 +88,6 @@ def test_update_sequence_answers_match_cold_rebuild(structure, steps, formula):
 
 
 @given(structure=strategies.graphs(min_size=2, max_size=6), steps=deltas())
-@settings(max_examples=25, deadline=None)
 def test_maintained_engine_answers_track_naive(structure, steps):
     """One engine instance across the whole sequence: cache hits, patched
     answer sets, and recomputes must all agree with the naive evaluator."""
@@ -122,7 +120,6 @@ QUANTIFIED = [
     steps=deltas(),
     text=st.sampled_from(QUANTIFIED),
 )
-@settings(max_examples=25, deadline=None)
 def test_quantified_maintained_answers_track_cold_recompute(
     executor, structure, steps, text
 ):
@@ -138,6 +135,30 @@ def test_quantified_maintained_answers_track_cold_recompute(
         row = tuple(value % structure.size for value in row)
         _apply(live, (insert, row))
         assert engine.answers(live, formula) == naive_answers(_cold_copy(live), formula)
+
+
+@given(
+    structure=strategies.graphs(min_size=2, max_size=6),
+    steps=deltas(),
+    text=st.sampled_from(QUANTIFIED + ["E(x, y) & ~E(y, x)", "E(x, x) | E(y, z)"]),
+)
+def test_maintained_changed_is_a_sound_tri_state(structure, steps, text):
+    """``maintained_changed`` after every step: ``False`` only when the
+    answers really stayed put, ``True`` only when they really moved
+    (``None`` promises nothing), and the read that follows is right."""
+    engine = Engine()
+    formula = parse(text)
+    live = _cold_copy(structure)
+    before = engine.answers(live, formula)
+    for insert, row in steps:
+        row = tuple(value % structure.size for value in row)
+        _apply(live, (insert, row))
+        changed = engine.maintained_changed(live, formula)
+        cold = naive_answers(_cold_copy(live), formula)
+        if changed is not None:
+            assert changed == (cold != before), (changed, live.epoch)
+        before = engine.answers(live, formula)
+        assert before == cold
 
 
 def test_quantifier_free_sequences_patch_not_recompute():
@@ -163,7 +184,6 @@ def test_quantifier_free_sequences_patch_not_recompute():
     steps=deltas(),
     radius=st.integers(min_value=0, max_value=2),
 )
-@settings(max_examples=25, deadline=None)
 def test_census_identical_to_from_scratch_after_every_step(structure, steps, radius):
     registry = TypeRegistry()
     live = _cold_copy(structure)
@@ -178,7 +198,6 @@ def test_census_identical_to_from_scratch_after_every_step(structure, steps, rad
 
 
 @given(structure=strategies.graphs(min_size=2, max_size=6), steps=deltas())
-@settings(max_examples=25, deadline=None)
 def test_patched_gaifman_adjacency_matches_cold(structure, steps):
     live = _cold_copy(structure)
     gaifman_adjacency(live)  # materialize the memo so updates patch it
@@ -204,7 +223,6 @@ def test_census_patch_touches_only_dirty_balls():
 
 
 @given(structure=strategies.graphs(min_size=2, max_size=6))
-@settings(max_examples=25, deadline=None)
 def test_insert_then_delete_is_identity(structure):
     live = _cold_copy(structure)
     pristine = _cold_copy(structure)
