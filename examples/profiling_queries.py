@@ -35,6 +35,8 @@ def main() -> None:
     print()
     # Reading the tree: est= is the planner's cardinality estimate,
     # actual= what the executor measured (durations include children).
+    # "fused into Project[x, y]" marks a node the compiled pipeline
+    # computed inside that step, so its cost is in that step's actuals.
     # Large est/actual gaps point at misplanning — exactly what this
     # report exists to expose.
 

@@ -17,7 +17,7 @@ True
 from repro.engine.cache import LRUCache
 from repro.engine.columnar import ColumnarExecutor
 from repro.engine.engine import Engine, EngineStats, Explanation, ProfiledExplanation
-from repro.engine.executor import ExecutionStats, Executor, NodeActuals
+from repro.engine.executor import ExecutionStats, NodeActuals
 from repro.engine.normalize import miniscope, normalize
 from repro.engine.plan import Plan, explain_plan
 from repro.engine.planner import Planner
@@ -28,7 +28,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "Explanation",
-    "Executor",
     "ExecutionStats",
     "LRUCache",
     "NodeActuals",

@@ -1,6 +1,7 @@
-"""The columnar executor tier: integer-coded relations + generated kernels.
+"""The columnar executor: integer-coded relations + generated kernels.
 
-Three layers (see DESIGN S20):
+:class:`repro.engine.engine.Engine` runs every plan here. Three layers
+(see DESIGN S20):
 
 * :mod:`~repro.engine.columnar.codec` — one element ↔ dense-int-id
   bijection per (structure, quantification domain), with relations
@@ -12,12 +13,8 @@ Three layers (see DESIGN S20):
 * :mod:`~repro.engine.columnar.compile` + ``executor`` — plan trees
   compiled bottom-up into pipelines of kernel closures (σπ fused into
   scans, π fused into join probe loops), cached on the structure, and
-  interpreted by :class:`ColumnarExecutor` with the same observability,
-  budget, and semijoin-filter semantics as the tuple executor.
-
-Selection happens in :class:`repro.engine.engine.Engine` — the
-``executor`` parameter / ``REPRO_EXECUTOR`` env var force a tier, and
-the default ``auto`` mode dispatches on plan cost.
+  interpreted by :class:`ColumnarExecutor` with per-step EXPLAIN
+  ANALYZE actuals, row budgets, and the semijoin pre-filter.
 """
 
 from repro.engine.columnar.codec import (

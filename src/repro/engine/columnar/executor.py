@@ -1,30 +1,24 @@
 """The columnar executor: compiled kernel pipelines → :class:`Relation`.
 
-Drop-in alternative to :class:`repro.engine.executor.Executor` with the
-same constructor and ``run`` contract, but a completely different inner
-loop: the plan is compiled once per (structure, domain) into a tree of
-generated kernel closures over integer-coded rows
-(:mod:`repro.engine.columnar.compile`), cached on the structure, and
-re-executions just walk that tree. Element objects only reappear at the
-plan root, where the (usually small) answer key set is bulk-decoded.
+The engine's one plan executor. A plan is compiled once per (structure,
+domain) into a tree of generated kernel closures over integer-coded
+rows (:mod:`repro.engine.columnar.compile`), kept in a per-structure LRU
+of :data:`PIPELINE_CACHE_LIMIT` pipelines, and re-executions just walk
+that tree. Element objects only reappear at the plan root, where the
+(usually small) answer key set is bulk-decoded.
 
-Parity with the tuple executor is deliberate and load-bearing:
+What a run promises:
 
-* the same per-node observability — ``executor.{ops,rows,ms}.<Op>``
-  counters/histograms under telemetry, ``NodeActuals`` per plan node
-  when a recorder is attached (fused nodes record under the outermost
-  plan node; the swallowed inner node simply has no actuals);
-* the same budget semantics — ``CancelToken.consume_rows`` per
-  materialized node, so row budgets and deadlines trip at the operator
-  that blew up;
-* the same semijoin pre-filter policy — ``semijoin_filtering`` plus the
+* observability — ``executor.{ops,rows,ms}.<Op>`` counters/histograms
+  under telemetry, and ``NodeActuals`` per step when a recorder is
+  attached, keyed by the outermost plan node the step realizes (nodes
+  fused into a step get none; see :func:`~repro.engine.plan.fused_steps`);
+* budget semantics — ``CancelToken.consume_rows`` per materialized
+  step, so row budgets and deadlines trip at the operator that blew up;
+* the semijoin pre-filter policy — ``semijoin_filtering`` plus the
   :data:`~repro.engine.executor.SEMIJOIN_THRESHOLD` size gate, counted
   in ``ExecutionStats.semijoin_filters`` — applied at run time so one
   cached pipeline serves every engine configuration.
-
-The tuple executor remains the conformance reference; the
-``engine-columnar`` backend in :mod:`repro.conformance.backends` holds
-this tier to exact answer-set agreement.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ import time
 from typing import MutableMapping
 
 from repro.resilience.budget import CancelToken
+from repro.engine.cache import LRUCache
 from repro.engine.columnar.codec import codec_for
 from repro.engine.columnar.compile import CompiledPlan, PipelineNode, compile_plan
 from repro.engine.executor import (
@@ -47,7 +42,13 @@ from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.metrics import histogram as _histogram
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 
-__all__ = ["ColumnarExecutor"]
+__all__ = ["ColumnarExecutor", "PIPELINE_CACHE_LIMIT"]
+
+#: Compiled pipelines kept per (structure, domain), least recently used
+#: evicted first — the engine's default plan-cache size. Each pipeline
+#: pins its plan, so an unbounded memo would keep every ad-hoc formula
+#: ever answered on a long-lived structure alive.
+PIPELINE_CACHE_LIMIT = 256
 
 
 class ColumnarExecutor:
@@ -78,18 +79,24 @@ class ColumnarExecutor:
     # -- pipeline cache -------------------------------------------------------
 
     def _compiled(self, plan: Plan) -> CompiledPlan:
-        key = ("columnar-pipeline", id(plan), self.domain)
-        compiled = self.structure.cached(key, lambda: self._compile(plan))
-        if compiled.plan is not plan:  # pragma: no cover - defensive: the
+        pipelines = self.structure.cached(
+            ("columnar-pipeline", self.domain),
+            lambda: LRUCache(PIPELINE_CACHE_LIMIT),
+        )
+        compiled = pipelines.get(id(plan))
+        if compiled is None:
+            compiled = self._compile(plan)
+            pipelines.put(id(plan), compiled)
+        elif compiled.plan is not plan:  # pragma: no cover - defensive: the
             # cached CompiledPlan pins its plan object alive, so a live id
             # can never be reused; recompile rather than trust a collision.
             return self._compile(plan)
         if compiled.epoch != self.structure.epoch:
-            compiled = self._refresh(plan, compiled, key)
+            compiled = self._refresh(plan, compiled, pipelines)
         return compiled
 
     def _refresh(
-        self, plan: Plan, compiled: CompiledPlan, key: tuple
+        self, plan: Plan, compiled: CompiledPlan, pipelines: LRUCache
     ) -> CompiledPlan:
         """Bring a cached pipeline forward across structure updates.
 
@@ -106,7 +113,7 @@ class ColumnarExecutor:
         codec = codec_for(structure, self.domain)
         if deltas is None or codec is not compiled.codec:
             compiled = self._compile(plan)
-            structure._cache[key] = compiled
+            pipelines.put(id(plan), compiled)
             return compiled
         compiled.refresh(deltas, structure.epoch)
         if _telemetry_enabled():
@@ -145,7 +152,7 @@ class ColumnarExecutor:
             _counter(f"executor.rows.{kind}").inc(len(rows))
             _histogram(f"executor.ms.{kind}").observe(elapsed * 1000.0)
             _counter(f"columnar.kernel.{kind}").inc()
-        if recorder is not None:
+        if recorder is not None and node.plan is not None:
             recorder[id(node.plan)] = NodeActuals(rows=len(rows), seconds=elapsed)
         return rows
 

@@ -4,8 +4,9 @@
 Per call it (1) collects catalog statistics for the structure (memoized),
 (2) looks up or builds a costed relational-algebra plan (LRU plan cache,
 keyed by formula × signature × statistics profile), (3) executes the plan
-with hash joins, semijoin filtering, and antijoin negation, and (4)
-memoizes the answer per (structure, formula) in an LRU answer cache.
+on the columnar executor — compiled kernel pipelines with hash joins,
+semijoin filtering, and antijoin negation — and (4) memoizes the answer
+per (structure, formula) in an LRU answer cache.
 
 For *sentences* over low-degree structures the engine additionally owns a
 locality fast path: it dispatches to
@@ -22,7 +23,6 @@ this); ``domain="active"`` gives database-style active-domain semantics.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,9 +32,9 @@ from repro.resilience.budget import Budget, CancelToken, as_token
 from repro.resilience.faults import fault_point
 from repro.engine.cache import LRUCache
 from repro.engine.columnar.executor import ColumnarExecutor
-from repro.engine.executor import ExecutionStats, Executor, NodeActuals
+from repro.engine.executor import ExecutionStats, NodeActuals
 from repro.engine.normalize import normalize
-from repro.engine.plan import Plan, explain_plan
+from repro.engine.plan import Plan, explain_plan, fused_steps
 from repro.engine.planner import Planner
 from repro.engine.stats import StructureStats, collect_stats
 from repro.eval.algebra import Relation
@@ -106,11 +106,16 @@ class Explanation:
 class ProfiledExplanation(Explanation):
     """EXPLAIN ANALYZE: an :class:`Explanation` plus measured actuals.
 
-    ``actuals`` maps ``id(plan node)`` to the executor's
+    ``actuals`` maps ``id(plan node)`` to the columnar executor's
     :class:`~repro.engine.executor.NodeActuals` (output rows, inclusive
     seconds); ``answers`` is the executed result — identical to what
     :meth:`Engine.answers` returns for the same call; ``seconds`` is the
     end-to-end execution wall clock.
+
+    The root always has actuals. A node without actuals was *fused* into
+    another step (``Join[z]`` under ``Project[x, y]`` is one kernel);
+    :meth:`to_dict` and the text rendering name the step that covers it
+    (:func:`~repro.engine.plan.fused_steps`).
     """
 
     actuals: dict[int, NodeActuals] = field(default_factory=dict)
@@ -124,16 +129,21 @@ class ProfiledExplanation(Explanation):
     def to_dict(self) -> dict:
         """A JSON-ready EXPLAIN ANALYZE: the plan tree with the
         planner's estimates next to the executor's measured actuals per
-        node — what the server's wire-level ``explain`` option ships."""
+        node — what the server's wire-level ``explain`` option ships.
+        Fused nodes carry ``fused_into``, the label of the step whose
+        actuals cover them, in place of actuals."""
+        fused = fused_steps(self.plan, self.actuals)
 
         def node_dict(node: Plan) -> dict:
             measured = self.actuals.get(id(node))
+            cover = fused.get(id(node))
             return {
                 "op": node.label(),
                 "attributes": list(node.attributes),
                 "estimated_rows": node.estimated_rows,
                 "actual_rows": measured.rows if measured is not None else None,
                 "actual_ms": measured.milliseconds if measured is not None else None,
+                "fused_into": cover.label() if cover is not None else None,
                 "children": [node_dict(child) for child in node.children()],
             }
 
@@ -166,6 +176,9 @@ class ProfiledExplanation(Explanation):
 class Engine:
     """A planned, cached, locality-aware FO query engine.
 
+    Every plan runs on :class:`~repro.engine.columnar.ColumnarExecutor`,
+    for :meth:`answers`, :meth:`evaluate` and :meth:`profile` alike.
+
     Parameters
     ----------
     domain:
@@ -193,23 +206,6 @@ class Engine:
         bound execute with the semijoin pre-filter switched off — for
         trivially small plans the filter's extra hash sets cost more
         than they save. Set to 0 to always filter.
-    executor:
-        Which executor tier runs plans: ``"tuple"`` (the reference
-        row-at-a-time executor), ``"columnar"`` (compiled integer-key
-        kernel pipelines, :mod:`repro.engine.columnar`), or ``"auto"``
-        (cost-based dispatch, the default). ``None`` defers to the
-        ``REPRO_EXECUTOR`` environment variable, falling back to
-        ``"auto"``. :meth:`profile` always runs the tuple executor —
-        per-node EXPLAIN ANALYZE actuals are defined on the fully
-        materialized pipeline, which fusion deliberately destroys.
-    tiny_plan_rows / columnar_min_rows:
-        The ``"auto"`` dispatch bands, by total estimated rows: at most
-        ``tiny_plan_rows`` → columnar (its cached compiled pipeline is
-        the cheapest path for trivially small plans, where the tuple
-        executor's per-node setup dominates); at least
-        ``columnar_min_rows`` → columnar (integer kernels win on bulk);
-        in between → the tuple executor (both are fast; the reference
-        path keeps its production mileage).
     """
 
     def __init__(
@@ -222,22 +218,10 @@ class Engine:
         fast_path_threshold: int | None = None,
         enable_fast_path: bool = True,
         small_plan_rows: int = 2048,
-        executor: str | None = None,
-        tiny_plan_rows: int = 64,
-        columnar_min_rows: int = 512,
     ) -> None:
         if domain not in ("universe", "active"):
             raise EvaluationError(f"domain must be 'universe' or 'active', got {domain!r}")
-        if executor is None:
-            executor = os.environ.get("REPRO_EXECUTOR", "auto") or "auto"
-        if executor not in ("auto", "tuple", "columnar"):
-            raise EvaluationError(
-                f"executor must be 'auto', 'tuple', or 'columnar', got {executor!r}"
-            )
         self.domain_mode = domain
-        self.executor_mode = executor
-        self.tiny_plan_rows = tiny_plan_rows
-        self.columnar_min_rows = columnar_min_rows
         self.degree_threshold = degree_threshold
         self.fast_path_ball_limit = fast_path_ball_limit
         self.fast_path_threshold = fast_path_threshold
@@ -495,13 +479,14 @@ class Engine:
         """EXPLAIN ANALYZE: execute under tracing, return estimates + actuals.
 
         Unlike :meth:`answers` this always executes (bypassing the
-        answer cache — actuals must be measured, not remembered), with a
-        per-node recorder attached to the executor. The returned
-        :class:`ProfiledExplanation` carries the executed answer set —
-        identical to :meth:`answers` on the same arguments — plus actual
-        rows and inclusive milliseconds per plan node next to the
-        planner's estimates, so estimate-vs-actual misplanning is
-        visible node by node.
+        answer cache — actuals must be measured, not remembered), on the
+        same columnar executor and cached pipeline, with a per-step
+        recorder attached. The returned :class:`ProfiledExplanation`
+        carries the executed answer set — identical to :meth:`answers`
+        on the same arguments — plus actual rows and inclusive
+        milliseconds per plan node next to the planner's estimates, so
+        estimate-vs-actual misplanning is visible node by node; nodes the
+        pipeline fused into another step are marked as such.
         """
         free = free_variables(formula)
         sorted_names = tuple(sorted(var.name for var in free))
@@ -639,23 +624,6 @@ class Engine:
 
         return self.plan_cache.get_or_compute(key, build)
 
-    def _use_columnar(self, plan: Plan) -> bool:
-        """The executor-tier dispatch decision for one plan.
-
-        Forced modes short-circuit; ``auto`` sends the two extremes of
-        the cost range to the columnar tier — trivially small plans
-        (cached pipeline beats the tuple executor's per-node setup, the
-        fix for the old ``has-loop`` regression) and bulky plans
-        (integer kernels beat per-row tuple hashing) — and keeps the
-        middle band on the reference tuple executor.
-        """
-        if self.executor_mode == "tuple":
-            return False
-        if self.executor_mode == "columnar":
-            return True
-        estimate = plan.total_estimated_rows()
-        return estimate <= self.tiny_plan_rows or estimate >= self.columnar_min_rows
-
     def _domain_values(self, structure: Structure) -> tuple[Element, ...]:
         if self.domain_mode == "universe":
             return structure.universe
@@ -694,12 +662,7 @@ class Engine:
         plan, _ = self._plan_for(structure, formula)
         domain = self._domain_values(structure)
         fault_point("engine.execute")
-        executor_class = (
-            ColumnarExecutor
-            if recorder is None and self._use_columnar(plan)
-            else Executor
-        )
-        executor = executor_class(
+        executor = ColumnarExecutor(
             structure,
             domain,
             self.stats.execution,

@@ -11,6 +11,7 @@ what makes them cacheable across structures with the same statistics.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "Union",
     "join_attributes",
     "explain_plan",
+    "fused_steps",
 ]
 
 
@@ -215,25 +217,56 @@ class Union(Plan):
         return f"Union[{len(self.parts)}]"
 
 
-def explain_plan(plan: Plan, indent: int = 0, actuals: dict | None = None) -> str:
+def fused_steps(plan: Plan, actuals: Mapping[int, object]) -> dict[int, Plan]:
+    """EXPLAIN ANALYZE fusion marks: ``id(node)`` → the node covering it.
+
+    The columnar executor records actuals once per pipeline step, under
+    the outermost plan node the step realizes. A node it fused into a
+    step (``Join[z]`` under ``Project[x, y]``, a cancelled double
+    complement) is never materialized and has no actuals; the step that
+    computed it is its nearest ancestor with actuals.
+    """
+    fused: dict[int, Plan] = {}
+
+    def walk(node: Plan, cover: Plan | None) -> None:
+        if id(node) in actuals:
+            cover = node
+        elif cover is not None:
+            fused[id(node)] = cover
+        for child in node.children():
+            walk(child, cover)
+
+    walk(plan, None)
+    return fused
+
+
+def explain_plan(plan: Plan, indent: int = 0, actuals: Mapping | None = None) -> str:
     """Render a plan as an indented tree with cost annotations.
 
     ``actuals`` is an optional EXPLAIN ANALYZE overlay: a mapping from
     ``id(node)`` to an object with ``rows`` and ``milliseconds``
     attributes (the executor's :class:`~repro.engine.executor.NodeActuals`).
     Nodes present in the mapping render ``actual=... rows in ...ms``
-    next to the planner's estimate; durations are inclusive of children.
+    next to the planner's estimate (durations are inclusive of
+    children); the others render ``fused into <step>`` (:func:`fused_steps`).
     """
-    pad = "  " * indent
-    line = (
-        f"{pad}{plan.label()}  "
-        f"attrs=({', '.join(plan.attributes)})  est={plan.estimated_rows:.1f}"
-    )
-    if actuals is not None:
-        recorded = actuals.get(id(plan))
-        if recorded is not None:
-            line += f"  actual={recorded.rows} rows in {recorded.milliseconds:.3f}ms"
-    lines = [line]
-    for child in plan.children():
-        lines.append(explain_plan(child, indent + 1, actuals))
+    fused = fused_steps(plan, actuals) if actuals is not None else {}
+    lines: list[str] = []
+
+    def render(node: Plan, depth: int) -> None:
+        line = (
+            f"{'  ' * depth}{node.label()}  "
+            f"attrs=({', '.join(node.attributes)})  est={node.estimated_rows:.1f}"
+        )
+        if actuals is not None:
+            recorded = actuals.get(id(node))
+            if recorded is not None:
+                line += f"  actual={recorded.rows} rows in {recorded.milliseconds:.3f}ms"
+            elif id(node) in fused:
+                line += f"  fused into {fused[id(node)].label()}"
+        lines.append(line)
+        for child in node.children():
+            render(child, depth + 1)
+
+    render(plan, indent)
     return "\n".join(lines)

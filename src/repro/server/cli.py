@@ -53,14 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request materialized-row budget for every tenant",
     )
     parser.add_argument(
-        "--executor",
-        choices=("tuple", "columnar", "auto"),
-        default=None,
-        help="executor tier for plan execution: the reference tuple "
-        "executor, the columnar kernel tier, or cost-based auto dispatch "
-        "(default: the REPRO_EXECUTOR environment variable, else auto)",
-    )
-    parser.add_argument(
         "--degree-bound",
         type=int,
         default=3,
@@ -153,12 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    from repro.engine.engine import Engine
     from repro.telemetry.logs import open_access_log
 
     service = QueryService(
         default_budget=default_budget,
-        engine=Engine(executor=args.executor),
         degree_bound=args.degree_bound,
         trace_sample=args.trace_sample,
         access_log=open_access_log(args.access_log, slow_ms=args.slow_ms),

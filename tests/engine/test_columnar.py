@@ -1,10 +1,11 @@
-"""Tests for the columnar executor tier (repro.engine.columnar).
+"""Tests for the columnar executor (repro.engine.columnar), the engine's
+one plan executor.
 
-The contract under test is *exact answer-set agreement* with the tuple
-executor and the naive oracle — the columnar tier is a performance tier,
-never a semantics tier — plus the codec's coding invariants, the
-packed/tuple mode switch, the dispatch policy, and the observability and
-pickling parity the executor promises.
+The contract under test is *exact answer-set agreement* with the
+independent references — the naive evaluator, and the algebra
+translation for active-domain semantics — plus the codec's coding
+invariants, the packed/tuple mode switch, the bounded pipeline memo,
+and the observability and pickling behaviour the executor promises.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from repro import telemetry
 from repro.engine import ColumnarExecutor, Engine
 from repro.engine.columnar.codec import PACK_MAX_ARITY, DomainCodec, codec_for
 from repro.engine.columnar.compile import compile_plan
-from repro.errors import EvaluationError
+from repro.engine.columnar.executor import PIPELINE_CACHE_LIMIT
 from repro.eval.evaluator import answers as naive_answers
+from repro.eval.translate import algebra_answers
 from repro.logic.parser import parse
 from repro.logic.signature import Signature
 from repro.structures.builders import directed_cycle, random_graph
@@ -30,12 +32,13 @@ HAS_LOOP = parse("exists x E(x, x)")
 OUT_DOMINATED = parse("~(x = y) & forall z ((~E(x, z) | E(y, z)))")
 
 
-def columnar_engine(**kwargs) -> Engine:
-    return Engine(executor="columnar", **kwargs)
+def pipelines(structure: Structure):
+    """The structure's compiled-pipeline memo over its universe domain."""
+    return structure._cache[("columnar-pipeline", structure.universe)]
 
 
 class TestColumnarEquivalence:
-    """The tier's reason to exist is speed; its license to exist is this."""
+    """Speed is the executor's reason to exist; this is its license."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=conformance_cases(max_size=5, formula_budget=5))
@@ -44,32 +47,33 @@ class TestColumnarEquivalence:
         signatures, constants, equalities, negation, ternary relations
         (which exercise the tuple-of-int fallback mid-plan)."""
         reference = naive_answers(case.structure, case.formula)
-        assert columnar_engine().answers(case.structure, case.formula) == reference
+        assert Engine().answers(case.structure, case.formula) == reference
 
     @settings(max_examples=25, deadline=None)
     @given(case=conformance_cases(max_size=5, formula_budget=5))
     def test_matches_tuple_executor_under_active_domain(self, case):
-        tuple_engine = Engine(domain="active", executor="tuple")
-        active = Engine(domain="active", executor="columnar")
-        assert active.answers(case.structure, case.formula) == tuple_engine.answers(
-            case.structure, case.formula
+        """Active-domain semantics against the algebra translation, the
+        reference the tuple executor was itself held to."""
+        active = Engine(domain="active")
+        assert active.answers(case.structure, case.formula) == algebra_answers(
+            case.structure, case.formula, domain="active"
         )
 
     def test_named_zoo_shapes_agree(self):
         graph = random_graph(14, 0.4, seed=9)
         for formula in (DISTANCE_TWO, HAS_LOOP, OUT_DOMINATED):
-            assert columnar_engine().answers(graph, formula) == naive_answers(
+            assert Engine().answers(graph, formula) == naive_answers(
                 graph, formula
             )
 
     def test_empty_active_domain(self):
         """All-empty relations under active semantics: the domain pads to
-        one universe element and both executors agree."""
+        one universe element, as in the algebra translation."""
         empty = Structure(Signature({"E": 2}), [0, 1, 2], {"E": []})
         for formula in (DISTANCE_TWO, HAS_LOOP, parse("~E(x, y)")):
-            assert Engine(domain="active", executor="columnar").answers(
-                empty, formula
-            ) == Engine(domain="active", executor="tuple").answers(empty, formula)
+            assert Engine(domain="active").answers(empty, formula) == algebra_answers(
+                empty, formula, domain="active"
+            )
 
     def test_constants_resolve_through_the_codec(self):
         signature = Signature({"E": 2}, constants={"c"})
@@ -77,12 +81,12 @@ class TestColumnarEquivalence:
             signature, [0, 1, 2], {"E": [(0, 1), (1, 2), (2, 0)]}, {"c": 1}
         )
         formula = parse("E(c, x) | x = c", constants=signature)
-        assert columnar_engine().answers(structure, formula) == naive_answers(
+        assert Engine().answers(structure, formula) == naive_answers(
             structure, formula
         )
 
     def test_batch_api_rides_the_columnar_tier(self):
-        engine = columnar_engine()
+        engine = Engine()
         graphs = [random_graph(n, 0.3, seed=n) for n in (6, 8, 10)]
         batched = engine.answers_batch([(g, DISTANCE_TWO) for g in graphs])
         assert batched == [naive_answers(g, DISTANCE_TWO) for g in graphs]
@@ -168,7 +172,7 @@ class TestKernels:
         """OUT_DOMINATED's union branches are Project(Extend(·)) — the
         compiler must fuse each into a single strided Extend node."""
         graph = random_graph(10, 0.3, seed=1)
-        engine = columnar_engine()
+        engine = Engine()
         plan, _ = engine._plan_for(graph, OUT_DOMINATED)
         compiled = compile_plan(plan, graph, graph.universe)
         extends, unfused = [], []
@@ -187,11 +191,11 @@ class TestKernels:
         assert extends and not unfused
 
     def test_leaf_results_are_memoized(self):
-        engine = columnar_engine()
+        engine = Engine()
         graph = random_graph(9, 0.4, seed=7)
         first = engine.answers(graph, DISTANCE_TWO)
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        root = graph._cache[("columnar-pipeline", id(plan), graph.universe)].root
+        root = pipelines(graph).get(id(plan)).root
         leaves = []
 
         def walk(node):
@@ -214,7 +218,7 @@ class TestModeSelection:
         tuple-of-int mode and still agree with the oracle."""
         wide = parse("E(x, y) & E(y, z) & E(z, w) & E(w, x)")
         graph = random_graph(7, 0.5, seed=4)
-        engine = columnar_engine()
+        engine = Engine()
         plan, _ = engine._plan_for(graph, wide)
         compiled = compile_plan(plan, graph, graph.universe)
         assert not compiled.packed
@@ -222,58 +226,18 @@ class TestModeSelection:
 
     def test_narrow_plans_pack(self):
         graph = random_graph(7, 0.5, seed=4)
-        engine = columnar_engine()
+        engine = Engine()
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
         assert compile_plan(plan, graph, graph.universe).packed
-
-
-class TestDispatchPolicy:
-    def test_forced_modes(self):
-        graph = random_graph(8, 0.3, seed=1)
-        plan, _ = Engine()._plan_for(graph, DISTANCE_TWO)
-        assert Engine(executor="columnar")._use_columnar(plan)
-        assert not Engine(executor="tuple")._use_columnar(plan)
-
-    def test_auto_routes_the_extremes_to_columnar(self):
-        engine = Engine(executor="auto")
-        graph = random_graph(10, 0.3, seed=1)
-        tiny_plan, _ = engine._plan_for(graph, HAS_LOOP)
-        assert tiny_plan.total_estimated_rows() <= engine.tiny_plan_rows
-        assert engine._use_columnar(tiny_plan)
-        big_plan, _ = engine._plan_for(graph, OUT_DOMINATED)
-        assert big_plan.total_estimated_rows() >= engine.columnar_min_rows
-        assert engine._use_columnar(big_plan)
-
-    def test_auto_keeps_the_middle_band_on_tuple(self):
-        engine = Engine(executor="auto", tiny_plan_rows=0, columnar_min_rows=10**9)
-        graph = random_graph(10, 0.3, seed=1)
-        plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        assert not engine._use_columnar(plan)
-
-    def test_env_variable_selects_the_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "columnar")
-        assert Engine().executor_mode == "columnar"
-        monkeypatch.setenv("REPRO_EXECUTOR", "tuple")
-        assert Engine().executor_mode == "tuple"
-        # An explicit parameter wins over the environment.
-        assert Engine(executor="auto").executor_mode == "auto"
-
-    def test_invalid_mode_rejected(self):
-        try:
-            Engine(executor="vectorized")
-        except EvaluationError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("expected EvaluationError")
 
 
 class TestExecutorParity:
     def test_semijoin_prefilter_counts_like_the_tuple_executor(self):
         graph = random_graph(12, 0.6, seed=3)
-        unfiltered = columnar_engine()
+        unfiltered = Engine()
         unfiltered.answers(graph, DISTANCE_TWO)
         assert unfiltered.stats.execution.semijoin_filters == 0
-        filtered = columnar_engine(small_plan_rows=0)
+        filtered = Engine(small_plan_rows=0)
         filtered.answers(graph, DISTANCE_TWO)
         assert filtered.stats.execution.semijoin_filters > 0
         assert filtered.answers(graph, DISTANCE_TWO) == unfiltered.answers(
@@ -281,7 +245,7 @@ class TestExecutorParity:
         )
 
     def test_stats_and_rows_materialized(self):
-        engine = columnar_engine()
+        engine = Engine()
         engine.answers(random_graph(8, 0.3, seed=2), DISTANCE_TWO)
         snapshot = engine.stats.as_dict()
         assert snapshot["executions"] == 1
@@ -291,7 +255,7 @@ class TestExecutorParity:
     def test_telemetry_counters_appear(self):
         telemetry.enable()
         try:
-            engine = columnar_engine()
+            engine = Engine()
             engine.answers(random_graph(10, 0.3, seed=1), DISTANCE_TWO)
             snap = telemetry.metrics_snapshot()
             assert snap["counters"]["executor.rows.AtomScan"] > 0
@@ -304,14 +268,30 @@ class TestExecutorParity:
             telemetry.disable()
 
     def test_pipeline_cache_reused_across_executions(self):
-        engine = columnar_engine()
+        engine = Engine()
         graph = random_graph(9, 0.4, seed=7)
         first = engine.answers(graph, DISTANCE_TWO)
         engine.invalidate(graph)  # drop the answer cache, keep the pipeline
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        key = ("columnar-pipeline", id(plan), graph.universe)
-        assert key in graph._cache
+        assert id(plan) in pipelines(graph)
         assert engine.answers(graph, DISTANCE_TWO) == first
+
+    def test_pipeline_memo_is_bounded(self):
+        """Every distinct formula compiles a pipeline that pins its plan;
+        a long-lived structure keeps only the most recent
+        PIPELINE_CACHE_LIMIT of them, like the engine's plan cache."""
+        engine = Engine()
+        graph = random_graph(40, 0.1, seed=0)
+        for i in range(1000):
+            engine.answers(graph, parse(f"E(x{i}, x{i})"))
+        assert len(graph._cache) < 10, len(graph._cache)
+        memo = pipelines(graph)
+        assert len(memo) == PIPELINE_CACHE_LIMIT == engine.plan_cache.capacity
+        latest, _ = engine._plan_for(graph, parse("E(x999, x999)"))
+        assert id(latest) in memo
+        assert graph.insert("E", (0, 0))  # the memo rides across updates
+        assert pipelines(graph) is memo
+        assert (0,) in engine.answers(graph, parse("E(x999, x999)"))
 
     def test_direct_executor_run(self):
         graph = random_graph(8, 0.4, seed=6)
@@ -327,7 +307,7 @@ class TestPickling:
         """Codec and pipeline memos live in Structure._cache, which
         __getstate__ drops — a copy rebuilds them on demand."""
         graph = random_graph(8, 0.4, seed=3)
-        engine = columnar_engine()
+        engine = Engine()
         engine.answers(graph, DISTANCE_TWO)
         assert any(
             isinstance(key, tuple) and key and str(key[0]).startswith("columnar")
@@ -336,6 +316,6 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(graph))
         assert clone == graph
         assert clone._cache == {}
-        assert columnar_engine().answers(clone, DISTANCE_TWO) == engine.answers(
+        assert Engine().answers(clone, DISTANCE_TWO) == engine.answers(
             graph, DISTANCE_TWO
         )

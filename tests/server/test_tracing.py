@@ -152,6 +152,27 @@ class TestExplain:
         assert root["name"] == "server.request"
         assert _span_trace_ids(root) == {"deadbeef"}
 
+    def test_explain_marks_fused_nodes_and_roots_at_the_answer_count(
+        self, server_url, cycle_id
+    ):
+        """The wire explain profiles the executor that serves the answer:
+        the pipeline's join-and-project step covers Join[z]."""
+        status, body, _ = _request(
+            server_url + "/v1/answers",
+            {
+                "tenant": "t",
+                "structure_id": cycle_id,
+                "formula": "exists z (E(x, z) & E(z, y)) & ~E(x, y)",
+                "explain": True,
+            },
+        )
+        assert status == 200
+        plan = body["explain"]["profile"]["plan"]
+        assert plan["actual_rows"] == body["total_rows"] > 0
+        join = plan["children"][0]["children"][0]
+        assert (join["op"], join["fused_into"]) == ("Join[z]", "Project[x, y]")
+        assert join["actual_rows"] is None
+
     def test_explain_absent_by_default(self, server_url, cycle_id):
         status, body, _ = _request(
             server_url + "/v1/answers",

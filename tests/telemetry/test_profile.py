@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Engine, ProfiledExplanation
+from repro.engine import ColumnarExecutor, Engine, ProfiledExplanation
+from repro.engine.plan import fused_steps
 from repro.errors import EvaluationError
 from repro.eval.evaluator import answers as naive_answers
 from repro.logic.parser import parse
@@ -29,13 +30,53 @@ class TestProfile:
         assert profile.answers == naive_answers(graph, DISTANCE_TWO)
 
     def test_every_plan_node_has_actuals(self):
+        """Every node has actuals or is marked fused into an ancestor
+        that has them, never both, and the root always has actuals."""
         engine = Engine()
-        profile = engine.profile(random_graph(12, 0.3, seed=3), DISTANCE_TWO)
-        for node in plan_nodes(profile.plan):
-            actuals = profile.node_actuals(node)
-            assert actuals is not None, node.label()
-            assert actuals.rows >= 0
-            assert actuals.seconds >= 0.0
+        graph = random_graph(12, 0.3, seed=3)
+        for formula in [DISTANCE_TWO] + [query.formula for query in fo_graph_corpus()]:
+            profile = engine.profile(graph, formula)
+            assert profile.node_actuals(profile.plan).rows == len(profile.answers)
+            fused = fused_steps(profile.plan, profile.actuals)
+            for node in plan_nodes(profile.plan):
+                actuals = profile.node_actuals(node)
+                assert (actuals is None) == (id(node) in fused), node.label()
+                assert actuals is None or actuals.seconds >= 0.0
+
+    def test_fused_nodes_are_marked_with_their_covering_step(self):
+        engine = Engine()
+        graph = random_graph(12, 0.3, seed=3)
+        # ∀y ¬E(x, y) plans as ¬π(¬¬E): the double complement cancels, so
+        # the scan's step is recorded under the outer complement.
+        profile = engine.profile(graph, parse("forall y ~E(x, y)"))
+        outer = profile.plan.child.child
+        inner, scan = outer.child, outer.child.child
+        assert (outer.label(), inner.label()) == ("Complement[x, y]",) * 2
+        fused = fused_steps(profile.plan, profile.actuals)
+        assert fused[id(inner)] is outer and fused[id(scan)] is outer
+        assert profile.node_actuals(outer).rows == len(graph.tuples("E"))
+
+        profile = engine.profile(graph, DISTANCE_TWO)
+        project = profile.plan.left
+        join = project.child
+        assert (project.label(), join.label()) == ("Project[x, y]", "Join[z]")
+        assert profile.node_actuals(join) is None
+        assert fused_steps(profile.plan, profile.actuals)[id(join)] is project
+        assert "est=85.3  fused into Project[x, y]" in str(profile)
+
+    def test_actual_rows_count_the_node_they_are_keyed_under(self):
+        """Re-running any node that has actuals as a plan of its own
+        returns exactly that many rows — fused steps never record under
+        a node whose relation they did not compute."""
+        engine = Engine()
+        graph = random_graph(12, 0.3, seed=3)
+        for query in fo_graph_corpus():
+            profile = engine.profile(graph, query.formula)
+            for node in plan_nodes(profile.plan):
+                actuals = profile.node_actuals(node)
+                if actuals is not None:
+                    rows = ColumnarExecutor(graph, graph.universe).run(node).rows
+                    assert actuals.rows == len(rows), (query.name, node.label())
 
     def test_root_actual_rows_equal_answer_count(self):
         engine = Engine()
