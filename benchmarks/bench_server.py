@@ -12,17 +12,23 @@ Two layers are measured separately:
 * **HTTP level** — a closed-loop client against a live
   ``ThreadingHTTPServer`` on localhost, reporting per-request latency
   percentiles (p50/p95/p99) and the batched-vs-unbatched ratio for the
-  same work through ``POST /v1/answers``.
+  same work through ``POST /v1/answers``.  Each loop holds one
+  persistent keep-alive ``http.client`` connection, as a real client
+  does: a fresh connection per request would hide any stall that only
+  persistent connections pay, such as a delayed ACK held up by Nagle's
+  algorithm.
 
 Rows land in ``BENCH_server.json`` at the repo root.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-import urllib.request
+from contextlib import closing
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from conftest import print_table
 
@@ -188,44 +194,60 @@ def bench_service_tracing() -> dict:
 # -- HTTP level: closed-loop latency + batching ------------------------------
 
 
-def _post(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=60) as response:
-        return json.loads(response.read())
+class _Client:
+    """One persistent keep-alive connection to the server."""
+
+    def __init__(self, url: str) -> None:
+        parts = urlsplit(url)
+        self.connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=60
+        )
+
+    def post(self, path: str, payload: dict) -> dict:
+        self.connection.request(
+            "POST", path, json.dumps(payload), {"Content-Type": "application/json"}
+        )
+        response = self.connection.getresponse()
+        body = json.loads(response.read())
+        if response.status != 200:
+            raise RuntimeError(f"POST {path} answered {response.status}: {body}")
+        return body
+
+    def close(self) -> None:
+        self.connection.close()
 
 
 def bench_http() -> list[dict]:
-    """Closed-loop requests against a live localhost server."""
+    """Closed-loop requests against a live localhost server, one
+    keep-alive connection per loop."""
     server, thread = serve(QueryService())
     try:
-        url = server.url + "/v1/answers"
+        path = "/v1/answers"
         graph = random_graph(30, 0.15, seed=1)
-        body = _post(
-            server.url + "/v1/structures",
-            {"tenant": "bench", "structure": wire.structure_to_dict(graph)},
-        )
-        structure_id = body["structure_id"]
-        texts = _zoo_texts()
-        names = [
-            _post(
-                server.url + "/v1/queries",
-                {"tenant": "bench", "formula": text, "structure_id": structure_id},
-            )["query"]
-            for text in texts
-        ]
+        with closing(_Client(server.url)) as client:
+            body = client.post(
+                "/v1/structures",
+                {"tenant": "bench", "structure": wire.structure_to_dict(graph)},
+            )
+            structure_id = body["structure_id"]
+            texts = _zoo_texts()
+            names = [
+                client.post(
+                    "/v1/queries",
+                    {"tenant": "bench", "formula": text, "structure_id": structure_id},
+                )["query"]
+                for text in texts
+            ]
 
         def closed_loop(payloads: list[dict]) -> tuple[float, list[float]]:
             latencies = []
-            start = time.perf_counter()
-            for payload in payloads:
-                t0 = time.perf_counter()
-                _post(url, payload)
-                latencies.append(time.perf_counter() - t0)
-            return time.perf_counter() - start, latencies
+            with closing(_Client(server.url)) as client:
+                start = time.perf_counter()
+                for payload in payloads:
+                    t0 = time.perf_counter()
+                    client.post(path, payload)
+                    latencies.append(time.perf_counter() - t0)
+                return time.perf_counter() - start, latencies
 
         prepared_payloads = [
             {"tenant": "bench", "structure_id": structure_id, "query": name}
@@ -248,18 +270,14 @@ def bench_http() -> list[dict]:
                 {"structure_id": structure_id, "query": name} for name in names
             ],
         }
-        start = time.perf_counter()
-        for _ in range(BATCH_ROUNDS):
-            _post(url, batch_payload)
-        batched_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(BATCH_ROUNDS):
-            for name in names:
-                _post(
-                    url,
-                    {"tenant": "bench", "structure_id": structure_id, "query": name},
-                )
-        unbatched_s = time.perf_counter() - start
+        batched_s, _ = closed_loop([batch_payload] * BATCH_ROUNDS)
+        unbatched_s, _ = closed_loop(
+            [
+                {"tenant": "bench", "structure_id": structure_id, "query": name}
+                for _ in range(BATCH_ROUNDS)
+                for name in names
+            ]
+        )
 
         requests = HTTP_ROUNDS * len(names)
         return [

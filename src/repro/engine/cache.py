@@ -1,14 +1,16 @@
 """A small LRU cache used for plans and answers.
 
 Both engine caches are bounded LRU maps with hit/miss/eviction counters;
-the answer cache additionally supports per-structure invalidation.
-Since structures became mutable (``Structure.insert``/``delete``), a key
-stored before an update may *hash differently* afterwards — its content
-hash moved with the structure it embeds.  Such entries are inert (no
-probe with the old bucket's hash can compare equal to the new content),
-but they can no longer be deleted by key, so :meth:`evict_where` and
-eviction generally must never assume ``del d[key]`` works for a key
-listed by iteration; see :meth:`evict_where`.
+the answer cache additionally supports per-structure invalidation
+(:meth:`evict_where`).  Answer-cache keys name a structure by its
+process-unique ``uid``, not its content, and each entry carries the
+structure epoch it answers: an update makes the entry stale rather than
+orphaning it under a content hash that no longer matches, and the next
+read's ``put`` overwrites it in place.  :meth:`get`'s ``valid``
+predicate is how a caller rejects such a stale entry; a rejected entry
+counts as a miss.  Caches keyed by content (the locality census memo)
+can still hold a key whose hash moved with a mutated structure;
+:meth:`evict_where` copes with that.
 
 The cache is **thread-safe**: the threaded server shares one engine
 across its request threads, so its caches are hit concurrently, and an
@@ -66,10 +68,17 @@ class LRUCache:
             _counter(f"cache.{self.name}.{event}").inc(amount)
             _gauge(f"cache.{self.name}.size").set(len(self._data))
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(
+        self,
+        key: Hashable,
+        default: Any = None,
+        valid: Callable[[Any], bool] | None = None,
+    ) -> Any:
+        """The value under ``key``, or ``default``; an entry that
+        ``valid`` rejects is a miss (and stays for a ``put`` to replace)."""
         with self._lock:
             value = self._data.get(key, _MISSING)
-            if value is _MISSING:
+            if value is _MISSING or (valid is not None and not valid(value)):
                 self.misses += 1
                 self._record("misses")
                 return default
@@ -112,9 +121,10 @@ class LRUCache:
 
         Rebuilds the survivor map instead of deleting doomed keys one by
         one: a key whose hash changed since insertion (a mutated
-        structure embedded in an answer-cache key) cannot be looked up —
-        ``del`` would raise or, worse, silently miss — but iteration
-        still reaches it, so rebuild-and-swap removes it reliably.
+        structure embedded in a content key, as in the locality census
+        memo) cannot be looked up — ``del`` would raise or, worse,
+        silently miss — but iteration still reaches it, so
+        rebuild-and-swap removes it reliably.
         """
         with self._lock:
             survivors = OrderedDict()

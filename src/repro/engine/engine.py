@@ -6,7 +6,8 @@ Per call it (1) collects catalog statistics for the structure (memoized),
 keyed by formula × signature × statistics profile), (3) executes the plan
 on the columnar executor — compiled kernel pipelines with hash joins,
 semijoin filtering, and antijoin negation — and (4) memoizes the answer
-per (structure, formula) in an LRU answer cache.
+per (structure identity, formula) in an LRU answer cache, stamped with
+the structure epoch it answers.
 
 For *sentences* over low-degree structures the engine additionally owns a
 locality fast path: it dispatches to
@@ -179,6 +180,17 @@ class Engine:
     Every plan runs on :class:`~repro.engine.columnar.ColumnarExecutor`,
     for :meth:`answers`, :meth:`evaluate` and :meth:`profile` alike.
 
+    The answer cache keys a structure by its
+    :attr:`~repro.structures.structure.Structure.uid`, not its content:
+    one entry per (structure, formula, domain mode, column order) holds
+    ``(epoch, rows)`` and is a hit only while the structure is still at
+    that epoch.  After ``Structure.insert``/``delete`` the next read
+    overwrites the entry instead of stranding the old content's answers,
+    so a structure under a stream of writes holds one entry per query.
+    Two content-equal but distinct structure objects do not share
+    entries; the server maps equal uploads to one object, so its tenants
+    still do.
+
     Parameters
     ----------
     domain:
@@ -254,13 +266,16 @@ class Engine:
         running long. Exhausted runs cache nothing; answer-cache hits
         return without consuming budget.
 
-        For quantifier-free formulas — and, since ISSUE 10, quantified
-        formulas in the local-existential and Hanf-gated fragments —
-        under universe semantics the engine additionally *maintains*
-        answers across structure updates: a content-cache miss caused by
-        ``Structure.insert``/``delete`` first tries to patch the answer
-        set recorded at an earlier epoch
+        For quantifier-free formulas — and quantified formulas in the
+        local-existential and Hanf-gated fragments — under universe
+        semantics the engine additionally *maintains* answers across
+        structure updates: a read whose cache entry is from an earlier
+        epoch first tries to patch the answer set recorded then
         (:mod:`repro.incremental.answers`) before recomputing.
+
+        The structure's epoch is read before any work.  If a write lands
+        while the rows are being computed or patched, they are returned
+        but neither cached nor recorded, since they may predate it.
         """
         token = as_token(budget)
         free = free_variables(formula)
@@ -277,25 +292,30 @@ class Engine:
                 # defer to the reference implementation for this corner.
                 return naive_answers(structure, formula, free_order, cancel_token=token)
 
-        key = (structure, formula, self.domain_mode, order_names)
+        # Read the epoch before any work: rows computed while a write
+        # lands are returned but never cached as that write's answers.
+        epoch = structure.epoch
+        key = (structure.uid, formula, self.domain_mode, order_names)
         maintain = self.domain_mode == "universe" and order_names == sorted_names
-        cached = self.answer_cache.get(key)
+        cached = self.answer_cache.get(key, valid=lambda entry: entry[0] == epoch)
         if cached is not None:
             if maintain:
-                # The hit certifies the rows match the *current* content,
-                # so re-stamp the maintenance record at the current epoch.
-                self._answer_index.remember(structure, formula, cached)
-            return cached
+                # The hit certifies the rows match this epoch's content,
+                # so re-stamp the maintenance record at it.
+                self._answer_index.remember(structure, formula, cached[1], epoch)
+            return cached[1]
         if maintain:
             patched = self._answer_index.patch(structure, formula, cancel_token=token)
             if patched is not None:
                 self.stats.answers_patched += 1
-                self.answer_cache.put(key, patched)
+                if structure.epoch == epoch:
+                    self.answer_cache.put(key, (epoch, patched))
                 return patched
         rows = self._compute_answers(structure, formula, sorted_names, order_names, token)
-        self.answer_cache.put(key, rows)
-        if maintain:
-            self._answer_index.remember(structure, formula, rows)
+        if structure.epoch == epoch:
+            self.answer_cache.put(key, (epoch, rows))
+            if maintain:
+                self._answer_index.remember(structure, formula, rows, epoch)
         return rows
 
     def maintained_changed(
@@ -526,15 +546,18 @@ class Engine:
     def invalidate(self, structure: Structure) -> int:
         """Drop every cached answer for ``structure``; return the count.
 
-        Both layers go: the content-hash answer cache *and* the
+        Both layers go: the answer-cache entries keyed by the structure's
+        :attr:`~repro.structures.structure.Structure.uid` *and* the
         delta-maintained records (:class:`AnswerIndex`), so the next
         read genuinely re-executes instead of being answered by a
         surviving maintenance record.  The count reports cache entries
-        (one per cached answer set, as before); forgotten maintenance
-        records ride along uncounted.
+        (one per (query, domain, column order)); forgotten maintenance
+        records ride along uncounted.  A content-equal but distinct
+        structure object keeps its own entries.
         """
         self._answer_index.forget(structure)
-        return self.answer_cache.evict_where(lambda key: key[0] == structure)
+        uid = structure.uid
+        return self.answer_cache.evict_where(lambda key: key[0] == uid)
 
     def clear_caches(self) -> None:
         self.plan_cache.clear()

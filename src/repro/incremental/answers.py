@@ -335,10 +335,11 @@ class AnswerIndex:
     mutated structure changes content hash on every delta while its uid
     names the same evolving object.  Rows are columns in sorted
     free-variable order, the only order the engine maintains.  The
-    engine's content-hash answer cache stays the source of truth for
-    "have I answered this exact structure"; this index answers "I
-    answered an earlier epoch of this object — which rows may have
-    flipped?".
+    engine's answer cache answers "have I answered this object at this
+    epoch"; this index answers "I answered an earlier epoch of this
+    object — which rows may have flipped?".  Both stamp rows with the
+    epoch read *before* the work that produced them and commit nothing
+    when a write lands meanwhile.
     """
 
     def __init__(self) -> None:
@@ -369,8 +370,14 @@ class AnswerIndex:
 
     # -- remember -------------------------------------------------------------
 
-    def remember(self, structure: Structure, formula: Formula, rows: frozenset) -> None:
-        """Stamp ``rows`` as the answers at the structure's current epoch."""
+    def remember(
+        self, structure: Structure, formula: Formula, rows: frozenset, epoch: int
+    ) -> None:
+        """Stamp ``rows`` as the answers at ``epoch``, the structure epoch
+        read before they were computed.  Records nothing when a write has
+        landed since: the rows may predate it."""
+        if structure.epoch != epoch:
+            return
         key = (structure.uid, formula)
         record = self._records.get(key)
         if record is None:
@@ -382,11 +389,14 @@ class AnswerIndex:
                 self._records.popitem(last=False)
         else:
             self._records.move_to_end(key)
-            if record.epoch == structure.epoch:
+            if record.epoch == epoch:
                 return  # same epoch, same content: the rows already match
+        census = None
         if record.scope.tier == "hanf":
-            record.census = self._hanf_census(structure, record, rows)
-        record.rows, record.epoch, record.promote = rows, structure.epoch, False
+            census = self._hanf_census(structure, record, rows)
+        if structure.epoch == epoch:
+            record.rows, record.census, record.epoch = rows, census, epoch
+            record.promote = False
 
     def _hanf_census(
         self, structure: Structure, record: _Record, rows: frozenset
@@ -438,6 +448,7 @@ class AnswerIndex:
         record = self._records.get(key)
         if record is None:
             return None
+        epoch = structure.epoch
         deltas = structure.deltas_since(record.epoch)
         if deltas is None:
             del self._records[key]
@@ -456,7 +467,9 @@ class AnswerIndex:
                 self._note_fallback()
                 return None
         fault_point("incremental.answers.commit")
-        record.rows, record.census, record.epoch = rows, census, structure.epoch
+        if structure.epoch != epoch:
+            return rows  # a write landed mid-patch: not ``epoch``'s rows to commit
+        record.rows, record.census, record.epoch = rows, census, epoch
         self.patched[tier] += 1
         if _telemetry_enabled():
             _counter("incremental.answers.patched", tier=tier).inc()

@@ -78,6 +78,11 @@ class QueryServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "fmtoolbox/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket. A response goes out as two
+    # writes (headers, then body); with Nagle's algorithm on, the body
+    # waits for the ACK of the headers, which a keep-alive client delays
+    # by ~40 ms, so every read on a persistent connection stalled.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 

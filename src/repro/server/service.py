@@ -7,15 +7,17 @@ tests/benchmarks drive it directly.  It owns exactly the state a served
 FO system needs and nothing else:
 
 * a **structure store** — content-addressed by
-  :func:`repro.server.wire.structure_digest`, shared across tenants
-  (sharing by content is what makes the shared caches effective).
+  :func:`repro.server.wire.structure_digest`, shared across tenants:
+  equal uploads map to one structure object, and the engine's caches,
+  keyed by that object's identity, are shared with it.
   Structures are mutable through exactly one door:
   ``POST /v1/structures/<id>/updates`` (:meth:`QueryService.apply_updates`)
   applies a batch of tuple deltas in place — the incremental layer
   patches the structure's indexes rather than rebuilding them — and
-  re-registers the structure under its new content digest, retiring the
-  old id (queries against a retired id get a typed 409 naming the
-  successor, so a client that raced an update can follow the chain);
+  re-registers the structure under its new content digest (moved
+  forward per delta, not recomputed), retiring the old id (queries
+  against a recently retired id get a typed 409 naming the structure's
+  current id, so a client that raced an update can catch up);
 * one **shared engine** — its plan and answer caches (the PR 5 locked
   LRUs) are the cross-tenant plan cache the ISSUE names: the first
   tenant to run a query pays for planning, every tenant afterwards
@@ -64,6 +66,7 @@ import hashlib
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -103,6 +106,10 @@ __all__ = [
 #: whatever the request asks for (wire-level flow control).
 MAX_PAGE_SIZE = 4096
 DEFAULT_PAGE_SIZE = 512
+
+#: Retired structure ids remembered for a 409 naming the current id; the
+#: least recently used beyond this many are forgotten and answer 404.
+SUPERSEDED_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,8 @@ class QueryService:
         self.access_log = access_log
         self.readonly = readonly
         self.structures: dict[str, Structure] = {}
-        self._superseded: dict[str, str] = {}
+        # Retired id → the live structure that was updated away from it.
+        self._superseded: OrderedDict[str, Structure] = OrderedDict()
         self.tenants: dict[str, TenantSession] = {}
         self._lock = threading.Lock()
         self._started = time.monotonic()
@@ -348,14 +356,25 @@ class QueryService:
         return structure_id
 
     def structure(self, structure_id: str) -> Structure:
+        """The stored structure under ``structure_id``.
+
+        A retired id (one its structure was updated away from) is a 409
+        naming the structure's *current* id, however many updates ago it
+        was retired — until :data:`SUPERSEDED_LIMIT` more recently used
+        retired ids push it out; then it is a 404 like any unknown id.
+        """
         with self._lock:
             structure = self.structures.get(structure_id)
-            successor = self._superseded.get(structure_id)
+            successor = None
+            if structure is None:
+                successor = self._superseded.get(structure_id)
+                if successor is not None:
+                    self._superseded.move_to_end(structure_id)
         if structure is None:
             if successor is not None:
                 raise ServerError(
                     f"structure {structure_id!r} was updated; "
-                    f"its current id is {successor!r}",
+                    f"its current id is {wire.structure_digest(successor)!r}",
                     status=409,
                 )
             raise UnknownResourceError(f"unknown structure {structure_id!r}")
@@ -389,7 +408,7 @@ class QueryService:
         overrides — a tenant's write traffic is bounded by the same
         envelope as its reads.  The response echoes the structure's
         **new content digest** — the old id is retired (subsequent reads
-        get a 409 naming the successor) unless the batch round-tripped
+        get a 409 naming the current id) unless the batch round-tripped
         back to the identical contents — and ``queries_dirtied``, the
         sorted names of the tenant's prepared queries whose answer sets
         changed (or could not be proven unchanged) across the batch,
@@ -416,14 +435,14 @@ class QueryService:
                         )
                     structure = self.structure(structure_id)
                     token = self._effective_token(session, deadline_ms, max_rows)
-                    if updates and isinstance(updates[0], dict):
-                        deltas = wire.updates_from_wire(updates)
-                    else:
-                        deltas = [
-                            (op, relation, tuple(row)) for op, relation, row in updates
-                        ]
-                    if not deltas:
+                    if not updates:
                         raise ServerError("'updates' must be a non-empty list")
+                    if not isinstance(updates[0], dict):
+                        # Decoded deltas pass the wire's checks too, so a
+                        # bool or None element is refused before any
+                        # delta is applied.
+                        updates = wire.updates_to_wire(updates)
+                    deltas = wire.updates_from_wire(updates)
                     # Validate and charge the whole batch before applying
                     # any of it: a 400 or a 429 must leave the store
                     # untouched (a refusal *between* deltas would strand
@@ -448,10 +467,12 @@ class QueryService:
                         if new_id != structure_id:
                             self.structures.pop(structure_id, None)
                             self.structures[new_id] = structure
-                            self._superseded[structure_id] = new_id
-                            # A resurrected id is current again, and any
-                            # stale chain onto it must not shadow it.
+                            self._superseded[structure_id] = structure
+                            self._superseded.move_to_end(structure_id)
+                            # A resurrected id is current again.
                             self._superseded.pop(new_id, None)
+                            while len(self._superseded) > SUPERSEDED_LIMIT:
+                                self._superseded.popitem(last=False)
                     dirtied = self._dirtied_queries(session, structure, token)
                     update_span.set("deltas", len(deltas)).set("applied", applied)
                     update_span.set("epoch", structure.epoch)

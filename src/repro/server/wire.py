@@ -66,7 +66,7 @@ from repro.logic.syntax import (
     Top,
     Var,
 )
-from repro.structures.structure import Element, Structure
+from repro.structures.structure import DIGEST_MEMO, Element, Structure
 
 __all__ = [
     "WIRE_VERSION",
@@ -173,7 +173,9 @@ def encode_element(element: Element) -> Any:
 
 
 def decode_element(value: Any) -> Element:
-    if isinstance(value, (int, str)):
+    # JSON ``true``/``false`` decode to bool, an int subclass: ``True``
+    # would pass a universe check as ``1`` and then fail to encode.
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return value
     if isinstance(value, dict) and set(value) == {"t"}:
         return tuple(decode_element(part) for part in value["t"])
@@ -185,6 +187,19 @@ def decode_element(value: Any) -> Element:
 
 def structure_to_dict(structure: Structure) -> dict:
     """A JSON-ready dict capturing the structure exactly."""
+    data = _header_to_dict(structure)
+    data["relations"] = {
+        name: sorted(
+            ([encode_element(value) for value in row] for row in tuples),
+            key=repr,
+        )
+        for name, tuples in sorted(structure.relations.items())
+    }
+    return data
+
+
+def _header_to_dict(structure: Structure) -> dict:
+    """Everything but the relation rows: what updates never change."""
     return {
         "signature": {
             "relations": {
@@ -194,13 +209,6 @@ def structure_to_dict(structure: Structure) -> dict:
             "constants": sorted(structure.signature.constants),
         },
         "universe": [encode_element(element) for element in structure.universe],
-        "relations": {
-            name: sorted(
-                ([encode_element(value) for value in row] for row in tuples),
-                key=repr,
-            )
-            for name, tuples in sorted(structure.relations.items())
-        },
         "constants": {
             name: encode_element(value)
             for name, value in sorted(structure.constants.items())
@@ -229,16 +237,110 @@ def structure_from_dict(data: dict) -> Structure:
     return Structure(signature, universe, relations, constants)
 
 
+#: Bytes of one AdHash row term; the row sum is taken mod 2^(8 * this).
+_TERM_BYTES = 256
+_SUM_MODULUS = 1 << (8 * _TERM_BYTES)
+
+
 def structure_digest(structure: Structure) -> str:
-    """A content-addressed structure id: ``s-`` + SHA-256 prefix of the
-    canonical wire encoding.  Identical structures (however uploaded, by
-    whichever tenant) share an id, which is what lets the server share
-    plan- and answer-cache entries across tenants safely.  Updates
-    (``POST /v1/structures/<id>/updates``) keep the addressing honest by
-    re-registering the mutated structure under its *new* digest and
-    retiring the old id."""
-    canonical = json.dumps(structure_to_dict(structure), sort_keys=True)
-    return "s-" + hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """A content-addressed structure id: ``s-`` + 16 hex digits.
+
+    Identical structures (however uploaded, by whichever tenant) share an
+    id, which is what lets the server store equal content once.  Updates
+    (``POST /v1/structures/<id>/updates``) re-register the mutated
+    structure under its *new* id and retire the old one.
+
+    **Construction.**  The id is the first 64 bits of SHA-256(H ‖ S).
+    H is the SHA-256 of the canonical JSON of the signature, universe
+    and constants, which updates never change.  S is an AdHash
+    (Bellare–Micciancio, EUROCRYPT 1997) of the rows: the sum, mod
+    2^2048, of one SHAKE-256 term per (relation, row).  An insert adds
+    its row's term and a delete subtracts it, so equal contents get
+    equal sums whatever the update history.  The state (H, S) lives in
+    the structure's memo with an epoch stamp; each call moves it forward
+    over :meth:`~repro.structures.structure.Structure.deltas_since`, one
+    term per delta, and sums every row from scratch only for a structure
+    that has no state yet or whose delta log outran it.
+
+    **Threat model.**  An id is a 64-bit prefix, so finding *some* pair
+    of colliding structures costs ~2^32 (birthday bound) and gains an
+    attacker nothing.  The attack that matters is a *targeted* one: an
+    upload whose id equals another tenant's live id, which
+    ``QueryService.add_structure`` answers by handing over the victim's
+    structure.  For a plain hash that is a second preimage on 64 bits,
+    ~2^64 work.  An additive hash gives the attacker more room: rows
+    whose terms sum to the target sum are a k-sum problem, which
+    Wagner's k-tree algorithm (CRYPTO 2002) solves in about 2^(2√n) work
+    for an n-bit modulus.  At n = 256 that is ~2^32, cheap enough to
+    mount; at n ≥ 1024 it is ≥ 2^64, no cheaper than the second preimage
+    on the id itself.  Hence the 2048-bit modulus.
+    """
+    epoch = structure.epoch
+    state = structure._cache.get(DIGEST_MEMO)
+    deltas = None if state is None else structure.deltas_since(state[0])
+    if deltas is None:
+        header = hashlib.sha256(
+            json.dumps(_header_to_dict(structure), sort_keys=True).encode()
+        ).digest()
+        total = _row_sum(structure)
+    else:
+        _, header, total = state
+        for op, relation, row in deltas:
+            term = _row_term(relation, row)
+            total += term if op == "insert" else -term
+    total %= _SUM_MODULUS
+    # A write that landed mid-call may or may not be in the sum; only a
+    # state computed at one epoch may be kept.
+    if structure.epoch == epoch:
+        structure._cache[DIGEST_MEMO] = (epoch, header, total)
+    summed = header + total.to_bytes(_TERM_BYTES, "little")
+    return "s-" + hashlib.sha256(summed).hexdigest()[:16]
+
+
+def _row_sum(structure: Structure) -> int:
+    """Every row's term, summed: one plainness check per relation."""
+    total = 0
+    for name, rows in structure.relations.items():
+        if _all_plain([value for row in rows for value in row]):
+            total += sum(_shake_term(repr((name, row))) for row in rows)
+        else:
+            total += sum(_row_term(name, row) for row in rows)
+    return total
+
+
+def _row_term(relation: str, row: tuple) -> int:
+    """One row's AdHash term: SHAKE-256 of ``repr`` of the plain
+    (relation, row) pair, which is injective over wire-legal elements."""
+    if not _all_plain(row):
+        row = _plain(row)
+    return _shake_term(repr((relation, row)))
+
+
+def _shake_term(text: str) -> int:
+    return int.from_bytes(hashlib.shake_256(text.encode()).digest(_TERM_BYTES), "little")
+
+
+_PLAIN_TYPES = frozenset({int, str, tuple})
+
+
+def _all_plain(values) -> bool:
+    """Whether every value is an exact int, str or tuple of such values
+    (then ``repr`` is the row encoding as is), checked a level at a time."""
+    while values:
+        if not set(map(type, values)) <= _PLAIN_TYPES:
+            return False
+        values = [part for value in values if type(value) is tuple for part in value]
+    return True
+
+
+def _plain(element: Element) -> Element:
+    """The plain int/str/tuple value ``element`` decodes to off the wire;
+    raises :class:`StructureError` on what :func:`encode_element` refuses."""
+    if type(element) is int or type(element) is str:
+        return element
+    if isinstance(element, tuple):
+        return tuple(_plain(part) for part in element)
+    return json.loads(json.dumps(encode_element(element)))
 
 
 # -- structure updates (wire v1 additive) ------------------------------------

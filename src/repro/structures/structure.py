@@ -44,9 +44,10 @@ _UIDS = itertools.count(1)
 #: must recompute — the log bounds memory, not history.
 DELTA_LOG_LIMIT = 256
 
-#: Memo keys the mutation path patches in place; every other ``_cache``
-#: entry is dropped on update (safe default: recompute on demand).
-_PATCHED_MEMOS = frozenset({("gaifman",), ("row-incidence",)})
+#: Memo key of the wire content digest's epoch-stamped state (see
+#: :func:`repro.server.wire.structure_digest`); kept across updates and
+#: moved forward over :meth:`Structure.deltas_since` by its owner.
+DIGEST_MEMO = ("content-digest",)
 
 
 def _sort_key(element: Element) -> tuple[str, str]:
@@ -358,10 +359,11 @@ class Structure:
         Row incidence maps each element to the ``(relation, row)`` pairs
         it occurs in; the Gaifman adjacency is derivable from it.  Both
         are patched in O(|row| · degree).  Columnar codecs and compiled
-        pipelines over the (immutable) universe domain are *kept* — they
-        carry their own epoch stamps, and ``codec_for`` / the columnar
-        executor patch them forward from the delta log on next use
-        instead of re-encoding the whole structure.  Active-domain
+        pipelines over the (immutable) universe domain, and the wire
+        content digest's row sum, are *kept* — they carry their own epoch
+        stamps, and ``codec_for`` / the columnar executor /
+        ``structure_digest`` patch them forward from the delta log on
+        next use instead of re-reading the whole structure.  Active-domain
         columnar entries are dropped (the active domain itself moves
         under updates, so their key would go stale anyway), as is
         everything else (WL colors, engine stats): each owner recomputes
@@ -369,8 +371,9 @@ class Structure:
         """
         patched: dict = {}
         for key, value in self._cache.items():
-            if key[0] in ("columnar-codec", "columnar-pipeline") and (
-                key[-1] is self.universe or key[-1] == self.universe
+            if key == DIGEST_MEMO or (
+                key[0] in ("columnar-codec", "columnar-pipeline")
+                and (key[-1] is self.universe or key[-1] == self.universe)
             ):
                 patched[key] = value
         incidence = self._cache.get(("row-incidence",))

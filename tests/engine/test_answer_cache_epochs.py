@@ -1,0 +1,194 @@
+"""The answer cache keys a structure by identity and stamps its epoch.
+
+One entry per (structure uid, formula, domain, column order) holds the
+rows with the epoch they answer; a read is a hit only at that epoch, and
+the next read after a write overwrites the entry instead of leaving the
+old content's answers behind.  A write that lands while a read is
+computing must not get the read's (older) rows cached as its answers.
+"""
+
+from __future__ import annotations
+
+import copy
+import sys
+import threading
+
+from repro.engine import Engine
+from repro.eval.evaluator import answers as naive_answers
+from repro.incremental import answers as maintenance
+from repro.logic.parser import parse
+from repro.server import wire
+from repro.server.service import QueryService
+from repro.structures.builders import directed_cycle
+
+ONE_WAY = parse("E(x, y) & ~E(y, x)")
+
+
+def _entries_for(engine: Engine, structure) -> int:
+    return sum(1 for key in engine.answer_cache._data if key[0] == structure.uid)
+
+
+def test_a_write_overwrites_the_one_entry():
+    engine = Engine()
+    cycle = directed_cycle(6)
+    engine.answers(cycle, ONE_WAY)
+    for target in range(2, 6):
+        cycle.insert("E", (0, target))
+        assert engine.answers(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+    assert len(engine.answer_cache) == 1
+    key = (cycle.uid, ONE_WAY, "universe", ("x", "y"))
+    assert engine.answer_cache.get(key)[0] == cycle.epoch
+
+
+def test_a_stale_entry_is_a_miss():
+    engine = Engine()
+    cycle = directed_cycle(5)
+    engine.answers(cycle, ONE_WAY)
+    hits, misses = engine.answer_cache.hits, engine.answer_cache.misses
+    cycle.insert("E", (0, 2))
+    engine.answers(cycle, ONE_WAY)
+    assert (engine.answer_cache.hits, engine.answer_cache.misses) == (hits, misses + 1)
+    engine.answers(cycle, ONE_WAY)
+    assert engine.answer_cache.hits == hits + 1
+
+
+def test_content_equal_structures_keep_separate_entries():
+    engine = Engine()
+    left, right = directed_cycle(5), directed_cycle(5)
+    assert engine.answers(left, ONE_WAY) == engine.answers(right, ONE_WAY)
+    assert len(engine.answer_cache) == 2
+    assert engine.invalidate(left) == 1
+    assert _entries_for(engine, right) == 1
+
+
+def test_write_during_compute_is_not_cached_as_its_answers(monkeypatch):
+    engine = Engine()
+    cycle = directed_cycle(5)
+    compute = Engine._compute_answers
+
+    def racing(self, structure, *args, **kwargs):
+        rows = compute(self, structure, *args, **kwargs)
+        if structure.epoch == 0:
+            structure.insert("E", (0, 2))
+        return rows
+
+    monkeypatch.setattr(Engine, "_compute_answers", racing)
+    first = engine.answers(cycle, ONE_WAY)
+    assert len(first) == 5  # computed before the write landed
+    monkeypatch.undo()
+    assert engine.answers(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+    assert len(naive_answers(cycle, ONE_WAY)) == 6
+
+
+def test_write_during_patch_is_not_committed(monkeypatch):
+    engine = Engine()
+    cycle = directed_cycle(6)
+    engine.answers(cycle, ONE_WAY)
+    cycle.insert("E", (0, 2))
+    patch_qf = maintenance._TIERS["qf"]
+
+    def racing(structure, *args):
+        result = patch_qf(structure, *args)
+        structure.insert("E", (1, 3))
+        return result
+
+    monkeypatch.setitem(maintenance._TIERS, "qf", racing)
+    engine.answers(cycle, ONE_WAY)
+    monkeypatch.undo()
+    assert engine.answers(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+    assert engine.maintained_changed(cycle, ONE_WAY) is False
+
+
+def test_remember_records_nothing_for_a_past_epoch():
+    index = maintenance.AnswerIndex()
+    cycle = directed_cycle(5)
+    rows = naive_answers(cycle, ONE_WAY)
+    cycle.insert("E", (0, 2))
+    index.remember(cycle, ONE_WAY, rows, epoch=0)
+    assert index.patch(cycle, ONE_WAY) is None
+    index.remember(cycle, ONE_WAY, naive_answers(cycle, ONE_WAY), epoch=cycle.epoch)
+    assert index.patch(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+
+
+def test_served_writes_leave_one_entry_per_prepared_query():
+    service = QueryService()
+    cycle = directed_cycle(24)
+    structure_id = service.add_structure(cycle, tenant="t")
+    texts = ["E(x, y) & ~E(y, x)", "exists y. (E(x, y) & E(y, x))", "exists y E(x, y)"]
+    names = [
+        service.prepare("t", text, structure_id=structure_id).name for text in texts
+    ]
+    missing = iter(
+        (a, b)
+        for a in range(24)
+        for b in range(24)
+        if a != b and (a, b) not in cycle.relations["E"]
+    )
+    for _ in range(500):
+        for name in names:
+            service.answers("t", structure_id, query=name)
+        structure_id = service.apply_updates(
+            "t", structure_id, [("insert", "E", next(missing))]
+        )["structure_id"]
+    for name in names:
+        service.answers("t", structure_id, query=name)
+    engine = service.engine
+    assert _entries_for(engine, cycle) <= 3
+    assert len(engine.answer_cache) <= 3
+
+
+def test_reads_racing_writes_stay_consistent():
+    """Three readers (answers and the content digest) against one writer,
+    with a short switch interval so threads interleave mid-call.  Once
+    the writer stops, every cached answer set, maintenance record and
+    digest state must describe the final content."""
+    queries = [
+        ONE_WAY,
+        parse("exists y. (E(x, y) & E(y, x))"),
+        parse("exists y E(x, y)"),
+    ]
+    rows = [(a, (a + k) % 12) for k in (2, 3, 5) for a in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            engine, cycle = Engine(), directed_cycle(12)
+            for formula in queries:
+                engine.answers(cycle, formula)
+            wire.structure_digest(cycle)
+            done, errors = threading.Event(), []
+
+            def read():
+                try:
+                    while not done.is_set():
+                        for formula in queries:
+                            engine.answers(cycle, formula)
+                        wire.structure_digest(cycle)
+                except Exception as error:  # noqa: BLE001 — reported below
+                    errors.append(error)
+
+            def write():
+                try:
+                    for _ in range(3):
+                        for row in rows:
+                            cycle.insert("E", row)
+                        for row in rows:
+                            cycle.delete("E", row)
+                        for row in rows[::2]:
+                            cycle.insert("E", row)
+                finally:
+                    done.set()
+
+            threads = [threading.Thread(target=read) for _ in range(3)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            for formula in queries:
+                assert engine.answers(cycle, formula) == naive_answers(cycle, formula)
+            assert wire.structure_digest(cycle) == wire.structure_digest(copy.copy(cycle))
+    finally:
+        sys.setswitchinterval(interval)

@@ -82,15 +82,18 @@ class TestAnswersBatch:
         engine = Engine()
         small = directed_cycle(4)
         dense = complete_graph(12)
-        small_key = (small, EDGE, "universe", ("x", "y"))
-        dense_key = (dense, DISTANCE_TWO, "universe", ("x", "y"))
+        small_key = (small.uid, EDGE, "universe", ("x", "y"))
+        dense_key = (dense.uid, DISTANCE_TWO, "universe", ("x", "y"))
         with pytest.raises(BudgetExceededError):
             engine.answers_batch(
                 [(small, EDGE), (dense, DISTANCE_TWO)], budget=Budget(max_rows=100)
             )
-        # The request before the trip completed and was cached whole; the
-        # tripped one left nothing behind.
-        assert engine.answer_cache.get(small_key) == naive_answers(small, EDGE)
+        # The request before the trip completed and was cached whole, at
+        # the structure's epoch; the tripped one left nothing behind.
+        assert engine.answer_cache.get(small_key) == (
+            small.epoch,
+            naive_answers(small, EDGE),
+        )
         assert dense_key not in engine.answer_cache
         assert engine.answers(dense, DISTANCE_TWO) == naive_answers(dense, DISTANCE_TWO)
 

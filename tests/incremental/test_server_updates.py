@@ -2,7 +2,8 @@
 
 Content addressing under mutation: the service applies a validated
 batch, re-registers the structure under its new digest, and retires the
-old id into a supersede chain (409 names the successor).  The batch is
+old id (a 409 names the structure's current id, for a bounded number of
+recently retired ids).  The batch is
 atomic — one bad delta rejects the whole request with nothing applied —
 and rides the same admission control as answers (per-delta row charges,
 429 refusals, readonly replicas answer 403).
@@ -16,8 +17,15 @@ import urllib.request
 
 import pytest
 
-from repro.errors import BudgetExceededError, ServerError, SignatureError
+from repro.errors import (
+    BudgetExceededError,
+    ServerError,
+    SignatureError,
+    StructureError,
+    UnknownResourceError,
+)
 from repro.resilience.budget import Budget
+from repro.server import service as service_module
 from repro.server import wire
 from repro.server.http import _updates_target, serve
 from repro.server.service import QueryService
@@ -65,6 +73,56 @@ def test_superseded_id_is_a_409_naming_the_successor(service, cycle_id):
         service.structure(cycle_id)
     assert excinfo.value.status == 409
     assert new_id in str(excinfo.value)
+
+
+def test_409_names_the_current_id_after_a_chain_of_updates(service, cycle_id):
+    second = service.apply_updates("t1", cycle_id, [_delta("insert", (0, 2))])
+    third = service.apply_updates(
+        "t1", second["structure_id"], [_delta("insert", (1, 3))]
+    )
+    current = third["structure_id"]
+    for retired in (cycle_id, second["structure_id"]):
+        with pytest.raises(ServerError) as excinfo:
+            service.structure(retired)
+        assert excinfo.value.status == 409
+        assert current in str(excinfo.value)
+
+
+def test_superseded_map_is_capped(service, monkeypatch):
+    monkeypatch.setattr(service_module, "SUPERSEDED_LIMIT", 4)
+    current = _bigger_cycle_id(service)
+    retired = []
+    for target in range(2, 12):
+        retired.append(current)
+        current = service.apply_updates(
+            "t1", current, [_delta("insert", (0, target))]
+        )["structure_id"]
+    assert len(service._superseded) == 4
+    # The most recently retired ids still 409; the oldest are forgotten.
+    with pytest.raises(ServerError) as excinfo:
+        service.structure(retired[-1])
+    assert excinfo.value.status == 409
+    assert current in str(excinfo.value)
+    with pytest.raises(UnknownResourceError):
+        service.structure(retired[0])
+
+
+def test_bool_row_element_is_a_400_that_leaves_the_store_untouched(service, cycle_id):
+    """JSON ``true`` decodes to ``True == 1``, which used to pass the
+    universe check, be applied, and only then fail to encode."""
+    before = service.structure(cycle_id)
+    rows = before.relations["E"]
+    with pytest.raises(StructureError):
+        service.apply_updates(
+            "t1", cycle_id, [{"op": "insert", "relation": "E", "row": [True, 3]}]
+        )
+    with pytest.raises(StructureError):
+        service.apply_updates("t1", cycle_id, [("insert", "E", (True, 3))])
+    after = service.structure(cycle_id)
+    assert after is before
+    assert after.epoch == 0
+    assert after.relations["E"] == rows
+    assert wire.structure_digest(after) == cycle_id
 
 
 def test_noop_batch_keeps_the_id(service, cycle_id):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -228,3 +232,34 @@ def test_metrics_reflect_traffic(server_url: str, cycle_id: str):
     assert tenant["counters"]["answered"] > 0
     assert tenant["counters"]["refused"] >= 1  # the 429 test above
     assert "plan" in metrics["caches"] and "answer" in metrics["caches"]
+
+
+def test_keep_alive_reads_do_not_stall(server_url: str, cycle_id: str):
+    """Twenty reads over one persistent connection. The handler writes
+    headers and body separately; with Nagle's algorithm on, each body
+    waited ~40 ms for the client's delayed ACK of the headers."""
+    status, body = _post(
+        server_url + "/v1/queries",
+        {"tenant": "t", "formula": "exists y. E(x, y)", "structure_id": cycle_id},
+    )
+    assert status == 200
+    payload = json.dumps(
+        {"tenant": "t", "structure_id": cycle_id, "query": body["query"]}
+    )
+    host, port = urllib.parse.urlsplit(server_url).netloc.split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    latencies = []
+    try:
+        for _ in range(20):
+            start = time.perf_counter()
+            connection.request(
+                "POST", "/v1/answers", payload, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            page = json.loads(response.read())
+            latencies.append(time.perf_counter() - start)
+            assert response.status == 200
+            assert page["total_rows"] == 6
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.010, latencies
