@@ -362,8 +362,10 @@ class TestEngineSpeedup:
         """E23 — the engine's columnar executor vs the tuple executor and naive.
 
         Floors: the two zoo rows the PR-2 engine *lost* to naive
-        (has-loop 0.53–0.58x, out-dominated 0.31–0.44x) must now win
-        (≥ 1.0x), and the cold batch workload must clear 10x over the
+        (has-loop 0.53–0.58x, out-dominated 0.31–0.44x) must now win —
+        has-loop by ≥ 1.0x, out-dominated by ≥ 75x, which only its
+        Division plan (set containment, not a double complement)
+        reaches — and the cold batch workload must clear 10x over the
         tuple executor.
         """
         was_enabled = telemetry.is_enabled()
@@ -393,9 +395,9 @@ class TestEngineSpeedup:
         )
         by_query = {(row["n"], row["query"]): row for row in rows}
         for n in (30, 48):
-            for name in ("has-loop", "out-dominated"):
+            for name, floor in (("has-loop", 1.0), ("out-dominated", 75.0)):
                 row = by_query[(n, name)]
-                assert row["engine_speedup"] >= 1.0, (
+                assert row["engine_speedup"] >= floor, (
                     f"{name} n={n}: engine only {row['engine_speedup']:.2f}x vs naive"
                 )
         assert batch["engine_vs_tuple"] >= 10.0, (

@@ -38,6 +38,7 @@ __all__ = [
     "build_extend_insert",
     "build_complement",
     "build_union",
+    "build_division",
     "compile_source",
 ]
 
@@ -383,3 +384,102 @@ def build_union() -> Callable:
         return set().union(*parts)
 
     return kernel
+
+
+def build_division(
+    guard_arity: int,
+    guard_keys: tuple[int, ...],
+    guard_var: int,
+    body_arity: int,
+    body_var: int,
+    body_rest: tuple[int, ...],
+    shared: tuple[tuple[int, int], ...],
+    base: int,
+    packed: bool,
+) -> Callable:
+    """Set-containment kernel ``fn(G, P)`` for ∀z(¬A(x̄, z) ∨ ψ(w̄, z)).
+
+    ``G`` holds the guard's keys: x̄ at ``guard_keys``, z at
+    ``guard_var``. ``P`` holds ψ's keys: z at ``body_var``, the
+    variables w̄ ∖ x̄ at ``body_rest``, and the shared variables
+    x̄ ∩ w̄ as ``shared`` pairs (position in x̄, position in ψ). The
+    output keys are x̄ followed by w̄ ∖ x̄. Four steps:
+
+    1. group the guard's z values by x̄;
+    2. index ψ's w̄ ∖ x̄ keys by (x̄ ∩ w̄, z);
+    3. per x̄, intersect the indexed sets along its z values, stopping
+       at the first empty one;
+    4. emit every x̄ with an empty guard crossed with domain^|w̄∖x̄| —
+       one strided ``range`` per x̄ in packed mode, a product otherwise.
+    """
+    width = len(body_rest)
+    span = base**width
+    xsub = _subkey("gk", guard_keys, guard_arity, base, packed)
+    zval = _elem("gk", guard_var, guard_arity, base, packed)
+    rsub = _subkey("pk", body_rest, body_arity, base, packed)
+    # ψ's index key: (x̄ ∩ w̄, z) packed or as a tuple — just z if nothing
+    # is shared — and the matching probe from a guard's x̄ key.
+    setup, probe = "", "z"
+    if not shared:
+        isub = _elem("pk", body_var, body_arity, base, packed)
+    else:
+        positions = tuple(b for _, b in shared) + (body_var,)
+        isub = _subkey("pk", positions, body_arity, base, packed)
+        if packed:
+            sub = _subkey("xk", tuple(x for x, _ in shared), len(guard_keys), base, packed)
+            setup, probe = f"        s = ({sub}) * {base}\n", "s + z"
+        else:
+            probe = "(" + "".join(f"xk[{x}], " for x, _ in shared) + "z)"
+    if packed:
+        emit = f"            b = xk * {span}\n            update([b + r for r in acc])\n"
+        empty = (
+            f"    for xk in range({base ** len(guard_keys)}):\n"
+            "        if xk not in groups:\n"
+            f"            b = xk * {span}\n"
+            f"            update(range(b, b + {span}))\n"
+        )
+    else:
+        emit = "            update([xk + r for r in acc])\n"
+        empty = (
+            f"    fill = list(product(range({base}), repeat={width}))\n"
+            f"    for xk in product(range({base}), repeat={len(guard_keys)}):\n"
+            "        if xk not in groups:\n"
+            "            update([xk + r for r in fill])\n"
+        )
+    source = (
+        "def kernel(G, P):\n"
+        "    groups = {}\n"
+        "    for gk in G:\n"
+        f"        xk = {xsub}\n"
+        "        zs = groups.get(xk)\n"
+        "        if zs is None:\n"
+        f"            groups[xk] = [{zval}]\n"
+        "        else:\n"
+        f"            zs.append({zval})\n"
+        "    index = {}\n"
+        "    for pk in P:\n"
+        f"        k = {isub}\n"
+        "        rs = index.get(k)\n"
+        "        if rs is None:\n"
+        f"            index[k] = {{{rsub}}}\n"
+        "        else:\n"
+        f"            rs.add({rsub})\n"
+        "    get = index.get\n"
+        "    out = set()\n"
+        "    update = out.update\n"
+        "    for xk, zs in groups.items():\n"
+        f"{setup}"
+        "        acc = None\n"
+        "        for z in zs:\n"
+        f"            rs = get({probe})\n"
+        "            if rs is None:\n"
+        "                break\n"
+        "            acc = rs if acc is None else acc & rs\n"
+        "            if not acc:\n"
+        "                break\n"
+        "        else:\n"
+        f"{emit}"
+        f"{empty}"
+        "    return out\n"
+    )
+    return compile_source(source, "kernel")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import MutableMapping
 
 from repro.errors import EvaluationError
@@ -33,6 +34,7 @@ from repro.engine.plan import (
     ConstEq,
     ConstPair,
     Diagonal,
+    Division,
     DomainColumn,
     Extend,
     Join,
@@ -185,6 +187,8 @@ class Executor:
             return observe(
                 self._run(plan.child).extend_columns(plan.new_attributes, self.domain)
             )
+        if isinstance(plan, Division):
+            return observe(self._division(plan))
         if isinstance(plan, Union):
             # One result set filled from every part — pairwise
             # Relation.union would re-hash the accumulated rows once per
@@ -217,6 +221,32 @@ class Executor:
         return Relation(
             plan.attributes, frozenset(tuple(r[i] for i in indices) for r in rows)
         )
+
+    def _division(self, plan: Division) -> Relation:
+        """Keep x̄ + r̄ when every guard z of x̄ has (x̄ ∩ w̄, z, r̄) in ψ."""
+        guard, body = self._run(plan.guard), self._run(plan.body)
+        keys = tuple(a for a in guard.attributes if a != plan.var)
+        rest = plan.attributes[len(keys) :]
+        shared = tuple(a for a in keys if a in body.attributes)
+        zs: dict[tuple, set] = {}
+        for row in guard.rows:
+            value = dict(zip(guard.attributes, row))
+            zs.setdefault(tuple(value[a] for a in keys), set()).add(value[plan.var])
+        holds: dict[tuple, set] = {}
+        for row in body.rows:
+            value = dict(zip(body.attributes, row))
+            slot = (tuple(value[a] for a in shared), value[plan.var])
+            holds.setdefault(slot, set()).add(tuple(value[a] for a in rest))
+        fill = set(product(self.domain, repeat=len(rest)))
+        rows: set[tuple] = set()
+        for key in product(self.domain, repeat=len(keys)):
+            kept = fill
+            if key in zs:
+                point = tuple(key[keys.index(a)] for a in shared)
+                for z in zs[key]:
+                    kept = kept & holds.get((point, z), set())
+            rows.update(key + r for r in kept)
+        return Relation._make(plan.attributes, frozenset(rows))
 
     def _join(self, plan: Join) -> Relation:
         self.stats.joins += 1

@@ -28,6 +28,7 @@ __all__ = [
     "Complement",
     "Extend",
     "Union",
+    "Division",
     "join_attributes",
     "explain_plan",
     "fused_steps",
@@ -215,6 +216,28 @@ class Union(Plan):
 
     def label(self) -> str:
         return f"Union[{len(self.parts)}]"
+
+
+@dataclass(frozen=True)
+class Division(Plan):
+    """∀z(¬A(x̄, z) ∨ ψ(w̄, z)) as set containment (the algebra's ÷).
+
+    ``guard`` scans A over x̄ ∪ {z}; ``body`` is ψ's plan over w̄ ∪ {z}.
+    The node keeps each ū = x̄ + (w̄ ∖ x̄) — its attribute order — with
+    {z : A(x̄, z)} ⊆ {z : ψ(w̄, z)}: an x̄ with an empty guard keeps every
+    w̄ ∖ x̄, any other x̄ keeps the intersection over its guard's z of
+    ψ's rows that agree with it on x̄ ∩ w̄.
+    """
+
+    guard: Plan = field(default=None)  # type: ignore[assignment]
+    body: Plan = field(default=None)  # type: ignore[assignment]
+    var: str = ""
+
+    def children(self) -> tuple[Plan, ...]:
+        return (self.guard, self.body)
+
+    def label(self) -> str:
+        return f"Division[∀{self.var}]"
 
 
 def fused_steps(plan: Plan, actuals: Mapping[int, object]) -> dict[int, Plan]:

@@ -13,7 +13,10 @@ style decisions along the way:
   attribute over a cartesian product;
 * **negation as antijoin** — a negative conjunct whose attributes are
   covered by the positive part compiles to an antijoin instead of a
-  materialized domain complement.
+  materialized domain complement;
+* **division for guarded universals** — ∀z(¬A ∨ ψ) whose ψ brings a
+  variable the guard atom A lacks compiles to one :class:`Division`
+  node (set containment) instead of ¬∃¬ over a cylinder of ¬A.
 
 Cardinality estimates use the textbook independence assumptions over
 :class:`~repro.engine.stats.StructureStats`: |L ⋈ R| ≈ |L|·|R| / d^s for
@@ -30,6 +33,7 @@ from repro.engine.plan import (
     ConstEq,
     ConstPair,
     Diagonal,
+    Division,
     DomainColumn,
     Extend,
     Join,
@@ -40,6 +44,7 @@ from repro.engine.plan import (
     join_attributes,
 )
 from repro.engine.stats import StructureStats
+from repro.logic.analysis import free_variables
 from repro.logic.syntax import (
     And,
     Atom,
@@ -153,6 +158,9 @@ class Planner:
             remaining = tuple(a for a in inner.attributes if a != name)
             return self._project(inner, remaining)
         if isinstance(formula, Forall):
+            division = self._plan_division(formula)
+            if division is not None:
+                return division
             inner = self._plan(formula.body)
             name = formula.var.name
             if name not in inner.attributes:
@@ -162,6 +170,58 @@ class Planner:
             remaining = tuple(a for a in negated.attributes if a != name)
             return self._complement(self._project(negated, remaining))
         raise FormulaError(f"arrows must be eliminated before planning: {formula!r}")
+
+    def _plan_division(self, formula: Forall) -> Division | None:
+        """∀z(¬A(x̄, z) ∨ ψ(w̄, z)) as one :class:`Division`, or ``None``.
+
+        The guard is a disjunct ``¬A`` with A a relation atom mentioning
+        z; ψ is the rest of the disjunction. The rule fires only when
+        w̄ ⊄ x̄: there the ¬∃¬ plan builds the cylinder of ¬A over
+        w̄ ∖ x̄, of d^{|w̄∖x̄|} times A's complement, while the division
+        kernel's work is bounded by that cylinder. When w̄ ⊆ x̄ the ¬∃¬
+        plan is already an antijoin. Among several guards the smallest
+        estimate wins, the earlier disjunct on ties.
+        """
+        body, var = formula.body, formula.var
+        if not isinstance(body, Or):
+            return None
+        chosen: tuple[AtomScan, Formula] | None = None
+        for position, child in enumerate(body.children):
+            if not (
+                isinstance(child, Not)
+                and isinstance(child.body, Atom)
+                and var in child.body.terms
+            ):
+                continue
+            rest = body.children[:position] + body.children[position + 1 :]
+            psi = rest[0] if len(rest) == 1 else Or(rest)
+            mentioned = free_variables(psi)
+            if var not in mentioned or mentioned <= free_variables(child):
+                continue
+            guard = self._plan_atom(child.body)
+            if chosen is None or guard.estimated_rows < chosen[0].estimated_rows:
+                chosen = (guard, psi)
+        if chosen is None:
+            return None
+        guard, psi = chosen
+        inner = self._plan(psi)
+        name = var.name
+        keys = tuple(a for a in guard.attributes if a != name)
+        attributes = keys + tuple(
+            a for a in inner.attributes if a != name and a not in keys
+        )
+        # Independence estimate of ∀: each of the d values of z is
+        # either outside the guard or inside ψ.
+        guard_density = min(1.0, guard.estimated_rows / self._domain_power(guard.arity))
+        body_density = min(1.0, inner.estimated_rows / self._domain_power(inner.arity))
+        survive = (1.0 - guard_density * (1.0 - body_density)) ** self.domain_size
+        return Division(
+            attributes=attributes,
+            estimated_rows=self._domain_power(len(attributes)) * survive,
+            guard=guard,
+            body=inner,
+            var=name,
+        )
 
     def _plan_atom(self, formula: Atom) -> Plan:
         const_selects: list[tuple[int, str]] = []
@@ -274,8 +334,14 @@ class Planner:
             aligned.append(part)
         if len(aligned) == 1:
             return aligned[0]
+        # Inclusion–exclusion under independence: a row of domain^k is
+        # missed by the union iff every part misses it.
+        full = self._domain_power(len(target))
+        missed = 1.0
+        for part in aligned:
+            missed *= 1.0 - min(1.0, part.estimated_rows / full)
         return Union(
             attributes=target,
-            estimated_rows=sum(part.estimated_rows for part in aligned),
+            estimated_rows=full * (1.0 - missed),
             parts=tuple(aligned),
         )

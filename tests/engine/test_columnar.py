@@ -169,11 +169,12 @@ class TestKernels:
             assert kernel(child_keys) == expected
 
     def test_project_of_extend_compiles_to_one_node(self):
-        """OUT_DOMINATED's union branches are Project(Extend(·)) — the
-        compiler must fuse each into a single strided Extend node."""
+        """The union branches of ∀z (E(x, z) ∨ E(y, z)) are
+        Project(Extend(Scan)) — the compiler must fuse each into a
+        single strided Extend node."""
         graph = random_graph(10, 0.3, seed=1)
         engine = Engine()
-        plan, _ = engine._plan_for(graph, OUT_DOMINATED)
+        plan, _ = engine._plan_for(graph, parse("forall z (E(x, z) | E(y, z))"))
         compiled = compile_plan(plan, graph, graph.universe)
         extends, unfused = [], []
 

@@ -4,7 +4,15 @@ import pytest
 
 from repro.engine import Engine, collect_stats
 from repro.engine.normalize import miniscope, normalize
-from repro.engine.plan import AntiJoin, AtomScan, Complement, Join, Project, explain_plan
+from repro.engine.plan import (
+    AntiJoin,
+    AtomScan,
+    Complement,
+    Join,
+    Project,
+    Union,
+    explain_plan,
+)
 from repro.engine.planner import Planner
 from repro.logic.builder import V, and_, atom, exists, not_
 from repro.logic.parser import parse
@@ -132,6 +140,26 @@ class TestPlannerCostOrdering:
         text = str(explanation)
         assert "est=" in text and "Scan[Small]" in text and "Join" in text
         assert "fast path" in text
+
+    def test_union_estimate_stays_inside_the_domain_power(self):
+        """Inclusion–exclusion: parts of density 0.6 each sum past d^k,
+        yet the union stays below d^k and its complement above 0."""
+        dense = Structure(
+            Signature({"E": 2}),
+            range(5),
+            {"E": [(a, b) for a in range(5) for b in range(5) if (a + b) % 5 < 3]},
+        )
+        plan = plan_of(dense, "forall z (E(x, z) | E(y, z))")
+        (negated,) = [
+            n
+            for n in _walk(plan)
+            if isinstance(n, Complement) and isinstance(n.child, Union)
+        ]
+        union = negated.child
+        full = 5.0**union.arity
+        assert sum(part.estimated_rows for part in union.parts) > full
+        assert union.estimated_rows <= full
+        assert negated.estimated_rows > 0.0
 
     def test_exists_becomes_projection(self):
         plan = plan_of(SKEWED, "exists y Small(x, y)")
