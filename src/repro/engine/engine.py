@@ -191,6 +191,13 @@ class Engine:
     entries; the server maps equal uploads to one object, so its tenants
     still do.
 
+    :meth:`answers`, :meth:`evaluate`, :meth:`profile`, :meth:`explain`,
+    :meth:`maintained_changed` and the preprocessing of
+    :meth:`enumerate` hold the structure's
+    :attr:`~repro.structures.structure.Structure.lock`: they read and
+    patch memos stored on the structure, which a concurrent
+    ``insert``/``delete`` would otherwise rewrite under them.
+
     Parameters
     ----------
     domain:
@@ -273,9 +280,13 @@ class Engine:
         epoch first tries to patch the answer set recorded then
         (:mod:`repro.incremental.answers`) before recomputing.
 
-        The structure's epoch is read before any work.  If a write lands
-        while the rows are being computed or patched, they are returned
-        but neither cached nor recorded, since they may predate it.
+        The read holds the structure's
+        :attr:`~repro.structures.structure.Structure.lock`, so another
+        thread's write waits for it.  The epoch is still read before any
+        work: if a write lands anyway (made re-entrantly by the reading
+        thread) while the rows are computed or patched, they are
+        returned but neither cached nor recorded, since they may predate
+        it.
         """
         token = as_token(budget)
         free = free_variables(formula)
@@ -292,31 +303,32 @@ class Engine:
                 # defer to the reference implementation for this corner.
                 return naive_answers(structure, formula, free_order, cancel_token=token)
 
-        # Read the epoch before any work: rows computed while a write
-        # lands are returned but never cached as that write's answers.
-        epoch = structure.epoch
-        key = (structure.uid, formula, self.domain_mode, order_names)
-        maintain = self.domain_mode == "universe" and order_names == sorted_names
-        cached = self.answer_cache.get(key, valid=lambda entry: entry[0] == epoch)
-        if cached is not None:
+        with structure.lock:
+            # Read the epoch before any work: rows computed while a write
+            # lands are returned but never cached as that write's answers.
+            epoch = structure.epoch
+            key = (structure.uid, formula, self.domain_mode, order_names)
+            maintain = self.domain_mode == "universe" and order_names == sorted_names
+            cached = self.answer_cache.get(key, valid=lambda entry: entry[0] == epoch)
+            if cached is not None:
+                if maintain:
+                    # The hit certifies the rows match this epoch's content,
+                    # so re-stamp the maintenance record at it.
+                    self._answer_index.remember(structure, formula, cached[1], epoch)
+                return cached[1]
             if maintain:
-                # The hit certifies the rows match this epoch's content,
-                # so re-stamp the maintenance record at it.
-                self._answer_index.remember(structure, formula, cached[1], epoch)
-            return cached[1]
-        if maintain:
-            patched = self._answer_index.patch(structure, formula, cancel_token=token)
-            if patched is not None:
-                self.stats.answers_patched += 1
-                if structure.epoch == epoch:
-                    self.answer_cache.put(key, (epoch, patched))
-                return patched
-        rows = self._compute_answers(structure, formula, sorted_names, order_names, token)
-        if structure.epoch == epoch:
-            self.answer_cache.put(key, (epoch, rows))
-            if maintain:
-                self._answer_index.remember(structure, formula, rows, epoch)
-        return rows
+                patched = self._answer_index.patch(structure, formula, cancel_token=token)
+                if patched is not None:
+                    self.stats.answers_patched += 1
+                    if structure.epoch == epoch:
+                        self.answer_cache.put(key, (epoch, patched))
+                    return patched
+            rows = self._compute_answers(structure, formula, sorted_names, order_names, token)
+            if structure.epoch == epoch:
+                self.answer_cache.put(key, (epoch, rows))
+                if maintain:
+                    self._answer_index.remember(structure, formula, rows, epoch)
+            return rows
 
     def maintained_changed(
         self,
@@ -339,9 +351,10 @@ class Engine:
         """
         if self.domain_mode != "universe":
             return None
-        return self._answer_index.changed(
-            structure, formula, cancel_token=as_token(budget)
-        )
+        with structure.lock:
+            return self._answer_index.changed(
+                structure, formula, cancel_token=as_token(budget)
+            )
 
     def enumerate(
         self,
@@ -369,72 +382,12 @@ class Engine:
         token = as_token(budget)
         validate(formula, structure.signature)
         self.stats.enumerations += 1
-        with _span("engine.enumerate") as enum_span:
+        with structure.lock, _span("engine.enumerate") as enum_span:
             stream = plan_enumeration(self, structure, formula, token)
             enum_span.set("mode", stream.mode)
         if _telemetry_enabled():
             _counter("engine.enumerations").inc()
         return stream
-
-    def answers_batch(
-        self,
-        requests: list[tuple[Structure, Formula]],
-        *,
-        budget: "Budget | CancelToken | None" = None,
-    ) -> list[frozenset[tuple[Element, ...]]]:
-        """:meth:`answers` for many (structure, formula) pairs, in request order.
-
-        A loop over :meth:`answers`: the plan cache plans each distinct
-        (formula, signature, statistics) combination once, the answer
-        cache executes duplicate requests once, and reads after a
-        ``Structure.insert``/``delete`` are patched exactly as single
-        reads are. ``budget`` is one token for the whole batch.
-        """
-        token = as_token(budget)
-        with _span("engine.answers_batch") as batch_span:
-            results = [
-                self.answers(structure, formula, budget=token)
-                for structure, formula in requests
-            ]
-            batch_span.set("requests", len(results))
-        if _telemetry_enabled():
-            _counter("engine.batch.requests").inc(len(results))
-        return results
-
-    def evaluate_batch(
-        self,
-        requests: list[tuple[Structure, Formula]],
-        *,
-        budget: "Budget | CancelToken | None" = None,
-    ) -> list[bool]:
-        """:meth:`evaluate` for many (structure, sentence) pairs, in request order.
-
-        Every formula must be a sentence. ``budget`` is one token for the
-        whole batch (census loops and plan execution alike).
-        """
-        token = as_token(budget)
-        requests = list(requests)
-        for _, formula in requests:
-            if free_variables(formula):
-                raise EvaluationError(
-                    "evaluate_batch expects sentences; use answers_batch for queries"
-                )
-        return [
-            self.evaluate(structure, formula, budget=token)
-            for structure, formula in requests
-        ]
-
-    def evaluate_many(
-        self,
-        structures: list[Structure],
-        formula: Formula,
-        *,
-        budget: "Budget | CancelToken | None" = None,
-    ) -> list[bool]:
-        """Decide one sentence on many structures."""
-        return self.evaluate_batch(
-            [(structure, formula) for structure in structures], budget=budget
-        )
 
     def evaluate(
         self,
@@ -462,28 +415,31 @@ class Engine:
             values = tuple(env[var] for var in order)
             return values in self.answers(structure, formula, budget=token)
 
-        dispatch, _ = self.fast_path_decision(structure, formula)
-        if dispatch:
-            self.stats.fast_path_dispatches += 1
-            if _telemetry_enabled():
-                _counter("engine.fast_path.dispatches").inc()
-            evaluator = self._bounded_degree_evaluator(formula)
-            with _span("engine.fast_path"):
-                try:
-                    return evaluator.evaluate(structure, cancel_token=token)
-                except LocalityError:  # pragma: no cover - decision guards this
-                    pass
-        return bool(self.answers(structure, formula, budget=token))
+        with structure.lock:
+            dispatch, _ = self.fast_path_decision(structure, formula)
+            if dispatch:
+                self.stats.fast_path_dispatches += 1
+                if _telemetry_enabled():
+                    _counter("engine.fast_path.dispatches").inc()
+                evaluator = self._bounded_degree_evaluator(formula)
+                with _span("engine.fast_path"):
+                    try:
+                        return evaluator.evaluate(structure, cancel_token=token)
+                    except LocalityError:  # pragma: no cover - decision guards this
+                        pass
+            return bool(self.answers(structure, formula, budget=token))
 
     def explain(self, structure: Structure, formula: Formula) -> Explanation:
         """The chosen plan (with cost annotations) and the dispatch decision."""
-        plan, normalized = self._plan_for(structure, formula)
-        dispatch, reason = self.fast_path_decision(structure, formula)
+        with structure.lock:
+            plan, normalized = self._plan_for(structure, formula)
+            dispatch, reason = self.fast_path_decision(structure, formula)
+            statistics = collect_stats(structure)
         return Explanation(
             formula=formula,
             normalized=normalized,
             plan=plan,
-            statistics=collect_stats(structure),
+            statistics=statistics,
             fast_path=dispatch,
             fast_path_reason=reason,
         )
@@ -521,21 +477,23 @@ class Engine:
                 raise EvaluationError(
                     "profile does not support duplicated free_order columns"
                 )
-        plan, normalized = self._plan_for(structure, formula)
-        dispatch, reason = self.fast_path_decision(structure, formula)
         recorder: dict[int, NodeActuals] = {}
-        start = time.perf_counter()
-        with _span("engine.profile"):
-            rows = self._execute_plan(
-                structure, formula, sorted_names, order_names, recorder,
-                cancel_token=as_token(budget),
-            )
-        elapsed = time.perf_counter() - start
+        with structure.lock:
+            plan, normalized = self._plan_for(structure, formula)
+            dispatch, reason = self.fast_path_decision(structure, formula)
+            start = time.perf_counter()
+            with _span("engine.profile"):
+                rows = self._execute_plan(
+                    structure, formula, sorted_names, order_names, recorder,
+                    cancel_token=as_token(budget),
+                )
+            elapsed = time.perf_counter() - start
+            statistics = collect_stats(structure)
         return ProfiledExplanation(
             formula=formula,
             normalized=normalized,
             plan=plan,
-            statistics=collect_stats(structure),
+            statistics=statistics,
             fast_path=dispatch,
             fast_path_reason=reason,
             actuals=recorder,

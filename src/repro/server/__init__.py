@@ -15,9 +15,9 @@ The serving layer over the toolbox: a long-running HTTP/JSON service
   :class:`~repro.resilience.fallback.FallbackChain` degradation; over
   budget is a typed 429/503 refusal, never a hang or a wrong answer;
 * **endpoints**: ``POST /v1/structures``, ``POST /v1/queries``,
-  ``POST /v1/answers`` (single + batched via
-  :meth:`~repro.engine.engine.Engine.answers_batch`, with paging),
-  ``GET /metrics``, ``GET /healthz`` (:mod:`repro.server.http`);
+  ``POST /v1/answers`` (single or batched, each batch item read as a
+  single request is, with paging), ``GET /metrics``, ``GET /healthz``
+  (:mod:`repro.server.http`);
 * a **CLI**: ``python -m repro.server`` (:mod:`repro.server.cli`).
 
 Importing :mod:`repro.server` (or just :mod:`repro.server.wire`) stays

@@ -43,7 +43,12 @@ request body instead of a prepared-query name) deliberately bypass the
 shared answer cache: cache admission is a prepared-query privilege, so
 a flood of one-off queries cannot evict the working set of every other
 tenant.  That split is also what the throughput benchmark measures —
-prepared vs cold is the price of skipping preparation.
+prepared vs cold is the price of skipping preparation.  A batch reads
+each item exactly as a single read would, through the same resolve and
+execute steps, under one token and one access-log line.  A read holds
+its structure's lock while it runs, and an update holds it while it
+applies its deltas and re-registers the structure, so no read sees half
+a batch of deltas.
 
 **Observability (telemetry v2, S19).**  Every answer request runs under
 a :class:`~repro.telemetry.context.TraceContext` — reused when the
@@ -67,11 +72,12 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.engine.engine import Engine
+from repro.engine.engine import Engine, ProfiledExplanation
 from repro.errors import (
     BudgetExceededError,
     FMTError,
@@ -162,6 +168,33 @@ class AnswerPage:
         if self.explain is not None:
             payload["explain"] = self.explain
         return payload
+
+
+@dataclass(slots=True)
+class _Read:
+    """One read after :meth:`QueryService._resolve`: what to run, and the
+    answer schema its rows take.  ``query`` is the prepared name, or
+    ``None`` for an ad-hoc formula."""
+
+    structure: Structure
+    structure_id: str
+    formula: Formula
+    query: str | None
+    query_hash: str
+    natural: tuple[str, ...]
+    free_names: tuple[str, ...]
+
+
+@dataclass(slots=True)
+class _Request:
+    """What one request's envelope logs; the request's body fills it in."""
+
+    ctx: Any
+    scope: Any
+    token: CancelToken | None = None
+    query: str | None = None
+    query_hash: str | None = None
+    rows: int = 0
 
 
 class TenantSession:
@@ -416,112 +449,81 @@ class QueryService:
         (:meth:`_dirtied_queries`).
         """
         session = self.tenant(tenant)
-        session.count("requests")
-        with self._lock:
-            self.requests_served += 1
-        started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):  # noqa: F841 — scope keeps the trace open
-            token: CancelToken | None = None
-            status = 200
-            outcome = "ok"
-            applied = 0
-            try:
-                with _span("server.updates") as update_span:
-                    update_span.set("tenant", tenant)
-                    if self.readonly:
-                        raise ServerError(
-                            "this server is read-only; updates are disabled",
-                            status=403,
-                        )
-                    structure = self.structure(structure_id)
-                    token = self._effective_token(session, deadline_ms, max_rows)
-                    if not updates:
-                        raise ServerError("'updates' must be a non-empty list")
-                    if not isinstance(updates[0], dict):
-                        # Decoded deltas pass the wire's checks too, so a
-                        # bool or None element is refused before any
-                        # delta is applied.
-                        updates = wire.updates_to_wire(updates)
-                    deltas = wire.updates_from_wire(updates)
-                    # Validate and charge the whole batch before applying
-                    # any of it: a 400 or a 429 must leave the store
-                    # untouched (a refusal *between* deltas would strand
-                    # mutated content under its pre-update digest).
-                    for _, relation, row in deltas:
-                        structure.check_update(relation, row)
-                    if token is not None:
-                        token.consume_rows(len(deltas), "server.updates")
-                    noops = 0
-                    for op, relation, row in deltas:
-                        changed = (
-                            structure.insert(relation, row)
-                            if op == "insert"
-                            else structure.delete(relation, row)
-                        )
-                        if changed:
-                            applied += 1
-                        else:
-                            noops += 1
-                    new_id = wire.structure_digest(structure)
-                    with self._lock:
-                        if new_id != structure_id:
-                            self.structures.pop(structure_id, None)
-                            self.structures[new_id] = structure
-                            self._superseded[structure_id] = structure
-                            self._superseded.move_to_end(structure_id)
-                            # A resurrected id is current again.
-                            self._superseded.pop(new_id, None)
-                            while len(self._superseded) > SUPERSEDED_LIMIT:
-                                self._superseded.popitem(last=False)
-                    dirtied = self._dirtied_queries(session, structure, token)
-                    update_span.set("deltas", len(deltas)).set("applied", applied)
-                    update_span.set("epoch", structure.epoch)
-                    update_span.set("queries_dirtied", len(dirtied))
-                    session.count("updates_applied", applied)
-                    if _telemetry_enabled():
-                        _counter("incremental.updates.applied", tenant=tenant).inc(applied)
-                        _counter("incremental.updates.noops", tenant=tenant).inc(noops)
-                        _counter(
-                            "incremental.updates.queries_dirtied", tenant=tenant
-                        ).inc(len(dirtied))
-                    return {
-                        "structure_id": new_id,
-                        "previous_id": structure_id,
-                        "applied": applied,
-                        "noops": noops,
-                        "epoch": structure.epoch,
-                        "size": structure.size,
-                        "queries_dirtied": dirtied,
-                        "wire_version": wire.WIRE_VERSION,
-                    }
-            except BudgetExceededError as error:
-                session.count("refused")
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                session.count("errors")
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
-                raise
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                _counter("server.requests", tenant=tenant, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=tenant).observe(duration_ms)
-                self._record_access(
-                    ctx=ctx,
-                    session=session,
-                    op="updates",
-                    query=None,
-                    query_hash=None,
-                    rows=applied,
-                    status=status,
-                    outcome=outcome,
-                    duration_ms=duration_ms,
-                    token=token,
-                    degradations_before=len(session.chain.degradations),
+        with (
+            self._request(session, "updates", trace_id) as request,
+            _span("server.updates") as update_span,
+        ):
+            update_span.set("tenant", tenant)
+            if self.readonly:
+                raise ServerError(
+                    "this server is read-only; updates are disabled", status=403
                 )
+            structure = self.structure(structure_id)
+            token = request.token = self._effective_token(
+                session, deadline_ms, max_rows
+            )
+            if not updates:
+                raise ServerError("'updates' must be a non-empty list")
+            if not isinstance(updates[0], dict):
+                # Decoded deltas pass the wire's checks too, so a bool or
+                # None element is refused before any delta is applied.
+                updates = wire.updates_to_wire(updates)
+            deltas = wire.updates_from_wire(updates)
+            # Validate and charge the whole batch before applying any of
+            # it: a 400 or a 429 must leave the store untouched (a refusal
+            # *between* deltas would strand mutated content under its
+            # pre-update digest).
+            for _, relation, row in deltas:
+                structure.check_update(relation, row)
+            if token is not None:
+                token.consume_rows(len(deltas), "server.updates")
+            applied = noops = 0
+            # One lock hold for the batch: no read of this structure sees
+            # half of it, and the store files the content under its digest.
+            with structure.lock:
+                for op, relation, row in deltas:
+                    changed = (
+                        structure.insert(relation, row)
+                        if op == "insert"
+                        else structure.delete(relation, row)
+                    )
+                    if changed:
+                        applied += 1
+                    else:
+                        noops += 1
+                new_id = wire.structure_digest(structure)
+                with self._lock:
+                    if new_id != structure_id:
+                        self.structures.pop(structure_id, None)
+                        self.structures[new_id] = structure
+                        self._superseded[structure_id] = structure
+                        self._superseded.move_to_end(structure_id)
+                        # A resurrected id is current again.
+                        self._superseded.pop(new_id, None)
+                        while len(self._superseded) > SUPERSEDED_LIMIT:
+                            self._superseded.popitem(last=False)
+            request.rows = applied
+            dirtied = self._dirtied_queries(session, structure, token)
+            update_span.set("deltas", len(deltas)).set("applied", applied)
+            update_span.set("epoch", structure.epoch)
+            update_span.set("queries_dirtied", len(dirtied))
+            session.count("updates_applied", applied)
+            if _telemetry_enabled():
+                _counter("incremental.updates.applied", tenant=tenant).inc(applied)
+                _counter("incremental.updates.noops", tenant=tenant).inc(noops)
+                _counter("incremental.updates.queries_dirtied", tenant=tenant).inc(
+                    len(dirtied)
+                )
+            return {
+                "structure_id": new_id,
+                "previous_id": structure_id,
+                "applied": applied,
+                "noops": noops,
+                "epoch": structure.epoch,
+                "size": structure.size,
+                "queries_dirtied": dirtied,
+                "wire_version": wire.WIRE_VERSION,
+            }
 
     def _dirtied_queries(
         self,
@@ -677,7 +679,146 @@ class QueryService:
         )
         return budget.start()
 
+    # -- the request envelope ------------------------------------------------
+
+    @contextmanager
+    def _request(
+        self, session: TenantSession, op: str, trace_id: object, items: int = 1
+    ) -> Iterator[_Request]:
+        """The envelope of one request: ``answers``, ``answers_batch`` and
+        ``apply_updates`` each run their body inside one.
+
+        It counts the request (``items`` of them for a batch), installs
+        the trace context, maps the body's outcome to a status — a budget
+        refusal or a typed error counts ``refused`` or ``errors`` once per
+        item — records ``server.requests``/``server.request_ms``, and
+        writes the one structured access-log line.  The body fills in the
+        yielded :class:`_Request`: its token, query and row count.
+        """
+        session.count("requests", items)
+        with self._lock:
+            self.requests_served += 1
+        started = time.perf_counter()
+        with self.request_scope(trace_id) as (ctx, scope):
+            request = _Request(ctx, scope)
+            degradations_before = len(session.chain.degradations)
+            status, outcome = 200, "ok"
+            try:
+                yield request
+            except BudgetExceededError as error:
+                session.count("refused", items)
+                status, outcome = wire.status_for_error(error), "refused"
+                raise
+            except FMTError as error:
+                session.count("errors", items)
+                status, outcome = wire.status_for_error(error), "error"
+                raise
+            except BaseException:
+                status, outcome = 500, "error"
+                raise
+            finally:
+                duration_ms = (time.perf_counter() - started) * 1000.0
+                _counter("server.requests", tenant=session.name, outcome=outcome).inc()
+                _histogram("server.request_ms", tenant=session.name).observe(
+                    duration_ms
+                )
+                if self.access_log is not None:
+                    token = request.token
+                    degraded = session.chain.degradations[degradations_before:]
+                    self.access_log.log(
+                        {
+                            "trace_id": ctx.trace_id,
+                            "sampled": ctx.sampled,
+                            "tenant": session.name,
+                            "op": op,
+                            "query": request.query,
+                            "query_hash": request.query_hash,
+                            "rows": request.rows,
+                            "status": status,
+                            "outcome": outcome,
+                            "duration_ms": duration_ms,
+                            "budget_rows_spent": None if token is None else token.rows,
+                            "budget_nodes_spent": None if token is None else token.nodes,
+                            "degradations": [
+                                {"rung": e.rung, "error": e.error, "trace_id": e.trace_id}
+                                for e in degraded
+                            ],
+                            "breakers": {
+                                rung: breaker.state
+                                for rung, breaker in session.chain.breakers.items()
+                            },
+                        }
+                    )
+
     # -- answers -------------------------------------------------------------
+
+    def _resolve(
+        self,
+        tenant: str,
+        structure_id: str,
+        query: str | None,
+        formula: str | None,
+        free_variables: tuple[str, ...] | list[str] | None,
+    ) -> _Read:
+        """Everything one read needs before it runs: the stored structure,
+        the formula (fetched by prepared name or parsed from ad-hoc text),
+        validated against the structure's signature, and the answer
+        schema.  Nothing executes here."""
+        structure = self.structure(structure_id)
+        if (query is None) == (formula is None):
+            raise ServerError(
+                "exactly one of 'query' (prepared name) or 'formula' "
+                "(ad-hoc text) is required"
+            )
+        if query is not None:
+            if free_variables is not None:
+                raise ServerError(
+                    "'free_variables' is fixed at prepare time for prepared queries"
+                )
+            prepared = self.prepared_query(tenant, query)
+            parsed, canonical = prepared.formula, prepared.text
+            free_variables = prepared.free_names
+        else:
+            parsed = wire.parse_formula(formula, constants=structure.signature)
+            canonical = wire.format_formula(parsed)
+        validate(parsed, structure.signature)
+        natural, free_names = _answer_schema(parsed, free_variables)
+        return _Read(
+            structure=structure,
+            structure_id=structure_id,
+            formula=parsed,
+            query=query,
+            query_hash=_query_hash(canonical),
+            natural=natural,
+            free_names=free_names,
+        )
+
+    def _execute(
+        self,
+        session: TenantSession,
+        read: _Read,
+        token: CancelToken | None,
+        explain: bool = False,
+    ) -> tuple[frozenset[tuple[Element, ...]], ProfiledExplanation | None]:
+        """Run one resolved read under the request's token.
+
+        A prepared read runs the tenant's fallback chain: its breakers,
+        its degradation and the shared answer cache.  An ad-hoc read, and
+        any read with ``explain``, runs :meth:`Engine.profile`, which
+        always executes and never admits its rows to the answer cache.
+        The structure's lock is held throughout, so no write lands
+        mid-read, whichever rung answers.  Returns the rows in the read's
+        answer schema, and the profile when there is one.
+        """
+        profile = None
+        with read.structure.lock:
+            if read.query is not None and not explain:
+                rows = session.chain.answers(read.structure, read.formula, budget=token)
+            else:
+                profile = self.engine.profile(read.structure, read.formula, budget=token)
+                rows = profile.answers
+        rows = _cylindrify(rows, read.natural, read.free_names, read.structure.universe)
+        return rows, profile
 
     def answers(
         self,
@@ -713,109 +854,32 @@ class QueryService:
         joins (or seeds) the request's trace context.
         """
         session = self.tenant(tenant)
-        session.count("requests")
-        with self._lock:
-            self.requests_served += 1
-        started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):
-            degradations_before = len(session.chain.degradations)
-            token: CancelToken | None = None
-            status = 200
-            outcome = "ok"
-            query_hash: str | None = None
-            rows_returned = 0
-            try:
-                with _span("server.answers") as answer_span:
-                    answer_span.set("tenant", tenant)
-                    structure = self.structure(structure_id)
-                    token = self._effective_token(session, deadline_ms, max_rows)
-                    if (query is None) == (formula is None):
-                        raise ServerError(
-                            "exactly one of 'query' (prepared name) or 'formula' "
-                            "(ad-hoc text) is required"
-                        )
-                    profile = None
-                    if query is not None:
-                        if free_variables is not None:
-                            raise ServerError(
-                                "'free_variables' is fixed at prepare time for "
-                                "prepared queries"
-                            )
-                        prepared = self.prepared_query(tenant, query)
-                        query_hash = _query_hash(prepared.text)
-                        validate(prepared.formula, structure.signature)
-                        natural, free_names = _answer_schema(
-                            prepared.formula, prepared.free_names
-                        )
-                        if explain:
-                            profile = self.engine.profile(
-                                structure, prepared.formula, budget=token
-                            )
-                            rows = profile.answers
-                        else:
-                            rows = session.chain.answers(
-                                structure, prepared.formula, budget=token
-                            )
-                    else:
-                        parsed = wire.parse_formula(
-                            formula, constants=structure.signature
-                        )
-                        query_hash = _query_hash(wire.format_formula(parsed))
-                        validate(parsed, structure.signature)
-                        natural, free_names = _answer_schema(parsed, free_variables)
-                        # profile() executes unconditionally (no answer-cache
-                        # admission for ad-hoc queries) but still uses the shared
-                        # plan cache and honors the budget.
-                        profile = self.engine.profile(structure, parsed, budget=token)
-                        rows = profile.answers
-                    rows = _cylindrify(rows, natural, free_names, structure.universe)
-                    _admit_result(len(rows), token)
-                    answer_span.set("rows", len(rows))
-            except BudgetExceededError as error:
-                session.count("refused")
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                session.count("errors")
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
-                raise
-            else:
-                result = self._page(
-                    rows,
-                    page,
-                    page_size,
-                    free_names,
-                    query=query,
-                    structure_id=structure_id,
+        with self._request(session, "answers", trace_id) as request:
+            request.query = query
+            with _span("server.answers") as answer_span:
+                answer_span.set("tenant", tenant)
+                token = request.token = self._effective_token(
+                    session, deadline_ms, max_rows
                 )
-                if explain:
-                    result = replace(
-                        result, explain=self._explain_payload(profile, ctx, scope)
-                    )
-                rows_returned = len(result.rows)
-                session.count("answered")
-                session.count("rows_returned", rows_returned)
-                return result
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                _counter("server.requests", tenant=tenant, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=tenant).observe(duration_ms)
-                self._record_access(
-                    ctx=ctx,
-                    session=session,
-                    op="answers",
-                    query=query,
-                    query_hash=query_hash,
-                    rows=rows_returned,
-                    status=status,
-                    outcome=outcome,
-                    duration_ms=duration_ms,
-                    token=token,
-                    degradations_before=degradations_before,
+                read = self._resolve(
+                    tenant, structure_id, query, formula, free_variables
                 )
+                request.query_hash = read.query_hash
+                rows, profile = self._execute(session, read, token, explain)
+                _admit_result(len(rows), token)
+                answer_span.set("rows", len(rows))
+            result = self._page(
+                rows, page, page_size, read.free_names, query, structure_id
+            )
+            if explain:
+                result = replace(
+                    result,
+                    explain=self._explain_payload(profile, request.ctx, request.scope),
+                )
+            request.rows = len(result.rows)
+            session.count("answered")
+            session.count("rows_returned", request.rows)
+            return result
 
     def _explain_payload(self, profile, ctx, scope) -> dict[str, Any]:
         """The wire ``explain`` object: profile actuals + span tree."""
@@ -834,56 +898,6 @@ class QueryService:
             "spans": spans,
         }
 
-    def _record_access(
-        self,
-        *,
-        ctx,
-        session: TenantSession,
-        op: str,
-        query: str | None,
-        query_hash: str | None,
-        rows: int,
-        status: int,
-        outcome: str,
-        duration_ms: float,
-        token: CancelToken | None,
-        degradations_before: int,
-    ) -> None:
-        """One structured access-log line for a finished request."""
-        log = self.access_log
-        if log is None:
-            return
-        all_degradations = session.chain.degradations
-        degraded = (
-            [
-                {"rung": event.rung, "error": event.error, "trace_id": event.trace_id}
-                for event in all_degradations[degradations_before:]
-            ]
-            if len(all_degradations) > degradations_before
-            else []
-        )
-        log.log(
-            {
-                "trace_id": ctx.trace_id,
-                "sampled": ctx.sampled,
-                "tenant": session.name,
-                "op": op,
-                "query": query,
-                "query_hash": query_hash,
-                "rows": rows,
-                "status": status,
-                "outcome": outcome,
-                "duration_ms": duration_ms,
-                "budget_rows_spent": token.rows if token is not None else None,
-                "budget_nodes_spent": token.nodes if token is not None else None,
-                "degradations": degraded,
-                "breakers": {
-                    rung: breaker.state
-                    for rung, breaker in session.chain.breakers.items()
-                },
-            }
-        )
-
     def answers_batch(
         self,
         tenant: str,
@@ -893,138 +907,58 @@ class QueryService:
         page_size: int | None = None,
         trace_id: object = None,
     ) -> list[AnswerPage]:
-        """Many answer requests, executed through
-        :meth:`Engine.answers_batch` under **one** shared budget.
+        """Many answer requests, each read exactly as :meth:`answers`
+        reads it, under **one** shared budget.
 
         Each request dict carries ``structure_id`` plus ``query`` or
-        ``formula`` (and optionally its own ``page``/``page_size``).
-        Planning is deduplicated by the shared plan cache and duplicate
-        requests by the answer cache.  The whole batch shares one
-        admission token — a batch is one unit of work, and a budget that
-        would refuse its parts refuses their sum.  It also shares one
-        trace context: every engine span of the batch carries the same
-        trace id, and the access log gets one line for the whole batch.
+        ``formula`` (and optionally ``free_variables`` and its own
+        ``page``/``page_size``).  Every item is resolved before any runs,
+        so one malformed item refuses the whole batch untouched.  Then
+        each runs through :meth:`_execute`: prepared items through the
+        tenant's fallback chain, ad-hoc items without answer-cache
+        admission.  The whole batch shares one admission token — a batch
+        is one unit of work, and a budget that would refuse its parts
+        refuses their sum.  It also shares one trace context and writes
+        one access-log line, carrying every degradation its items caused.
         """
         session = self.tenant(tenant)
         session.count("batch_requests")
-        session.count("requests", len(requests))
-        with self._lock:
-            self.requests_served += 1
-        started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):
-            degradations_before = len(session.chain.degradations)
-            token: CancelToken | None = None
-            status = 200
-            outcome = "ok"
-            rows_returned = 0
-            try:
-                with _span("server.answers_batch") as batch_span:
-                    batch_span.set("tenant", tenant)
-                    if not isinstance(requests, list) or not requests:
-                        raise ServerError("'requests' must be a non-empty list")
-                    batch_span.set("requests", len(requests))
-                    token = self._effective_token(session, deadline_ms, max_rows)
-                    pairs: list[tuple[Structure, Formula]] = []
-                    shapes: list[tuple] = []
-                    for request in requests:
-                        if not isinstance(request, dict):
-                            raise ServerError("each batch request must be an object")
-                        structure = self.structure(request.get("structure_id", ""))
-                        name = request.get("query")
-                        text = request.get("formula")
-                        if (name is None) == (text is None):
-                            raise ServerError(
-                                "each batch request needs exactly one of "
-                                "'query' or 'formula'"
-                            )
-                        if name is not None:
-                            if request.get("free_variables") is not None:
-                                raise ServerError(
-                                    "'free_variables' is fixed at prepare time for "
-                                    "prepared queries"
-                                )
-                            prepared = self.prepared_query(tenant, name)
-                            formula = prepared.formula
-                            natural, free_names = _answer_schema(
-                                formula, prepared.free_names
-                            )
-                        else:
-                            formula = wire.parse_formula(
-                                text, constants=structure.signature
-                            )
-                            natural, free_names = _answer_schema(
-                                formula, request.get("free_variables")
-                            )
-                        validate(formula, structure.signature)
-                        pairs.append((structure, formula))
-                        shapes.append(
-                            (
-                                natural,
-                                free_names,
-                                name,
-                                structure,
-                                request.get("structure_id", ""),
-                                int(request.get("page", 0)),
-                                request.get("page_size", page_size),
-                            )
-                        )
-                    try:
-                        answer_sets = self.engine.answers_batch(pairs, budget=token)
-                        answer_sets = [
-                            _cylindrify(rows, natural, free_names, structure.universe)
-                            for rows, (natural, free_names, _, structure, *_rest) in zip(
-                                answer_sets, shapes
-                            )
-                        ]
-                        _admit_result(sum(len(rows) for rows in answer_sets), token)
-                    except BudgetExceededError:
-                        session.count("refused", len(requests))
-                        raise
-                    pages = []
-                    for rows, (_, free_names, name, _, structure_id, page, size) in zip(
-                        answer_sets, shapes
-                    ):
-                        pages.append(
-                            self._page(
-                                rows,
-                                page,
-                                size,
-                                free_names,
-                                query=name,
-                                structure_id=structure_id,
-                            )
-                        )
-            except BudgetExceededError as error:
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
-                raise
-            else:
-                rows_returned = sum(len(p.rows) for p in pages)
-                session.count("answered", len(requests))
-                session.count("rows_returned", rows_returned)
-                return pages
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                _counter("server.requests", tenant=tenant, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=tenant).observe(duration_ms)
-                self._record_access(
-                    ctx=ctx,
-                    session=session,
-                    op="answers_batch",
-                    query=None,
-                    query_hash=None,
-                    rows=rows_returned,
-                    status=status,
-                    outcome=outcome,
-                    duration_ms=duration_ms,
-                    token=token,
-                    degradations_before=degradations_before,
+        items = len(requests) if isinstance(requests, list) else 1
+        with self._request(session, "answers_batch", trace_id, items) as request:
+            with _span("server.answers_batch") as batch_span:
+                batch_span.set("tenant", tenant)
+                if not isinstance(requests, list) or not requests:
+                    raise ServerError("'requests' must be a non-empty list")
+                batch_span.set("requests", len(requests))
+                token = request.token = self._effective_token(
+                    session, deadline_ms, max_rows
                 )
+                reads = []
+                for item in requests:
+                    if not isinstance(item, dict):
+                        raise ServerError("each batch request must be an object")
+                    read = self._resolve(
+                        tenant,
+                        item.get("structure_id", ""),
+                        item.get("query"),
+                        item.get("formula"),
+                        item.get("free_variables"),
+                    )
+                    reads.append(
+                        (read, int(item.get("page", 0)), item.get("page_size", page_size))
+                    )
+                answer_sets = [
+                    self._execute(session, read, token)[0] for read, _, _ in reads
+                ]
+                _admit_result(sum(len(rows) for rows in answer_sets), token)
+            pages = [
+                self._page(rows, page, size, read.free_names, read.query, read.structure_id)
+                for rows, (read, page, size) in zip(answer_sets, reads)
+            ]
+            request.rows = sum(len(page.rows) for page in pages)
+            session.count("answered", len(requests))
+            session.count("rows_returned", request.rows)
+            return pages
 
     def _page(
         self,

@@ -260,7 +260,8 @@ def structure_digest(structure: Structure) -> str:
     the structure's memo with an epoch stamp; each call moves it forward
     over :meth:`~repro.structures.structure.Structure.deltas_since`, one
     term per delta, and sums every row from scratch only for a structure
-    that has no state yet or whose delta log outran it.
+    that has no state yet or whose delta log outran it.  The call holds
+    the structure's lock, so no other thread's write lands mid-sum.
 
     **Threat model.**  An id is a 64-bit prefix, so finding *some* pair
     of colliding structures costs ~2^32 (birthday bound) and gains an
@@ -275,24 +276,25 @@ def structure_digest(structure: Structure) -> str:
     mount; at n ≥ 1024 it is ≥ 2^64, no cheaper than the second preimage
     on the id itself.  Hence the 2048-bit modulus.
     """
-    epoch = structure.epoch
-    state = structure._cache.get(DIGEST_MEMO)
-    deltas = None if state is None else structure.deltas_since(state[0])
-    if deltas is None:
-        header = hashlib.sha256(
-            json.dumps(_header_to_dict(structure), sort_keys=True).encode()
-        ).digest()
-        total = _row_sum(structure)
-    else:
-        _, header, total = state
-        for op, relation, row in deltas:
-            term = _row_term(relation, row)
-            total += term if op == "insert" else -term
-    total %= _SUM_MODULUS
-    # A write that landed mid-call may or may not be in the sum; only a
-    # state computed at one epoch may be kept.
-    if structure.epoch == epoch:
-        structure._cache[DIGEST_MEMO] = (epoch, header, total)
+    with structure.lock:
+        epoch = structure.epoch
+        state = structure._cache.get(DIGEST_MEMO)
+        deltas = None if state is None else structure.deltas_since(state[0])
+        if deltas is None:
+            header = hashlib.sha256(
+                json.dumps(_header_to_dict(structure), sort_keys=True).encode()
+            ).digest()
+            total = _row_sum(structure)
+        else:
+            _, header, total = state
+            for op, relation, row in deltas:
+                term = _row_term(relation, row)
+                total += term if op == "insert" else -term
+        total %= _SUM_MODULUS
+        # A write that landed mid-call may or may not be in the sum; only a
+        # state computed at one epoch may be kept.
+        if structure.epoch == epoch:
+            structure._cache[DIGEST_MEMO] = (epoch, header, total)
     summed = header + total.to_bytes(_TERM_BYTES, "little")
     return "s-" + hashlib.sha256(summed).hexdigest()[:16]
 

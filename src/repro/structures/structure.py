@@ -23,6 +23,7 @@ repr), so every derived object — neighborhoods, unions, canonical invariants
 from __future__ import annotations
 
 import itertools
+import threading
 from collections.abc import Hashable, Iterable, Mapping
 from typing import Callable
 
@@ -91,6 +92,7 @@ class Structure:
         "epoch",
         "uid",
         "_deltas",
+        "lock",
         # Weak referenceability: the columnar tier's codecs live in
         # ``_cache`` and point back at the structure through a weakref,
         # so a dead structure (and its cached pipelines, columns and
@@ -161,6 +163,10 @@ class Structure:
         self.epoch: int = 0
         self.uid: int = next(_UIDS)
         self._deltas: list[tuple[str, str, tuple]] = []
+        #: Serializes writes with the readers of the memos in ``_cache``:
+        #: :meth:`insert`/:meth:`delete` hold it, and so do the engine's
+        #: entry points and the wire content digest.  Not pickled.
+        self.lock = threading.RLock()
 
     # -- basic protocol ----------------------------------------------------
 
@@ -230,6 +236,7 @@ class Structure:
         self.epoch = 0
         self.uid = next(_UIDS)
         self._deltas = []
+        self.lock = threading.RLock()
 
     # -- membership ----------------------------------------------------------
 
@@ -278,7 +285,8 @@ class Structure:
         dropped and recomputed on demand.  A no-op insert (the row is
         already present) returns ``False`` and changes nothing.
         """
-        return self._update("insert", relation, row)
+        with self.lock:
+            return self._update("insert", relation, row)
 
     def delete(self, relation: str, row: tuple) -> bool:
         """Remove ``row`` from ``relation`` in place; return whether present.
@@ -287,7 +295,8 @@ class Structure:
         absent) returns ``False`` and changes nothing.  The universe is
         untouched — deletes never remove elements.
         """
-        return self._update("delete", relation, row)
+        with self.lock:
+            return self._update("delete", relation, row)
 
     def deltas_since(self, epoch: int) -> list[tuple[str, str, tuple]] | None:
         """The ``(op, relation, row)`` deltas applied after ``epoch``.

@@ -159,7 +159,7 @@ def test_applicable_uses_case(registry):
     cases = list(CaseGenerator(seed=0).stream(20))
     for case in cases:
         names = {backend.name for backend in registry.applicable(case)}
-        assert {"naive", "algebra", "engine", "engine-batch"} <= names
+        assert {"naive", "algebra", "engine"} <= names
         if not case.is_sentence:
             assert "circuit" not in names
             assert "bounded-degree" not in names

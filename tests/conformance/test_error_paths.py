@@ -96,12 +96,6 @@ def test_engine_evaluate_rejects_out_of_universe_binding():
         )
 
 
-def test_engine_evaluate_batch_rejects_open_formulas():
-    engine = Engine()
-    with pytest.raises(EvaluationError, match="expects sentences"):
-        engine.evaluate_batch([(directed_chain(3), parse("E(x, y)"))])
-
-
 def test_engine_rejects_unknown_relation_symbol():
     engine = Engine()
     with pytest.raises(SignatureError, match="unknown relation"):

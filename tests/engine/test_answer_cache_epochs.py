@@ -14,6 +14,7 @@ import sys
 import threading
 
 from repro.engine import Engine
+from repro.errors import ServerError
 from repro.eval.evaluator import answers as naive_answers
 from repro.incremental import answers as maintenance
 from repro.logic.parser import parse
@@ -22,6 +23,10 @@ from repro.server.service import QueryService
 from repro.structures.builders import directed_cycle
 
 ONE_WAY = parse("E(x, y) & ~E(y, x)")
+
+#: Rounds of the two race tests: enough that a race without the
+#: structure's lock fails them reliably, not once in a while.
+ROUNDS = 10
 
 
 def _entries_for(engine: Engine, structure) -> int:
@@ -139,9 +144,9 @@ def test_served_writes_leave_one_entry_per_prepared_query():
 
 def test_reads_racing_writes_stay_consistent():
     """Three readers (answers and the content digest) against one writer,
-    with a short switch interval so threads interleave mid-call.  Once
-    the writer stops, every cached answer set, maintenance record and
-    digest state must describe the final content."""
+    with a short switch interval so threads interleave mid-call.  No
+    thread may fail, and once the writer stops, every cached answer set,
+    maintenance record and digest state must describe the final content."""
     queries = [
         ONE_WAY,
         parse("exists y. (E(x, y) & E(y, x))"),
@@ -151,7 +156,7 @@ def test_reads_racing_writes_stay_consistent():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for _ in range(3):
+        for _ in range(ROUNDS):
             engine, cycle = Engine(), directed_cycle(12)
             for formula in queries:
                 engine.answers(cycle, formula)
@@ -176,6 +181,8 @@ def test_reads_racing_writes_stay_consistent():
                             cycle.delete("E", row)
                         for row in rows[::2]:
                             cycle.insert("E", row)
+                except Exception as error:  # noqa: BLE001 — reported below
+                    errors.append(error)
                 finally:
                     done.set()
 
@@ -190,5 +197,72 @@ def test_reads_racing_writes_stay_consistent():
             for formula in queries:
                 assert engine.answers(cycle, formula) == naive_answers(cycle, formula)
             assert wire.structure_digest(cycle) == wire.structure_digest(copy.copy(cycle))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_served_reads_racing_writes_keep_the_store_consistent():
+    """One client sends single-delta updates to a 12-cycle while two
+    others read it, ad hoc and prepared.  No read and no write may fail
+    (a read that names an id an update just retired gets its typed 409),
+    and the store must file the structure under the digest of its final
+    content, with answers to match."""
+    texts = ["E(x, y) & ~E(y, x)", "exists y. (E(x, y) & E(y, x))", "exists y E(x, y)"]
+    rows = [(a, (a + k) % 12) for k in (2, 3, 5) for a in range(12)]
+    deltas = [("insert", row) for row in rows] + [("delete", row) for row in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(ROUNDS):
+            service, cycle = QueryService(), directed_cycle(12)
+            current = [service.add_structure(cycle, tenant="t")]
+            names = [
+                service.prepare("t", text, structure_id=current[0]).name
+                for text in texts
+            ]
+            done, errors = threading.Event(), []
+
+            def read(prepared: bool):
+                try:
+                    while not done.is_set():
+                        for name, text in zip(names, texts):
+                            try:
+                                if prepared:
+                                    service.answers("t", current[0], query=name)
+                                else:
+                                    service.answers("t", current[0], formula=text)
+                            except ServerError as error:
+                                if error.status != 409:
+                                    raise
+                except Exception as error:  # noqa: BLE001 — reported below
+                    errors.append(error)
+
+            def write():
+                try:
+                    for _ in range(2):
+                        for op, row in deltas:
+                            reply = service.apply_updates(
+                                "t", current[0], [(op, "E", row)]
+                            )
+                            current[0] = reply["structure_id"]
+                except Exception as error:  # noqa: BLE001 — reported below
+                    errors.append(error)
+                finally:
+                    done.set()
+
+            threads = [threading.Thread(target=read, args=(flag,)) for flag in (True, False)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            final_id = wire.structure_digest(cycle)
+            assert final_id == current[0] == wire.structure_digest(copy.copy(cycle))
+            assert service.structure(final_id) is cycle
+            for text in texts:
+                page = service.answers("t", final_id, formula=text)
+                assert frozenset(page.rows) == naive_answers(cycle, parse(text))
     finally:
         sys.setswitchinterval(interval)

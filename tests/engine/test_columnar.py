@@ -85,12 +85,6 @@ class TestColumnarEquivalence:
             structure, formula
         )
 
-    def test_batch_api_rides_the_columnar_tier(self):
-        engine = Engine()
-        graphs = [random_graph(n, 0.3, seed=n) for n in (6, 8, 10)]
-        batched = engine.answers_batch([(g, DISTANCE_TWO) for g in graphs])
-        assert batched == [naive_answers(g, DISTANCE_TWO) for g in graphs]
-
 
 class TestDomainCodec:
     def test_round_trip_packed_and_tuple(self):

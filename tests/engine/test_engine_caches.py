@@ -3,16 +3,22 @@
 import pytest
 
 from repro.engine import Engine, LRUCache
+from repro.errors import BudgetExceededError
+from repro.eval.evaluator import answers as naive_answers
 from repro.eval.evaluator import evaluate
 from repro.logic.parser import parse
+from repro.resilience import Budget
 from repro.structures.builders import (
     complete_graph,
+    directed_cycle,
     random_graph,
     undirected_cycle,
 )
 
 TRIANGLE_FREE = parse("~(exists x exists y exists z (E(x, y) & E(y, z) & E(z, x)))")
 MUTUAL = parse("exists x exists y (E(x, y) & E(y, x))")
+DISTANCE_TWO = parse("exists z (E(x, z) & E(z, y)) & ~E(x, y)")
+EDGE = parse("E(x, y)")
 
 
 class TestLRUCache:
@@ -137,6 +143,24 @@ class TestAnswerCache:
         engine.answers(two, formula)
         assert engine.answer_cache.hits >= 1
 
+    def test_budget_trip_caches_nothing_but_earlier_reads_stay_cached(self):
+        engine = Engine()
+        small, dense = directed_cycle(4), complete_graph(12)
+        token = Budget(max_rows=100).start()
+        engine.answers(small, EDGE, budget=token)
+        with pytest.raises(BudgetExceededError):
+            engine.answers(dense, DISTANCE_TWO, budget=token)
+        # The read before the trip completed and was cached whole, at the
+        # structure's epoch; the tripped one left nothing behind.
+        small_key = (small.uid, EDGE, "universe", ("x", "y"))
+        dense_key = (dense.uid, DISTANCE_TWO, "universe", ("x", "y"))
+        assert engine.answer_cache.get(small_key) == (
+            small.epoch,
+            naive_answers(small, EDGE),
+        )
+        assert dense_key not in engine.answer_cache
+        assert engine.answers(dense, DISTANCE_TWO) == naive_answers(dense, DISTANCE_TWO)
+
 
 class TestBoundedDegreeDispatch:
     def test_low_degree_sentence_dispatches(self):
@@ -182,6 +206,14 @@ class TestBoundedDegreeDispatch:
             )
         assert engine.stats.fast_path_dispatches > 0
 
+    def test_each_dispatched_evaluate_counts_once(self):
+        engine = Engine()
+        dense = random_graph(10, 0.8, seed=1)  # degree too high for the fast path
+        structures = [directed_cycle(8), dense, directed_cycle(9), directed_cycle(8)]
+        values = [engine.evaluate(structure, MUTUAL) for structure in structures]
+        assert values == [evaluate(structure, MUTUAL) for structure in structures]
+        assert engine.stats.fast_path_dispatches == 3
+
     def test_threshold_enables_cross_size_table_reuse(self):
         # Theorem 3.10: with a census threshold, all large directed
         # cycles share one table entry, so later sizes skip evaluation.
@@ -201,3 +233,23 @@ class TestBoundedDegreeDispatch:
         # The table miss must have routed through the engine's own
         # answers pipeline (visible as a cached sentence answer).
         assert engine.answer_cache.misses >= 1
+
+
+class TestSmallPlanShortCircuit:
+    def test_small_plans_skip_semijoin_filter(self):
+        engine = Engine()  # default small_plan_rows keeps small plans unfiltered
+        graph = random_graph(12, 0.6, seed=3)
+        engine.answers(graph, DISTANCE_TWO)
+        assert engine.stats.execution.semijoin_filters == 0
+
+    def test_threshold_zero_restores_filtering(self):
+        filtered = Engine(small_plan_rows=0)
+        graph = random_graph(12, 0.6, seed=3)
+        filtered.answers(graph, DISTANCE_TWO)
+        assert filtered.stats.execution.semijoin_filters > 0
+
+    def test_answers_unaffected_by_short_circuit(self):
+        graph = random_graph(12, 0.6, seed=3)
+        assert Engine(small_plan_rows=0).answers(graph, DISTANCE_TWO) == Engine(
+            small_plan_rows=10**9
+        ).answers(graph, DISTANCE_TWO)

@@ -293,6 +293,33 @@ def test_batch_per_request_paging(service: QueryService, cycle_id: str):
     assert pages[0].total_rows == pages[1].total_rows == 12
 
 
+def test_batch_adhoc_items_stay_out_of_the_answer_cache(
+    service: QueryService, cycle_id: str
+):
+    # As for a single ad-hoc read: executed every time, never admitted.
+    engine = service.engine
+    size, executions = len(engine.answer_cache), engine.stats.executions
+    item = {"structure_id": cycle_id, "formula": "E(x, y) & ~E(y, x)"}
+    service.answers_batch("t1", [item, item])
+    assert len(engine.answer_cache) == size
+    assert engine.stats.executions == executions + 2
+
+
+def test_malformed_batch_counts_one_error_per_item(
+    service: QueryService, cycle_id: str
+):
+    requests = [
+        {"structure_id": cycle_id, "formula": "E(x, y)"},
+        {"structure_id": cycle_id},  # neither 'query' nor 'formula'
+        {"structure_id": cycle_id, "formula": "E(x, y)"},
+    ]
+    with pytest.raises(ServerError):
+        service.answers_batch("t1", requests)
+    counters = service.tenant("t1").counters
+    assert (counters["requests"], counters["errors"], counters["answered"]) == (3, 3, 0)
+    assert service.engine.stats.executions == 0  # refused before any item ran
+
+
 # -- counters, health, metrics ----------------------------------------------
 
 

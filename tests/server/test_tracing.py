@@ -333,3 +333,28 @@ class TestAccessLogJoins:
             for event in entry["degradations"]:
                 assert event["trace_id"] == entry["trace_id"]
                 assert event["rung"]
+
+    def test_batched_prepared_reads_degrade_into_the_batch_line(self):
+        # A batched prepared read runs the tenant's chain as a single one
+        # does, so its degradations land in the batch's one log line.
+        service, log, structure_id = self._service()
+        texts = ["E(x, y)", "forall y. E(x, y)", "E(x, y) & E(y, x)", "~(E(x, x))"]
+        for index, text in enumerate(texts):
+            service.prepare("t", text, name=f"b{index}", structure_id=structure_id)
+        requests = [
+            {"structure_id": structure_id, "query": f"b{index}"}
+            for index in range(len(texts))
+        ]
+        set_injector(FaultInjector(period=2))
+        try:
+            service.answers_batch("t", requests, trace_id="dd01")
+        finally:
+            reset_injector()
+        (entry,) = log.recent()
+        assert entry["op"] == "answers_batch"
+        assert entry["trace_id"] == "dd01"
+        assert entry["degradations"], "period-2 fault injection must force degradations"
+        for event in entry["degradations"]:
+            assert event["trace_id"] == "dd01"
+            assert event["rung"] == "engine"
+        assert set(entry["breakers"]) == {"engine", "bounded-degree", "naive"}
