@@ -1,16 +1,16 @@
-"""A small LRU cache used for plans and answers.
+"""A small LRU cache used for plans, answers and censuses.
 
-Both engine caches are bounded LRU maps with hit/miss/eviction counters;
-the answer cache additionally supports per-structure invalidation
-(:meth:`evict_where`).  Answer-cache keys name a structure by its
-process-unique ``uid``, not its content, and each entry carries the
-structure epoch it answers: an update makes the entry stale rather than
-orphaning it under a content hash that no longer matches, and the next
-read's ``put`` overwrites it in place.  :meth:`get`'s ``valid``
-predicate is how a caller rejects such a stale entry; a rejected entry
-counts as a miss.  Caches keyed by content (the locality census memo)
-can still hold a key whose hash moved with a mutated structure;
-:meth:`evict_where` copes with that.
+Every cache is a bounded LRU map with hit/miss/eviction counters; the
+answer cache additionally supports per-structure invalidation
+(:meth:`evict_where`).  The caches that hold maintained indexes — the
+engine's answer records and each type registry's census records — key a
+structure by its process-unique ``uid``, not its content, and each entry
+carries the structure epoch it answers: an update makes the entry stale
+rather than orphaning it under a content hash that no longer matches.
+:meth:`get`'s ``valid`` predicate is how a caller rejects such a stale
+entry, and a rejected entry counts as a miss; :meth:`peek` hands the
+stale entry to the code that brings it forward, without counting a
+lookup.
 
 The cache is **thread-safe**: the threaded server shares one engine
 across its request threads, so its caches are hit concurrently, and an
@@ -87,6 +87,12 @@ class LRUCache:
             self._data.move_to_end(key)
             return value
 
+    def peek(self, key: Hashable) -> Any:
+        """The value under ``key``, or ``None``, valid or not: neither a
+        lookup in the counters nor a use in the recency order."""
+        with self._lock:
+            return self._data.get(key)
+
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
             if key in self._data:
@@ -117,27 +123,14 @@ class LRUCache:
         return value
 
     def evict_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; return count.
-
-        Rebuilds the survivor map instead of deleting doomed keys one by
-        one: a key whose hash changed since insertion (a mutated
-        structure embedded in a content key, as in the locality census
-        memo) cannot be looked up — ``del`` would raise or, worse,
-        silently miss — but iteration still reaches it, so
-        rebuild-and-swap removes it reliably.
-        """
+        """Drop every entry whose key satisfies ``predicate``; return count."""
         with self._lock:
-            survivors = OrderedDict()
-            doomed = 0
-            for key, value in self._data.items():
-                if predicate(key):
-                    doomed += 1
-                else:
-                    survivors[key] = value
-            self._data = survivors
-            self.evictions += doomed
-            self._record("evictions", doomed)
-            return doomed
+            doomed = [key for key in self._data if predicate(key)]
+            for key in doomed:
+                del self._data[key]
+            self.evictions += len(doomed)
+            self._record("evictions", len(doomed))
+            return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

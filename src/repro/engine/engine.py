@@ -5,9 +5,10 @@ Per call it (1) collects catalog statistics for the structure (memoized),
 (2) looks up or builds a costed relational-algebra plan (LRU plan cache,
 keyed by formula × signature × statistics profile), (3) executes the plan
 on the columnar executor — compiled kernel pipelines with hash joins,
-semijoin filtering, and antijoin negation — and (4) memoizes the answer
-per (structure identity, formula) in an LRU answer cache, stamped with
-the structure epoch it answers.
+semijoin filtering, and antijoin negation — and (4) keeps the answer per
+(structure identity, formula, column order) in an LRU answer cache, as a
+record stamped with the structure epoch it answers, which the
+incremental layer brings forward after updates.
 
 For *sentences* over low-degree structures the engine additionally owns a
 locality fast path: it dispatches to
@@ -182,14 +183,17 @@ class Engine:
 
     The answer cache keys a structure by its
     :attr:`~repro.structures.structure.Structure.uid`, not its content:
-    one entry per (structure, formula, domain mode, column order) holds
-    ``(epoch, rows)`` and is a hit only while the structure is still at
-    that epoch.  After ``Structure.insert``/``delete`` the next read
-    overwrites the entry instead of stranding the old content's answers,
-    so a structure under a stream of writes holds one entry per query.
-    Two content-equal but distinct structure objects do not share
-    entries; the server maps equal uploads to one object, so its tenants
-    still do.
+    one entry per (structure, formula, column order) is the answer
+    record — the rows, the epoch they answer and, for maintained
+    queries, the scope and Hanf census of
+    :mod:`repro.incremental.answers` — and is a hit only while the
+    structure is still at that epoch.  After ``Structure.insert``/
+    ``delete`` the next read (or :meth:`maintained_changed`) brings the
+    record forward or replaces it, so a structure under a stream of
+    writes holds one entry per query, and ``answer_cache_size`` bounds
+    the maintenance records too.  Two content-equal but distinct
+    structure objects do not share entries; the server maps equal
+    uploads to one object, so its tenants still do.
 
     :meth:`answers`, :meth:`evaluate`, :meth:`profile`, :meth:`explain`,
     :meth:`maintained_changed` and the preprocessing of
@@ -205,7 +209,8 @@ class Engine:
         (default; agrees with the naive evaluator everywhere) or
         ``"active"`` (active-domain semantics).
     plan_cache_size / answer_cache_size:
-        LRU capacities for the two caches.
+        LRU capacities for the two caches; the answer cache's is also
+        the bound on maintained answer records.
     degree_threshold:
         Maximal Gaifman degree for the bounded-degree fast path.
     fast_path_ball_limit:
@@ -276,8 +281,8 @@ class Engine:
         For quantifier-free formulas — and quantified formulas in the
         local-existential and Hanf-gated fragments — under universe
         semantics the engine additionally *maintains* answers across
-        structure updates: a read whose cache entry is from an earlier
-        epoch first tries to patch the answer set recorded then
+        structure updates: a read whose cache record is from an earlier
+        epoch (a miss) first tries to patch that record forward in place
         (:mod:`repro.incremental.answers`) before recomputing.
 
         The read holds the structure's
@@ -307,27 +312,25 @@ class Engine:
             # Read the epoch before any work: rows computed while a write
             # lands are returned but never cached as that write's answers.
             epoch = structure.epoch
-            key = (structure.uid, formula, self.domain_mode, order_names)
-            maintain = self.domain_mode == "universe" and order_names == sorted_names
-            cached = self.answer_cache.get(key, valid=lambda entry: entry[0] == epoch)
-            if cached is not None:
-                if maintain:
-                    # The hit certifies the rows match this epoch's content,
-                    # so re-stamp the maintenance record at it.
-                    self._answer_index.remember(structure, formula, cached[1], epoch)
-                return cached[1]
-            if maintain:
-                patched = self._answer_index.patch(structure, formula, cancel_token=token)
+            key = (structure.uid, formula, order_names)
+            record = self.answer_cache.get(key, valid=lambda record: record.epoch == epoch)
+            if record is not None:
+                return record.rows
+            # A miss may still find the record of an earlier epoch: the
+            # engine maintains universe answers in sorted column order.
+            record = self.answer_cache.peek(key)
+            maintained = self.domain_mode == "universe" and order_names == sorted_names
+            if record is not None and maintained:
+                patched = self._answer_index.patch(structure, formula, record, cancel_token=token)
                 if patched is not None:
                     self.stats.answers_patched += 1
-                    if structure.epoch == epoch:
-                        self.answer_cache.put(key, (epoch, patched))
+                    self.answer_cache.put(key, record)
                     return patched
             rows = self._compute_answers(structure, formula, sorted_names, order_names, token)
             if structure.epoch == epoch:
-                self.answer_cache.put(key, (epoch, rows))
-                if maintain:
-                    self._answer_index.remember(structure, formula, rows, epoch)
+                self.answer_cache.put(
+                    key, self._answer_index.record(structure, formula, rows, epoch, record)
+                )
             return rows
 
     def maintained_changed(
@@ -339,22 +342,35 @@ class Engine:
     ) -> bool | None:
         """Did φ's maintained answer set change across pending deltas?
 
-        ``True``/``False`` when a maintenance record for (structure uid,
-        φ) could be patched to the current epoch and compared; ``None``
-        when the engine cannot cheaply decide (no record, non-universe
-        semantics, delta log outrun, or the patch work limits tripped) —
+        ``True``/``False`` when φ's answer record for the structure (in
+        sorted column order) could be patched to the current epoch and
+        compared; ``None`` when the engine cannot cheaply decide (no
+        record, non-universe semantics, a query outside every maintained
+        fragment, delta log outrun, or the patch work limits tripped) —
         callers that must not miss a change treat ``None`` as "assume
-        changed".  The patched rows stay in the maintenance record, so a
-        follow-up :meth:`answers` call reuses the work.  This is what
-        the server's updates endpoint uses to report dirtied prepared
-        queries without re-running them.
+        changed".  The patch brings the record forward in place, so a
+        follow-up :meth:`answers` call is an answer-cache hit, and it
+        counts in ``stats.answers_patched`` like a read's patch.  This is
+        what the server's updates endpoint uses to report dirtied
+        prepared queries without re-running them.
         """
         if self.domain_mode != "universe":
             return None
+        names = tuple(sorted(var.name for var in free_variables(formula)))
+        key = (structure.uid, formula, names)
         with structure.lock:
-            return self._answer_index.changed(
-                structure, formula, cancel_token=as_token(budget)
+            record = self.answer_cache.peek(key)
+            if record is None:
+                return None
+            before, epoch = record.rows, record.epoch
+            after = self._answer_index.patch(
+                structure, formula, record, cancel_token=as_token(budget)
             )
+            if after is None:
+                return None
+            if record.epoch != epoch:
+                self.stats.answers_patched += 1
+            return after != before
 
     def enumerate(
         self,
@@ -504,16 +520,13 @@ class Engine:
     def invalidate(self, structure: Structure) -> int:
         """Drop every cached answer for ``structure``; return the count.
 
-        Both layers go: the answer-cache entries keyed by the structure's
-        :attr:`~repro.structures.structure.Structure.uid` *and* the
-        delta-maintained records (:class:`AnswerIndex`), so the next
-        read genuinely re-executes instead of being answered by a
-        surviving maintenance record.  The count reports cache entries
-        (one per (query, domain, column order)); forgotten maintenance
-        records ride along uncounted.  A content-equal but distinct
+        The answer-cache entries keyed by the structure's
+        :attr:`~repro.structures.structure.Structure.uid` are its
+        maintenance records too, so the next read genuinely re-executes
+        instead of being patched from a surviving record.  The count is
+        one per (query, column order).  A content-equal but distinct
         structure object keeps its own entries.
         """
-        self._answer_index.forget(structure)
         uid = structure.uid
         return self.answer_cache.evict_where(lambda key: key[0] == uid)
 
@@ -521,7 +534,6 @@ class Engine:
         self.plan_cache.clear()
         self.answer_cache.clear()
         self._bounded_degree.clear()
-        self._answer_index.clear()
 
     def reset_stats(self) -> None:
         """Zero the lifetime counters (cache contents are untouched)."""

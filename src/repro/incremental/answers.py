@@ -48,22 +48,25 @@ fingerprint, and a (key, fingerprint) → verdict cache, so a delta
 re-keys only the dirty set and re-evaluates at most one representative
 per new class.
 
-One :class:`_Record` per (structure uid, formula) holds the rows, the
-epoch they answer, the scope classified when the record was made, and —
-for the Hanf tier — the census.  Every tier is a function from the
-record and the pending deltas to new rows; :meth:`AnswerIndex.patch`
-commits what it returns in one block at the end, so an overflow of the
-per-patch allowance (:data:`PATCH_LIMIT` units: candidates, dirty
-elements, witness tuples), an injected fault, or a mid-patch budget
-expiry leaves the record exactly as it was (the
-``incremental.answers.fallback`` counter makes the recompute escape
-hatch visible).
+The records live in one store, the engine's answer cache: one
+:class:`_Record` per (structure uid, formula, column order) holds the
+rows, the epoch they answer, the scope classified once when the record
+was made, and — for the Hanf tier — the census.  A record at the
+structure's epoch is a cache hit; an older one is what
+:meth:`AnswerIndex.patch` brings forward in place, under the
+structure's lock.  Every tier is a function from the record and the
+pending deltas to new rows, and the patch commits what it returns in one
+block at the end, so an overflow of the per-patch allowance
+(:data:`PATCH_LIMIT` units: candidates, dirty elements, witness tuples),
+an injected fault, or a mid-patch budget expiry leaves the record
+exactly as it was (the ``incremental.answers.fallback`` counter makes
+the recompute escape hatch visible).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 
 from repro.errors import FMTError
 from repro.eval.evaluator import evaluate as naive_evaluate
@@ -94,7 +97,6 @@ __all__ = [
     "local_existential_scope",
     "hanf_scope",
     "PATCH_LIMIT",
-    "ANSWER_RECORDS_LIMIT",
     "QUANT_BALL_LIMIT",
     "QUANT_WORK_LIMIT",
     "QUANT_EVAL_LIMIT",
@@ -105,9 +107,6 @@ __all__ = [
 #: or local witness tuple; above it recomputing through the planned
 #: pipeline is the better deal.
 PATCH_LIMIT = 2048
-
-#: How many (structure uid, query) answer records the index retains.
-ANSWER_RECORDS_LIMIT = 256
 
 #: Hanf-tier promotion requires ``min(max_ball_size(degree, 2r), n)``
 #: at most this large — the per-element key cost bound.
@@ -300,21 +299,26 @@ class _Census:
 
 
 class _Record:
-    """Maintained answers: ``rows`` as of ``epoch``, in the scope's tier.
+    """One answer-cache entry: ``rows`` as of ``epoch``, in the scope's tier.
 
+    ``scope`` is ``None`` for a formula outside every tier; such a
+    record, like any the engine does not maintain (active-domain
+    semantics, a custom column order), is only ever a hit or a miss.
     ``census`` is ``None`` for qf and local records and for *light* Hanf
     records, which cost nothing to carry; ``promote`` is set when a
-    patch fell back, and asks the next :meth:`AnswerIndex.remember` to
-    build the census — so the O(n·ball) keying cost is paid only by
+    patch fell back, and asks the recompute's :meth:`AnswerIndex.record`
+    to build the census — so the O(n·ball) keying cost is paid only by
     workloads that actually update and re-query, never by one-shot
     evaluations.
     """
 
     __slots__ = ("epoch", "rows", "scope", "census", "promote")
 
-    def __init__(self, scope: _QfScope | _LocalScope | _HanfScope) -> None:
-        self.epoch = -1
-        self.rows: frozenset = frozenset()
+    def __init__(
+        self, epoch: int, rows: frozenset, scope: _QfScope | _LocalScope | _HanfScope | None
+    ) -> None:
+        self.epoch = epoch
+        self.rows = rows
         self.scope = scope
         self.census: _Census | None = None
         self.promote = False
@@ -329,95 +333,81 @@ _SENTENCE = "__sentence__"
 
 
 class AnswerIndex:
-    """Epoch-stamped answer sets, patched under the owning structure's deltas.
+    """The patch logic over answer records, and its counters.
 
-    Keys are ``(structure.uid, formula)`` — identity-based, because a
-    mutated structure changes content hash on every delta while its uid
-    names the same evolving object.  Rows are columns in sorted
-    free-variable order, the only order the engine maintains.  The
-    engine's answer cache answers "have I answered this object at this
-    epoch"; this index answers "I answered an earlier epoch of this
-    object — which rows may have flipped?".  Both stamp rows with the
-    epoch read *before* the work that produced them and commit nothing
-    when a write lands meanwhile.
+    The records themselves are the engine's answer-cache entries, keyed
+    by structure uid — identity, because a mutated structure changes
+    content hash on every delta while its uid names the same evolving
+    object.  Maintained rows are columns in sorted free-variable order,
+    the only order the engine maintains.  :meth:`record` makes the entry
+    for freshly computed rows; :meth:`patch` answers "this record is of
+    an earlier epoch of this object — which rows may have flipped?".
+    Rows are stamped with the epoch read *before* the work that produced
+    them, and nothing is committed when a write lands meanwhile.
     """
 
     def __init__(self) -> None:
-        self._records: OrderedDict[tuple, _Record] = OrderedDict()
         self.patched = {"qf": 0, "local": 0, "hanf": 0}
         self.promoted = 0
         self.fallbacks = 0
-
-    def forget(self, structure: Structure) -> int:
-        """Drop every maintained record for ``structure``; return the count.
-
-        Backs :meth:`Engine.invalidate` — an explicit invalidation must
-        force re-execution, so the maintenance layer may not answer the
-        next read from a surviving record.
-        """
-        stale = [key for key in self._records if key[0] == structure.uid]
-        for key in stale:
-            del self._records[key]
-        return len(stale)
-
-    def clear(self) -> None:
-        self._records.clear()
 
     def _note_fallback(self) -> None:
         self.fallbacks += 1
         if _telemetry_enabled():
             _counter("incremental.answers.fallback").inc()
 
-    # -- remember -------------------------------------------------------------
+    # -- record ---------------------------------------------------------------
 
-    def remember(
-        self, structure: Structure, formula: Formula, rows: frozenset, epoch: int
-    ) -> None:
-        """Stamp ``rows`` as the answers at ``epoch``, the structure epoch
-        read before they were computed.  Records nothing when a write has
-        landed since: the rows may predate it."""
-        if structure.epoch != epoch:
-            return
-        key = (structure.uid, formula)
-        record = self._records.get(key)
-        if record is None:
-            scope = _classify(formula)
-            if scope is None:
-                return
-            record = self._records[key] = _Record(scope)
-            while len(self._records) > ANSWER_RECORDS_LIMIT:
-                self._records.popitem(last=False)
-        else:
-            self._records.move_to_end(key)
-            if record.epoch == epoch:
-                return  # same epoch, same content: the rows already match
-        census = None
-        if record.scope.tier == "hanf":
-            census = self._hanf_census(structure, record, rows)
-        if structure.epoch == epoch:
-            record.rows, record.census, record.epoch = rows, census, epoch
-            record.promote = False
+    def record(
+        self,
+        structure: Structure,
+        formula: Formula,
+        rows: frozenset,
+        epoch: int,
+        previous: _Record | None = None,
+    ) -> _Record:
+        """The record of ``rows`` as the answers at ``epoch``, the
+        structure epoch read before they were computed.
+
+        ``previous`` is the stale record under the same key, if any: the
+        new record keeps its scope (a formula is classified once per
+        key) and brings its Hanf census forward, or builds one when a
+        patch asked for promotion.
+        """
+        scope = _classify(formula) if previous is None else previous.scope
+        record = _Record(epoch, rows, scope)
+        if scope is not None and scope.tier == "hanf":
+            record.census = self._hanf_census(structure, previous, scope, rows)
+        return record
 
     def _hanf_census(
-        self, structure: Structure, record: _Record, rows: frozenset
+        self,
+        structure: Structure,
+        previous: _Record | None,
+        scope: _HanfScope,
+        rows: frozenset,
     ) -> _Census | None:
-        """The census for ``rows`` at the current epoch: the record's own
-        brought forward over the dirty set, else a fresh one when the
-        record is promoted (or asked to be) and the structure is cheap
-        enough to key, else ``None`` (a light record)."""
+        """The census for ``rows`` at the current epoch: the previous
+        record's brought forward over the dirty set, else a fresh one when
+        that record was promoted (or asked to be) and the structure is
+        cheap enough to key, else ``None`` (a light record)."""
         from repro.locality.neighborhoods import ball_key
 
-        scope, census = record.scope, record.census
+        census = None if previous is None else previous.census
         if census is not None:
-            deltas = structure.deltas_since(record.epoch)
-            dirty = None if deltas is None else dirty_set(structure, deltas, scope.key_radius)
-            if dirty is not None and len(dirty) <= PATCH_LIMIT:
+            deltas = structure.deltas_since(previous.epoch)
+            if deltas is None:
+                return None  # the log was outrun: start light, as a new record
+            dirty = dirty_set(structure, deltas, scope.key_radius)
+            if len(dirty) <= PATCH_LIMIT:
                 fresh, counts = rekey(
                     structure, dirty, scope.key_radius, census.keys, census.counts
                 )
                 census = _Census({**census.keys, **fresh}, counts, census.verdicts)
                 return _seed(census, scope, rows)
-        if (census is None and not record.promote) or not _promotable(structure, scope):
+        elif previous is None or not previous.promote:
+            return None
+        if not _promotable(structure, scope):
             return None
         self.promoted += 1
         if _telemetry_enabled():
@@ -434,27 +424,26 @@ class AnswerIndex:
         self,
         structure: Structure,
         formula: Formula,
+        record: _Record,
         cancel_token: CancelToken | None = None,
     ) -> frozenset | None:
-        """Answers at the current epoch, patched from a recorded epoch.
+        """Bring ``record`` forward to the current epoch, in place, and
+        return its rows.
 
-        Returns ``None`` when maintenance cannot apply — no record, the
-        delta log has been outrun, or the work limits trip — and the
-        caller recomputes (and then calls :meth:`remember`).  A budget
-        expiry mid-patch raises with the record untouched (the commit is
-        one block at the end).
+        Returns ``None`` when maintenance cannot apply — the record has no
+        scope, the delta log has been outrun, or the work limits trip —
+        and the caller recomputes (and makes a new :meth:`record`).  A
+        budget expiry mid-patch raises with the record untouched (the
+        commit is one block at the end).  The caller holds the
+        structure's lock, which is what guards the record.
         """
-        key = (structure.uid, formula)
-        record = self._records.get(key)
-        if record is None:
+        if record.scope is None:
             return None
         epoch = structure.epoch
         deltas = structure.deltas_since(record.epoch)
         if deltas is None:
-            del self._records[key]
             self._note_fallback()
             return None
-        self._records.move_to_end(key)
         if not deltas:
             return record.rows
         tier = record.scope.tier
@@ -474,30 +463,6 @@ class AnswerIndex:
         if _telemetry_enabled():
             _counter("incremental.answers.patched", tier=tier).inc()
         return rows
-
-    # -- change detection ------------------------------------------------------
-
-    def changed(
-        self,
-        structure: Structure,
-        formula: Formula,
-        cancel_token: CancelToken | None = None,
-    ) -> bool | None:
-        """Did the maintained answers change across the pending deltas?
-
-        ``True``/``False`` when the record could be patched to the
-        current epoch, ``None`` when maintenance could not decide (no
-        record, log outrun, work limits) — callers that must not miss a
-        change treat ``None`` as "assume changed".
-        """
-        record = self._records.get((structure.uid, formula))
-        if record is None:
-            return None
-        before = record.rows
-        after = self.patch(structure, formula, cancel_token)
-        if after is None:
-            return None
-        return after != before
 
 
 # -- the tiers: (structure, formula, record, deltas, token) → (rows, census) --

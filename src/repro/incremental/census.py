@@ -29,9 +29,11 @@ on bounded-degree structures |B| is a constant independent of n.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from collections.abc import Callable
+from functools import partial
 
+from repro.resilience.budget import CancelToken
 from repro.structures.gaifman import ball
 from repro.structures.structure import Structure, _sort_key
 from repro.telemetry.metrics import counter as _counter
@@ -40,7 +42,7 @@ from repro.telemetry.tracer import span as _span
 
 __all__ = ["CensusIndex", "CENSUS_RECORDS_LIMIT", "dirty_set", "rekey"]
 
-#: How many (structure uid, radius) census records an index retains.
+#: How many (structure uid, radius) census records a type registry retains.
 CENSUS_RECORDS_LIMIT = 32
 
 
@@ -94,65 +96,59 @@ def rekey(
 
 
 class _CensusRecord:
+    """One census-cache entry: the census as of ``epoch``, and ``types``
+    (element → type id, the per-element ball index) when it was keyed —
+    ``None`` for a baseline census, which cannot be patched."""
+
     __slots__ = ("epoch", "census", "types")
 
-    def __init__(self, epoch: int, census: Counter, types: dict) -> None:
+    def __init__(self, epoch: int, census: Counter, types: dict | None) -> None:
         self.epoch = epoch
         self.census = census
-        self.types = types  # element -> type id, the per-element ball index
+        self.types = types
 
 
 class CensusIndex:
-    """Maintained censuses keyed by (structure uid, radius).
+    """The patch logic over census records, and its counters.
 
-    Content-hash memoization (the registry's ``census_memo``) answers
-    "have I seen this exact structure before"; this index answers the
-    incremental question — "I censused an *earlier epoch* of this very
-    object; which elements can have changed type?".  Records keep the
-    per-element type assignment so the census Counter can be adjusted
-    type-by-type.
+    The records themselves live in the type registry's one census cache,
+    keyed by (structure uid, radius): a record at the structure's epoch
+    is the memo hit, and an older one is what :meth:`patch` answers the
+    incremental question for — "I censused an *earlier epoch* of this
+    very object; which elements can have changed type?".  Records keep
+    the per-element type assignment so the census Counter can be
+    adjusted type-by-type.
     """
 
-    def __init__(self, capacity: int = CENSUS_RECORDS_LIMIT) -> None:
-        self.capacity = capacity
-        self._records: OrderedDict[tuple[int, int], _CensusRecord] = OrderedDict()
+    def __init__(self) -> None:
         self.patched = 0
-        self.reused = 0
         self.dirty_elements = 0
 
-    def record(
-        self, structure: Structure, radius: int, census: Counter, types: dict
-    ) -> None:
-        """Remember a freshly computed census with its type assignment."""
-        key = (structure.uid, radius)
-        self._records[key] = _CensusRecord(structure.epoch, Counter(census), dict(types))
-        self._records.move_to_end(key)
-        while len(self._records) > self.capacity:
-            self._records.popitem(last=False)
+    def patch(
+        self,
+        structure: Structure,
+        radius: int,
+        registry,
+        record: _CensusRecord,
+        cancel_token: CancelToken | None = None,
+    ) -> Counter | None:
+        """Bring ``record`` forward to ``structure.epoch`` in place and
+        return the census.
 
-    def patch(self, structure: Structure, radius: int, registry) -> Counter | None:
-        """Bring the record up to ``structure.epoch`` and return the census.
-
-        Returns ``None`` when there is no usable record (never censused,
-        or the structure's delta log no longer reaches back to the
-        recorded epoch) — the caller computes from scratch and calls
-        :meth:`record`.
+        Returns ``None`` when the record cannot be patched (a baseline
+        census, or the structure's delta log no longer reaches back to
+        the recorded epoch) — the caller computes from scratch and makes
+        a new record.  ``cancel_token`` is ticked per dirty element, as
+        the cold census ticks it per ball; when it raises, the record is
+        left as it was.
         """
         from repro.structures.gaifman import neighborhood
 
-        key = (structure.uid, radius)
-        record = self._records.get(key)
-        if record is None:
-            return None
         deltas = structure.deltas_since(record.epoch)
-        if deltas is None:
-            del self._records[key]
+        if deltas is None or record.types is None:
             return None
-        self._records.move_to_end(key)
-        if not deltas:
-            self.reused += 1
-            return Counter(record.census)
         dirty = dirty_set(structure, deltas, radius)
+        tick = None if cancel_token is None else partial(cancel_token.tick, "locality.census")
         with _span("incremental.census.patch") as patch_span:
             patch_span.set("radius", radius).set("deltas", len(deltas))
             patch_span.set("dirty", len(dirty)).set("size", structure.size)
@@ -161,6 +157,7 @@ class CensusIndex:
                 type_of=lambda element, key: registry.type_of_keyed(
                     key, lambda: neighborhood(structure, (element,), radius)
                 ),
+                step=tick,
             )
         record.types.update(fresh)
         record.census, record.epoch = census, structure.epoch

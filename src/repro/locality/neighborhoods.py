@@ -23,9 +23,12 @@ first element realizing each distinct key ever builds a real
 neighborhood; every other element is a dictionary hit.  Isomorphic balls
 with different presentations merely fall through to the registry's
 fingerprint bucket, where exact isomorphism merges them as before —
-exactness is never traded away.  Censuses are additionally memoized per
-(structure, radius) in an LRU on the registry, so re-censusing a
-structure (the bounded-degree evaluator's common case) is one lookup.
+exactness is never traded away.  Censuses are kept as epoch-stamped
+records per (structure uid, radius) in one LRU on the registry: a
+current record makes re-censusing a structure (the bounded-degree
+evaluator's common case) one lookup, an older one is re-keyed over the
+dirty set of the updates since (:class:`~repro.incremental.census.CensusIndex`),
+and no structure is kept alive by the memo.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 
 from repro.engine.cache import LRUCache
-from repro.incremental.census import CensusIndex
+from repro.incremental.census import CENSUS_RECORDS_LIMIT, CensusIndex, _CensusRecord
 from repro.resilience.budget import CancelToken
 from repro.resilience.faults import fault_point
 from repro.structures.gaifman import _bfs_distances, neighborhood
@@ -72,18 +75,19 @@ class TypeRegistry:
     *presentation key* whose equality certifies isomorphism maps
     straight to a type id; only the first sighting of a key pays for
     structure construction and registration.  The registry also owns the
-    per-(structure, radius) census memo used by
-    :func:`neighborhood_census`.
+    one store of census records :func:`neighborhood_census` uses,
+    ``censuses``, keyed by (structure uid, radius), and the
+    :class:`~repro.incremental.census.CensusIndex` that patches them.
     """
 
-    def __init__(self, use_fingerprint: bool = True, census_memo_size: int = 256) -> None:
+    def __init__(self, use_fingerprint: bool = True) -> None:
         self._buckets: dict[tuple, list[tuple[Structure, int]]] = defaultdict(list)
         self._next_id = 0
         self._use_fingerprint = use_fingerprint
         self._key_ids: dict[tuple, int] = {}
         self.isomorphism_tests = 0
         self.key_hits = 0
-        self.census_memo = LRUCache(census_memo_size, name="census_memo")
+        self.censuses = LRUCache(CENSUS_RECORDS_LIMIT, name="census")
         self.incremental = CensusIndex()
 
     def type_of(self, structure: Structure) -> int:
@@ -284,34 +288,41 @@ def neighborhood_census(
     "a realizes τ" in the paper's words — the census is the function
     τ ↦ #{a : N_r(a) has type τ} restricted to realized types.
 
-    Runs the fast ball-key pipeline, memoized per (structure, radius) on
-    the registry.  ``cancel_token`` is ticked per ball, so a deadline interrupts the
-    census mid-structure; memo hits never consume budget.
+    Runs the fast ball-key pipeline, with one record per (structure,
+    radius) on the registry: a record at the structure's epoch is a memo
+    hit, an older one is patched over the updates since.
+    ``cancel_token`` is ticked per ball, patched or not, so a deadline
+    interrupts the census mid-structure; memo hits never consume budget.
     """
     with _span("locality.census") as census_span:
-        memo_key = (structure, radius)
-        cached = registry.census_memo.get(memo_key)
-        if cached is not None:
-            census_span.set("radius", radius).set("types", len(cached)).set("memo_hit", 1)
-            return Counter(cached)
+        key, epoch = (structure.uid, radius), structure.epoch
+        record = registry.censuses.get(key, valid=lambda record: record.epoch == epoch)
+        if record is not None:
+            census_span.set("radius", radius).set("types", len(record.census))
+            census_span.set("memo_hit", 1)
+            return Counter(record.census)
         fault_point("locality.census")
+        record = registry.censuses.peek(key)
+        if record is not None:
+            patched = registry.incremental.patch(
+                structure, radius, registry, record, cancel_token=cancel_token
+            )
+            if patched is not None:
+                registry.censuses.put(key, record)
+                census_span.set("radius", radius).set("types", len(patched))
+                census_span.set("incremental", 1)
+                return patched
         if structure.constants:
+            types = None
             census = neighborhood_census_baseline(
                 structure, radius, registry, cancel_token=cancel_token
             )
         else:
-            patched = registry.incremental.patch(structure, radius, registry)
-            if patched is not None:
-                registry.census_memo.put(memo_key, Counter(patched))
-                census_span.set("radius", radius).set("types", len(patched))
-                census_span.set("incremental", 1)
-                return patched
-            types: dict = {}
+            types = {}
             census = _census_via_keys(
                 structure, radius, registry, cancel_token=cancel_token, types_out=types
             )
-            registry.incremental.record(structure, radius, census, types)
-        registry.census_memo.put(memo_key, Counter(census))
+        registry.censuses.put(key, _CensusRecord(epoch, Counter(census), types))
         if _telemetry_enabled():
             _counter("locality.censuses_computed").inc()
             _counter("locality.balls_computed").inc(len(structure.universe))

@@ -481,6 +481,14 @@ class QueryService:
             # One lock hold for the batch: no read of this structure sees
             # half of it, and the store files the content under its digest.
             with structure.lock:
+                # A concurrent update may have retired the id since it was
+                # resolved: refuse it with the read's 409, naming the current id.
+                if self.structure(structure_id) is not structure:
+                    raise ServerError(
+                        f"structure {structure_id!r} was updated; "
+                        f"its current id is {wire.structure_digest(structure)!r}",
+                        status=409,
+                    )
                 for op, relation, row in deltas:
                     changed = (
                         structure.insert(relation, row)

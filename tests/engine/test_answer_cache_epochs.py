@@ -1,10 +1,11 @@
 """The answer cache keys a structure by identity and stamps its epoch.
 
-One entry per (structure uid, formula, domain, column order) holds the
-rows with the epoch they answer; a read is a hit only at that epoch, and
-the next read after a write overwrites the entry instead of leaving the
-old content's answers behind.  A write that lands while a read is
-computing must not get the read's (older) rows cached as its answers.
+One entry per (structure uid, formula, column order) holds the rows with
+the epoch they answer; a read is a hit only at that epoch, and the next
+read after a write brings the entry forward or overwrites it instead of
+leaving the old content's answers behind.  A write that lands while a
+read is computing must not get the read's (older) rows cached as its
+answers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import threading
 
 from repro.engine import Engine
 from repro.errors import ServerError
+from repro.structures.builders import random_graph
 from repro.eval.evaluator import answers as naive_answers
 from repro.incremental import answers as maintenance
 from repro.logic.parser import parse
@@ -23,6 +25,7 @@ from repro.server.service import QueryService
 from repro.structures.builders import directed_cycle
 
 ONE_WAY = parse("E(x, y) & ~E(y, x)")
+DISTANCE_TWO = parse("exists z (E(x, z) & E(z, y)) & ~E(x, y)")
 
 #: Rounds of the two race tests: enough that a race without the
 #: structure's lock fails them reliably, not once in a while.
@@ -41,8 +44,8 @@ def test_a_write_overwrites_the_one_entry():
         cycle.insert("E", (0, target))
         assert engine.answers(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
     assert len(engine.answer_cache) == 1
-    key = (cycle.uid, ONE_WAY, "universe", ("x", "y"))
-    assert engine.answer_cache.get(key)[0] == cycle.epoch
+    key = (cycle.uid, ONE_WAY, ("x", "y"))
+    assert engine.answer_cache.get(key).epoch == cycle.epoch
 
 
 def test_a_stale_entry_is_a_miss():
@@ -104,15 +107,107 @@ def test_write_during_patch_is_not_committed(monkeypatch):
     assert engine.maintained_changed(cycle, ONE_WAY) is False
 
 
-def test_remember_records_nothing_for_a_past_epoch():
-    index = maintenance.AnswerIndex()
+def test_remember_records_nothing_for_a_past_epoch(monkeypatch):
+    """Rows whose epoch a write moved past while they were computed make
+    no answer record, so no later read patches from them; rows at the
+    current epoch make one, which patches to exactly those rows."""
+    engine = Engine()
     cycle = directed_cycle(5)
-    rows = naive_answers(cycle, ONE_WAY)
+    key = (cycle.uid, ONE_WAY, ("x", "y"))
+    compute = Engine._compute_answers
+
+    def racing(self, structure, *args, **kwargs):
+        rows = compute(self, structure, *args, **kwargs)
+        structure.insert("E", (0, 2))
+        return rows
+
+    monkeypatch.setattr(Engine, "_compute_answers", racing)
+    engine.answers(cycle, ONE_WAY)
+    monkeypatch.undo()
+    assert engine.answer_cache.peek(key) is None
+    assert engine.maintained_changed(cycle, ONE_WAY) is None
+    assert engine.answers(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+    record = engine.answer_cache.peek(key)
+    assert record.epoch == cycle.epoch
+    index = engine._answer_index
+    assert index.patch(cycle, ONE_WAY, record) == naive_answers(cycle, ONE_WAY)
+
+
+def test_cache_hits_classify_nothing(monkeypatch):
+    """A query outside every maintained fragment is classified once, when
+    its record is made, not again on each hit."""
+    engine = Engine()
+    graph = random_graph(12, 0.3, seed=1)
+    expected = engine.answers(graph, DISTANCE_TWO)
+    calls = []
+    classify = maintenance._classify
+    monkeypatch.setattr(
+        maintenance, "_classify", lambda formula: calls.append(formula) or classify(formula)
+    )
+    for _ in range(5):
+        assert engine.answers(graph, DISTANCE_TWO) == expected
+    assert calls == []
+    assert engine.answer_cache.hits == 5
+
+
+def test_maintained_changed_leaves_a_hit_for_the_next_read():
+    """The patch that decides ``maintained_changed`` brings the answer
+    record forward, so the read after it is a hit, and that patch counts
+    in ``answers_patched``."""
+    engine = Engine()
+    cycle = directed_cycle(6)
+    engine.answers(cycle, ONE_WAY)
     cycle.insert("E", (0, 2))
-    index.remember(cycle, ONE_WAY, rows, epoch=0)
-    assert index.patch(cycle, ONE_WAY) is None
-    index.remember(cycle, ONE_WAY, naive_answers(cycle, ONE_WAY), epoch=cycle.epoch)
-    assert index.patch(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+    assert engine.maintained_changed(cycle, ONE_WAY) is True
+    hits, misses = engine.answer_cache.hits, engine.answer_cache.misses
+    executions = engine.stats.executions
+    assert engine.answers(cycle, ONE_WAY) == naive_answers(cycle, ONE_WAY)
+    assert (engine.answer_cache.hits, engine.answer_cache.misses) == (hits + 1, misses)
+    assert engine.stats.executions == executions
+    assert engine.stats.answers_patched == 1
+
+
+def test_an_update_to_an_id_retired_while_it_waited_is_a_409(monkeypatch):
+    """Two updates name one id at once.  The second resolves the id, then
+    waits until the first has applied and retired it.  It must get the
+    409 a read gets, naming the current id, and leave the store with one
+    id, the digest of the structure's content."""
+    service = QueryService()
+    cycle = directed_cycle(8)
+    first_id = service.add_structure(cycle, tenant="t")
+    resolve = service.structure
+    resolved, first_done, outcome = threading.Event(), threading.Event(), {}
+
+    def slow_resolve(structure_id):
+        structure = resolve(structure_id)
+        if threading.current_thread() is second and not resolved.is_set():
+            resolved.set()
+            first_done.wait(timeout=30)
+        return structure
+
+    def second_update():
+        try:
+            outcome["reply"] = service.apply_updates("t", first_id, [("insert", "E", (0, 2))])
+        except ServerError as error:
+            outcome["error"] = error
+
+    monkeypatch.setattr(service, "structure", slow_resolve)
+    second = threading.Thread(target=second_update)
+    second.start()
+    assert resolved.wait(timeout=30)
+    try:
+        reply = service.apply_updates("t", first_id, [("insert", "E", (0, 3))])
+    finally:
+        first_done.set()
+        second.join(timeout=30)
+    assert not second.is_alive()
+    assert "reply" not in outcome
+    assert outcome["error"].status == 409
+    assert reply["structure_id"] in str(outcome["error"])
+    assert (0, 2) not in cycle.relations["E"]
+    assert list(service.structures) == [reply["structure_id"]]
+    for structure_id, structure in service.structures.items():
+        assert structure_id == wire.structure_digest(structure)
 
 
 def test_served_writes_leave_one_entry_per_prepared_query():

@@ -10,7 +10,12 @@ import threading
 
 import pytest
 
+from repro.engine import Engine
 from repro.engine.cache import LRUCache
+from repro.eval.evaluator import answers as naive_answers
+from repro.logic.parser import parse
+from repro.structures.builders import directed_cycle
+from repro.structures.structure import Structure
 
 THREADS = 8
 OPS_PER_THREAD = 800
@@ -169,3 +174,41 @@ class TestLRUCacheHammer:
 
         assert cache.get_or_compute("outer", outer) == 8
         assert cache.get("inner") == 7
+
+
+def test_reads_of_other_structures_evicting_a_record_mid_patch(monkeypatch):
+    """While one structure's read sits between its answer-cache lookup
+    and its patch's commit, another thread — holding only the locks of
+    the structures it reads — runs 300 reads that push the record out of
+    a 16-entry cache.  The patch still commits, and the read and the
+    reads after it answer correctly."""
+    one_way = parse("E(x, y) & ~E(y, x)")
+    engine = Engine(answer_cache_size=16)
+    target = directed_cycle(6)
+    others = [directed_cycle(5) for _ in range(300)]
+    engine.answers(target, one_way)
+    target.insert("E", (0, 2))
+    deltas_since = Structure.deltas_since
+    threads, errors = [], []
+
+    def read_others():
+        try:
+            for other in others:
+                engine.answers(other, one_way)
+        except BaseException as error:  # noqa: BLE001 — reported below
+            errors.append(error)
+
+    def crowded(self, epoch):
+        if self is target and not threads:
+            threads.append(threading.Thread(target=read_others))
+            threads[0].start()
+            threads[0].join(timeout=60)
+        return deltas_since(self, epoch)
+
+    monkeypatch.setattr(Structure, "deltas_since", crowded)
+    assert engine.answers(target, one_way) == naive_answers(target, one_way)
+    assert len(threads) == 1 and not threads[0].is_alive()
+    assert errors == []
+    monkeypatch.undo()
+    assert len(engine.answer_cache) <= 16
+    assert engine.answers(target, one_way) == naive_answers(target, one_way)

@@ -152,12 +152,10 @@ class TestAnswerCache:
             engine.answers(dense, DISTANCE_TWO, budget=token)
         # The read before the trip completed and was cached whole, at the
         # structure's epoch; the tripped one left nothing behind.
-        small_key = (small.uid, EDGE, "universe", ("x", "y"))
-        dense_key = (dense.uid, DISTANCE_TWO, "universe", ("x", "y"))
-        assert engine.answer_cache.get(small_key) == (
-            small.epoch,
-            naive_answers(small, EDGE),
-        )
+        small_key = (small.uid, EDGE, ("x", "y"))
+        dense_key = (dense.uid, DISTANCE_TWO, ("x", "y"))
+        record = engine.answer_cache.get(small_key)
+        assert (record.epoch, record.rows) == (small.epoch, naive_answers(small, EDGE))
         assert dense_key not in engine.answer_cache
         assert engine.answers(dense, DISTANCE_TWO) == naive_answers(dense, DISTANCE_TWO)
 

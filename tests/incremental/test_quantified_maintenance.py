@@ -1,6 +1,6 @@
 """Quantified answer maintenance (ISSUE 10 tentpole).
 
-Two maintained tiers sit behind :meth:`AnswerIndex.remember`/``patch``
+Two maintained tiers sit behind :meth:`AnswerIndex.record`/``patch``
 for quantified formulas:
 
 * **local-existential** — φ(x) = ∃ȳ ψ with ψ quantifier-free and every
@@ -27,6 +27,7 @@ import pytest
 from repro.engine.engine import Engine
 from repro.errors import BudgetExceededError, InjectedFaultError
 from repro.eval.evaluator import answers as naive_answers
+from repro.logic.analysis import free_variables
 from repro.logic.parser import parse
 from repro.resilience.budget import Budget, CancelToken
 from repro.resilience.faults import (
@@ -146,7 +147,8 @@ def test_maintained_changed_reports_real_changes_only():
 
 
 def _record(engine: Engine, structure: Structure, formula):
-    return engine._answer_index._records[(structure.uid, formula)]
+    names = tuple(sorted(var.name for var in free_variables(formula)))
+    return engine.answer_cache.peek((structure.uid, formula, names))
 
 
 @pytest.mark.parametrize("formula", [QF, LOCAL, HANF], ids=["qf", "local", "hanf"])

@@ -12,6 +12,9 @@ from-scratch census baseline for the locality indexes.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from repro.conformance.backends import default_registry
 from repro.engine.engine import Engine
 from repro.engine.executor import Executor
+from repro.errors import BudgetExceededError
 from repro.eval.evaluator import answers as naive_answers
 from repro.locality.neighborhoods import (
     TypeRegistry,
@@ -28,6 +32,7 @@ from repro.locality.neighborhoods import (
 from repro.logic.analysis import free_variables
 from repro.logic.parser import parse
 from repro.logic.signature import GRAPH
+from repro.resilience.budget import Budget, CancelToken
 from repro.structures.builders import directed_cycle, random_graph
 from repro.structures.gaifman import gaifman_adjacency
 from repro.structures.structure import DELTA_LOG_LIMIT, Structure
@@ -145,7 +150,7 @@ def test_quantified_maintained_answers_track_cold_recompute(
     """After *every* insert/delete the maintained quantified answers
     equal a cold recompute by the ``reference`` executor and the naive
     evaluator.  One engine instance lives across the whole sequence so
-    every path — remember, promote, patch, overflow-fallback — gets
+    every path — record, promote, patch, overflow-fallback — gets
     exercised."""
     engine = Engine()
     formula = parse(text)
@@ -227,6 +232,35 @@ def test_patched_gaifman_adjacency_matches_cold(structure, steps):
         row = tuple(value % structure.size for value in row)
         _apply(live, (insert, row))
         assert gaifman_adjacency(live) == gaifman_adjacency(_cold_copy(live))
+
+
+def test_census_patch_honours_the_token():
+    """The patched census ticks the request's token per dirty element, as
+    the cold census ticks it per ball: a cancelled token refuses."""
+    registry = TypeRegistry()
+    live = directed_cycle(60)
+    neighborhood_census(live, 1, registry)
+    live.insert("E", (0, 30))
+    token = CancelToken(Budget())
+    token.cancel("pulled before the patch")
+    with pytest.raises(BudgetExceededError):
+        neighborhood_census(live, 1, registry, cancel_token=token)
+    assert registry.incremental.patched == 0
+    assert neighborhood_census(live, 1, registry) == neighborhood_census_baseline(
+        _cold_copy(live), 1, registry
+    )
+    assert registry.incremental.patched == 1
+
+
+def test_a_registry_keeps_no_censused_structure_alive():
+    registry = TypeRegistry()
+    graph = directed_cycle(12)
+    neighborhood_census(graph, 1, registry)
+    dropped = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert dropped() is None
+    assert len(registry.censuses) == 1
 
 
 def test_census_patch_touches_only_dirty_balls():
