@@ -33,6 +33,7 @@ from conftest import engine_telemetry, print_table, telemetry_snapshot
 
 from repro import telemetry
 from repro.engine import Engine
+from repro.engine.engine import SMALL_PLAN_ROWS
 from repro.engine.executor import Executor
 from repro.eval.evaluator import answers as naive_answers
 from repro.eval.evaluator import evaluate as naive_evaluate
@@ -185,7 +186,7 @@ def _tuple_answers(
     relation = Executor(
         graph,
         engine._domain_values(graph),
-        semijoin_filtering=plan.total_estimated_rows() > engine.small_plan_rows,
+        semijoin_filtering=plan.total_estimated_rows() > SMALL_PLAN_ROWS,
     ).run(plan)
     if order is not None and relation.attributes != order:
         relation = relation.project(order)

@@ -18,9 +18,10 @@ The library can answer ``ans(φ, A)`` five independent ways:
                       injection and budgets the run configures
 
 Each is wrapped as a :class:`Backend` with an *applicability predicate*
-(circuits need constant-free sentences, the census evaluator needs the
-degree bound, ...).  The differential runner cross-checks all applicable
-backends pairwise on every generated case.
+(circuits need constant-free sentences, the census evaluator takes what
+:func:`~repro.locality.bounded_degree.census_applicable` admits, ...).
+The differential runner cross-checks all applicable backends pairwise on
+every generated case.
 
 Backends that can honor a budget also carry a ``budget_fn``; the runner
 hands each call a fresh :class:`~repro.resilience.budget.CancelToken`
@@ -45,8 +46,12 @@ from repro.eval.circuits import compile_query, evaluate_circuit
 from repro.eval.evaluator import answers as naive_answers
 from repro.eval.translate import algebra_answers
 from repro.engine.engine import Engine
-from repro.locality.bounded_degree import BoundedDegreeEvaluator
-from repro.logic.analysis import constants_of, free_variables, quantifier_rank
+from repro.locality.bounded_degree import (
+    DEGREE_BOUND,
+    BoundedDegreeEvaluator,
+    census_applicable,
+)
+from repro.logic.analysis import constants_of, free_variables
 from repro.logic.syntax import Formula
 from repro.resilience.budget import CancelToken
 from repro.resilience.fallback import default_chain
@@ -61,12 +66,6 @@ __all__ = [
 ]
 
 Answers = frozenset[tuple[Element, ...]]
-
-#: Quantifier-rank ceiling for the census evaluator: the sound Hanf
-#: radius is (3^qr − 1)/2, and past this rank the census of even a tiny
-#: structure degenerates to "the whole structure per ball" — legal but
-#: pointless, and slow once the fuzz budget climbs.
-_CENSUS_MAX_RANK = 4
 
 TRUE_ANSWER: Answers = frozenset({()})
 FALSE_ANSWER: Answers = frozenset()
@@ -162,12 +161,6 @@ def _sentence_answers(value: bool) -> Answers:
     return TRUE_ANSWER if value else FALSE_ANSWER
 
 
-def _constant_free(structure: Structure, formula: Formula) -> tuple[bool, str]:
-    if structure.constants or constants_of(formula):
-        return False, "constants present"
-    return True, ""
-
-
 def _engine_backend() -> Backend:
     engine = Engine(domain="universe")
 
@@ -215,44 +208,34 @@ def _circuit_backend() -> Backend:
     return Backend("circuit", compute, applicable, reset_fn=compiled.clear)
 
 
-def _bounded_degree_backend(degree_bound: int) -> Backend:
+def _bounded_degree_backend() -> Backend:
     evaluators: dict[Formula, BoundedDegreeEvaluator] = {}
-
-    def applicable(structure: Structure, formula: Formula) -> tuple[bool, str]:
-        if free_variables(formula):
-            return False, "not a sentence"
-        ok, reason = _constant_free(structure, formula)
-        if not ok:
-            return False, reason
-        rank = quantifier_rank(formula)
-        if rank > _CENSUS_MAX_RANK:
-            return False, f"quantifier rank {rank} > census cap {_CENSUS_MAX_RANK}"
-        degree = structure.max_degree()
-        if degree > degree_bound:
-            return False, f"Gaifman degree {degree} > bound {degree_bound}"
-        return True, ""
 
     def compute(
         structure: Structure, formula: Formula, token: CancelToken | None = None
     ) -> Answers:
         evaluator = evaluators.get(formula)
         if evaluator is None:
-            evaluator = BoundedDegreeEvaluator(formula, degree_bound=degree_bound)
+            evaluator = BoundedDegreeEvaluator(formula, degree_bound=DEGREE_BOUND)
             evaluators[formula] = evaluator
         return _sentence_answers(evaluator.evaluate(structure, cancel_token=token))
 
     return Backend(
-        "bounded-degree", compute, applicable, reset_fn=evaluators.clear, budget_fn=compute
+        "bounded-degree",
+        compute,
+        census_applicable,
+        reset_fn=evaluators.clear,
+        budget_fn=compute,
     )
 
 
-def _resilient_backend(degree_bound: int) -> Backend:
+def _resilient_backend() -> Backend:
     holder: dict[str, object] = {}
 
     def chain():
         existing = holder.get("chain")
         if existing is None:
-            existing = default_chain(degree_bound=degree_bound)
+            existing = default_chain()
             holder["chain"] = existing
         return existing
 
@@ -436,7 +419,7 @@ DEFAULT_BACKENDS = (
 )
 
 
-def default_registry(degree_bound: int = 3) -> BackendRegistry:
+def default_registry() -> BackendRegistry:
     """All evaluation paths the library ships, freshly instantiated."""
     registry = BackendRegistry()
     registry.register(
@@ -453,6 +436,6 @@ def default_registry(degree_bound: int = 3) -> BackendRegistry:
     )
     registry.register(_engine_backend())
     registry.register(_circuit_backend())
-    registry.register(_bounded_degree_backend(degree_bound))
-    registry.register(_resilient_backend(degree_bound))
+    registry.register(_bounded_degree_backend())
+    registry.register(_resilient_backend())
     return registry

@@ -16,8 +16,8 @@ True
 
 from repro.engine.cache import LRUCache
 from repro.engine.columnar import ColumnarExecutor
+from repro.engine.columnar.executor import ExecutionStats, NodeActuals
 from repro.engine.engine import Engine, EngineStats, Explanation, ProfiledExplanation
-from repro.engine.executor import ExecutionStats, NodeActuals
 from repro.engine.normalize import miniscope, normalize
 from repro.engine.plan import Plan, explain_plan
 from repro.engine.planner import Planner

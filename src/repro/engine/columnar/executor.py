@@ -16,25 +16,24 @@ What a run promises:
 * budget semantics — ``CancelToken.consume_rows`` per materialized
   step, so row budgets and deadlines trip at the operator that blew up;
 * the semijoin pre-filter policy — ``semijoin_filtering`` plus the
-  :data:`~repro.engine.executor.SEMIJOIN_THRESHOLD` size gate, counted
-  in ``ExecutionStats.semijoin_filters`` — applied at run time so one
+  :data:`SEMIJOIN_THRESHOLD` size gate, counted in
+  ``ExecutionStats.semijoin_filters`` — applied at run time so one
   cached pipeline serves every engine configuration.
+
+The reference tuple executor (:mod:`repro.engine.executor`) imports
+:class:`ExecutionStats`, :class:`NodeActuals` and the threshold from here.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import MutableMapping
 
 from repro.resilience.budget import CancelToken
 from repro.engine.cache import LRUCache
 from repro.engine.columnar.codec import codec_for
 from repro.engine.columnar.compile import CompiledPlan, PipelineNode, compile_plan
-from repro.engine.executor import (
-    SEMIJOIN_THRESHOLD,
-    ExecutionStats,
-    NodeActuals,
-)
 from repro.engine.plan import Plan
 from repro.eval.algebra import Relation
 from repro.structures.structure import Element, Structure
@@ -42,13 +41,61 @@ from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.metrics import histogram as _histogram
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 
-__all__ = ["ColumnarExecutor", "PIPELINE_CACHE_LIMIT"]
+__all__ = [
+    "ColumnarExecutor",
+    "ExecutionStats",
+    "NodeActuals",
+    "PIPELINE_CACHE_LIMIT",
+    "SEMIJOIN_THRESHOLD",
+]
 
 #: Compiled pipelines kept per (structure, domain), least recently used
-#: evicted first — the engine's default plan-cache size. Each pipeline
+#: evicted first — the engine's plan-cache size. Each pipeline
 #: pins its plan, so an unbounded memo would keep every ad-hoc formula
 #: ever answered on a long-lived structure alive.
 PIPELINE_CACHE_LIMIT = 256
+
+#: Minimum input size before a join bothers with a semijoin pre-filter.
+SEMIJOIN_THRESHOLD = 64
+
+
+@dataclass
+class ExecutionStats:
+    """Row counters for one (or several) plan executions."""
+
+    rows_materialized: int = 0
+    joins: int = 0
+    semijoin_filters: int = 0
+    antijoins: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "rows_materialized": self.rows_materialized,
+            "joins": self.joins,
+            "semijoin_filters": self.semijoin_filters,
+            "antijoins": self.antijoins,
+        }
+
+    def _observe(self, relation: Relation) -> Relation:
+        self.rows_materialized += len(relation)
+        return relation
+
+
+@dataclass(frozen=True)
+class NodeActuals:
+    """What one plan node actually did: output rows and inclusive seconds.
+
+    ``seconds`` covers the node *and* its children (EXPLAIN ANALYZE's
+    convention for tree rendering); subtract child times for exclusive
+    cost.
+    """
+
+    rows: int
+    seconds: float
+
+    @property
+    def milliseconds(self) -> float:
+        return self.seconds * 1000.0
 
 
 class ColumnarExecutor:

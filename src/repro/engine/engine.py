@@ -14,9 +14,10 @@ For *sentences* over low-degree structures the engine additionally owns a
 locality fast path: it dispatches to
 :class:`repro.locality.bounded_degree.BoundedDegreeEvaluator`, realizing
 Theorem 3.11 (linear-time FO evaluation on bounded-degree classes) as a
-production code path rather than a standalone demo. Table misses inside
-the fast path fall back to the engine's own algebra pipeline, never to
-the naive O(n^k) evaluator.
+production code path rather than a standalone demo, with one evaluator
+per sentence (:meth:`Engine.census_evaluator`). Table misses inside the
+fast path fall back to the engine's own algebra pipeline, never to the
+naive O(n^k) evaluator.
 
 Default semantics is ``domain="universe"``, which agrees with the naive
 evaluator on *every* formula (the Hypothesis equivalence suite asserts
@@ -33,17 +34,15 @@ from repro.errors import EvaluationError, LocalityError
 from repro.resilience.budget import Budget, CancelToken, as_token
 from repro.resilience.faults import fault_point
 from repro.engine.cache import LRUCache
-from repro.engine.columnar.executor import ColumnarExecutor
-from repro.engine.executor import ExecutionStats, NodeActuals
+from repro.engine.columnar.executor import ColumnarExecutor, ExecutionStats, NodeActuals
 from repro.engine.normalize import normalize
 from repro.engine.plan import Plan, explain_plan, fused_steps
 from repro.engine.planner import Planner
 from repro.engine.stats import StructureStats, collect_stats
-from repro.eval.algebra import Relation
 from repro.incremental.answers import AnswerIndex
 from repro.incremental.enumeration import AnswerStream, plan_enumeration
 from repro.eval.evaluator import answers as naive_answers
-from repro.locality.bounded_degree import BoundedDegreeEvaluator
+from repro.locality.bounded_degree import BALL_LIMIT, DEGREE_BOUND, BoundedDegreeEvaluator
 from repro.locality.hanf import hanf_locality_radius
 from repro.locality.neighborhoods import max_ball_size
 from repro.logic.analysis import free_variables, quantifier_rank, validate
@@ -54,6 +53,14 @@ from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 from repro.telemetry.tracer import span as _span
 
 __all__ = ["Engine", "EngineStats", "Explanation", "ProfiledExplanation"]
+
+#: Plans kept in the engine's LRU plan cache.
+PLAN_CACHE_SIZE = 256
+
+#: Plans whose total estimated row count stays at or under this bound
+#: execute with the semijoin pre-filter switched off — for trivially
+#: small plans the filter's extra hash sets cost more than they save.
+SMALL_PLAN_ROWS = 2048
 
 
 @dataclass
@@ -109,7 +116,7 @@ class ProfiledExplanation(Explanation):
     """EXPLAIN ANALYZE: an :class:`Explanation` plus measured actuals.
 
     ``actuals`` maps ``id(plan node)`` to the columnar executor's
-    :class:`~repro.engine.executor.NodeActuals` (output rows, inclusive
+    :class:`~repro.engine.columnar.executor.NodeActuals` (output rows, inclusive
     seconds); ``answers`` is the executed result — identical to what
     :meth:`Engine.answers` returns for the same call; ``seconds`` is the
     end-to-end execution wall clock.
@@ -208,50 +215,29 @@ class Engine:
         Quantification domain for negation/quantifiers: ``"universe"``
         (default; agrees with the naive evaluator everywhere) or
         ``"active"`` (active-domain semantics).
-    plan_cache_size / answer_cache_size:
-        LRU capacities for the two caches; the answer cache's is also
-        the bound on maintained answer records.
-    degree_threshold:
-        Maximal Gaifman degree for the bounded-degree fast path.
-    fast_path_ball_limit:
-        The fast path only engages when the worst-case Hanf-radius ball
-        (``max_ball_size(degree, (3^qr − 1)/2)``) stays below this bound,
-        keeping the linear-time census genuinely cheap.
+    answer_cache_size:
+        LRU capacity of the answer cache, which is also the bound on
+        maintained answer records. The plan cache holds
+        :data:`PLAN_CACHE_SIZE` plans.
     fast_path_threshold:
-        Census-count truncation m for the fast path (Theorem 3.10).
-        ``None`` (default) keeps exact censuses, which is unconditionally
-        sound; a finite m lets structures of different sizes share table
-        entries (e.g. all large cycles), trading the formal guarantee for
-        the empirically validated cross-size reuse.
-    enable_fast_path:
-        Master switch for the Theorem 3.11 dispatch.
-    small_plan_rows:
-        Plans whose total estimated row count stays at or under this
-        bound execute with the semijoin pre-filter switched off — for
-        trivially small plans the filter's extra hash sets cost more
-        than they save. Set to 0 to always filter.
+        Census-count truncation m for :meth:`census_evaluator` (Theorem
+        3.10). ``None`` (default) keeps exact censuses, which is
+        unconditionally sound; a finite m lets structures of different
+        sizes share table entries (e.g. all large cycles), trading the
+        formal guarantee for the empirically validated cross-size reuse.
     """
 
     def __init__(
         self,
         domain: str = "universe",
-        plan_cache_size: int = 256,
         answer_cache_size: int = 1024,
-        degree_threshold: int = 3,
-        fast_path_ball_limit: int = 64,
         fast_path_threshold: int | None = None,
-        enable_fast_path: bool = True,
-        small_plan_rows: int = 2048,
     ) -> None:
         if domain not in ("universe", "active"):
             raise EvaluationError(f"domain must be 'universe' or 'active', got {domain!r}")
         self.domain_mode = domain
-        self.degree_threshold = degree_threshold
-        self.fast_path_ball_limit = fast_path_ball_limit
         self.fast_path_threshold = fast_path_threshold
-        self.enable_fast_path = enable_fast_path
-        self.small_plan_rows = small_plan_rows
-        self.plan_cache = LRUCache(plan_cache_size, name="plan")
+        self.plan_cache = LRUCache(PLAN_CACHE_SIZE, name="plan")
         self.answer_cache = LRUCache(answer_cache_size, name="answer")
         self._bounded_degree = LRUCache(64, name="bounded_degree")
         self._answer_index = AnswerIndex()
@@ -437,10 +423,12 @@ class Engine:
                 self.stats.fast_path_dispatches += 1
                 if _telemetry_enabled():
                     _counter("engine.fast_path.dispatches").inc()
-                evaluator = self._bounded_degree_evaluator(formula)
+                evaluator = self.census_evaluator(formula)
                 with _span("engine.fast_path"):
                     try:
-                        return evaluator.evaluate(structure, cancel_token=token)
+                        return evaluator.evaluate(
+                            structure, cancel_token=token, fallback=self._fast_path_fallback
+                        )
                     except LocalityError:  # pragma: no cover - decision guards this
                         pass
             return bool(self.answers(structure, formula, budget=token))
@@ -544,43 +532,40 @@ class Engine:
     def fast_path_decision(self, structure: Structure, formula: Formula) -> tuple[bool, str]:
         """Whether a bounded-degree census dispatch is sound *and* cheap.
 
-        Sound: sentence, constant-free structure, Gaifman degree within
-        the configured class bound (the theorem is about bounded-degree
-        classes). Cheap: the Hanf-radius ball-size bound stays under
-        ``fast_path_ball_limit``, so the linear-time census has a small
-        constant.
+        Sound: sentence, constant-free structure, Gaifman degree at most
+        ``DEGREE_BOUND`` (the theorem is about bounded-degree classes).
+        Cheap: the Hanf-radius ball-size bound stays under
+        ``BALL_LIMIT``, so the linear-time census has a small constant.
         """
-        if not self.enable_fast_path:
-            return False, "fast path disabled"
         if self.domain_mode != "universe":
             return False, "fast path requires universe semantics"
         if free_variables(formula):
             return False, "not a sentence"
-        if collect_stats(structure).has_constants:
+        stats = collect_stats(structure)
+        if stats.has_constants:
             return False, "structure interprets constants"
-        degree = collect_stats(structure).max_degree
-        if degree > self.degree_threshold:
-            return False, f"Gaifman degree {degree} exceeds bound {self.degree_threshold}"
+        degree = stats.max_degree
+        if degree > DEGREE_BOUND:
+            return False, f"Gaifman degree {degree} exceeds bound {DEGREE_BOUND}"
         radius = hanf_locality_radius(quantifier_rank(formula))
-        ball_bound = max_ball_size(self.degree_threshold, radius)
-        if ball_bound > self.fast_path_ball_limit:
+        ball_bound = max_ball_size(DEGREE_BOUND, radius)
+        if ball_bound > BALL_LIMIT:
             return False, (
                 f"ball bound {ball_bound} at Hanf radius {radius} exceeds "
-                f"limit {self.fast_path_ball_limit}"
+                f"limit {BALL_LIMIT}"
             )
         return True, (
-            f"degree {degree} ≤ {self.degree_threshold}, "
-            f"ball bound {ball_bound} ≤ {self.fast_path_ball_limit}"
+            f"degree {degree} ≤ {DEGREE_BOUND}, ball bound {ball_bound} ≤ {BALL_LIMIT}"
         )
 
-    def _bounded_degree_evaluator(self, sentence: Formula) -> BoundedDegreeEvaluator:
+    def census_evaluator(self, sentence: Formula) -> BoundedDegreeEvaluator:
+        """The engine's one census evaluator for ``sentence`` (a 64-entry
+        LRU), shared by the fast path and the fallback chain's census rung;
+        each passes its own table-miss fallback to ``evaluate``."""
         return self._bounded_degree.get_or_compute(
             sentence,
             lambda: BoundedDegreeEvaluator(
-                sentence,
-                degree_bound=self.degree_threshold,
-                threshold=self.fast_path_threshold,
-                fallback=self._fast_path_fallback,
+                sentence, degree_bound=DEGREE_BOUND, threshold=self.fast_path_threshold
             ),
         )
 
@@ -660,7 +645,7 @@ class Engine:
             domain,
             self.stats.execution,
             recorder=recorder,
-            semijoin_filtering=plan.total_estimated_rows() > self.small_plan_rows,
+            semijoin_filtering=plan.total_estimated_rows() > SMALL_PLAN_ROWS,
             cancel_token=cancel_token,
         )
         self.stats.executions += 1
@@ -676,11 +661,3 @@ class Engine:
         if relation.attributes != order_names:
             relation = relation.project(order_names)
         return relation.rows
-
-
-def relation_answers(
-    engine: Engine, structure: Structure, formula: Formula
-) -> Relation:
-    """The answer set as a named-column :class:`Relation` (sorted columns)."""
-    free = tuple(sorted(var.name for var in free_variables(formula)))
-    return Relation(free, engine.answers(structure, formula))

@@ -21,12 +21,16 @@ with no timing calls at all.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import MutableMapping
 
 from repro.errors import EvaluationError
 from repro.resilience.budget import CancelToken
+from repro.engine.columnar.executor import (
+    SEMIJOIN_THRESHOLD,
+    ExecutionStats,
+    NodeActuals,
+)
 from repro.engine.plan import (
     AntiJoin,
     AtomScan,
@@ -50,48 +54,6 @@ from repro.telemetry.metrics import histogram as _histogram
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 
 __all__ = ["Executor", "ExecutionStats", "NodeActuals"]
-
-#: Minimum input size before a join bothers with a semijoin pre-filter.
-SEMIJOIN_THRESHOLD = 64
-
-
-@dataclass
-class ExecutionStats:
-    """Row counters for one (or several) plan executions."""
-
-    rows_materialized: int = 0
-    joins: int = 0
-    semijoin_filters: int = 0
-    antijoins: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "rows_materialized": self.rows_materialized,
-            "joins": self.joins,
-            "semijoin_filters": self.semijoin_filters,
-            "antijoins": self.antijoins,
-        }
-
-    def _observe(self, relation: Relation) -> Relation:
-        self.rows_materialized += len(relation)
-        return relation
-
-
-@dataclass(frozen=True)
-class NodeActuals:
-    """What one plan node actually did: output rows and inclusive seconds.
-
-    ``seconds`` covers the node *and* its children (EXPLAIN ANALYZE's
-    convention for tree rendering); subtract child times for exclusive
-    cost.
-    """
-
-    rows: int
-    seconds: float
-
-    @property
-    def milliseconds(self) -> float:
-        return self.seconds * 1000.0
 
 
 class Executor:

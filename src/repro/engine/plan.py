@@ -268,7 +268,8 @@ def explain_plan(plan: Plan, indent: int = 0, actuals: Mapping | None = None) ->
 
     ``actuals`` is an optional EXPLAIN ANALYZE overlay: a mapping from
     ``id(node)`` to an object with ``rows`` and ``milliseconds``
-    attributes (the executor's :class:`~repro.engine.executor.NodeActuals`).
+    attributes (the executor's
+    :class:`~repro.engine.columnar.executor.NodeActuals`).
     Nodes present in the mapping render ``actual=... rows in ...ms``
     next to the planner's estimate (durations are inclusive of
     children); the others render ``fused into <step>`` (:func:`fused_steps`).

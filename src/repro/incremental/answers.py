@@ -85,7 +85,7 @@ from repro.logic.syntax import (
 )
 from repro.resilience.budget import CancelToken
 from repro.resilience.faults import fault_point
-from repro.structures.gaifman import ball, gaifman_adjacency
+from repro.structures.gaifman import ball
 from repro.structures.structure import Structure, _sort_key
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
@@ -97,7 +97,6 @@ __all__ = [
     "local_existential_scope",
     "hanf_scope",
     "PATCH_LIMIT",
-    "QUANT_BALL_LIMIT",
     "QUANT_WORK_LIMIT",
     "QUANT_EVAL_LIMIT",
     "VERDICT_CACHE_LIMIT",
@@ -109,10 +108,9 @@ __all__ = [
 PATCH_LIMIT = 2048
 
 #: Hanf-tier promotion requires ``min(max_ball_size(degree, 2r), n)``
-#: at most this large — the per-element key cost bound.
-QUANT_BALL_LIMIT = 64
-
-#: ... and ``n × ball_bound`` at most this — the total promotion cost.
+#: at most :data:`~repro.locality.bounded_degree.BALL_LIMIT` — the
+#: per-element key cost bound, the same ball limit as the engine's fast
+#: path — and ``n × ball_bound`` at most this, the total promotion cost.
 QUANT_WORK_LIMIT = 250_000
 
 #: At most this many representative evaluations per Hanf-tier patch.
@@ -593,15 +591,12 @@ def _seed(census: _Census, scope: _HanfScope, rows: frozenset) -> _Census:
 
 
 def _promotable(structure: Structure, scope: _HanfScope) -> bool:
+    from repro.locality.bounded_degree import BALL_LIMIT
     from repro.locality.neighborhoods import max_ball_size
 
     size = structure.size
-    if not size:
-        return False
-    adjacency = gaifman_adjacency(structure)
-    degree = max((len(nbrs) for nbrs in adjacency.values()), default=0)
-    bound = min(max_ball_size(degree, scope.key_radius), size)
-    return bound <= QUANT_BALL_LIMIT and size * bound <= QUANT_WORK_LIMIT
+    bound = min(max_ball_size(structure.max_degree(), scope.key_radius), size)
+    return bound <= BALL_LIMIT and size * bound <= QUANT_WORK_LIMIT
 
 
 # -- quantifier-free candidates ----------------------------------------------

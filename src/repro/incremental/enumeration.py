@@ -184,15 +184,15 @@ def _atom_streamable(formula: Formula) -> bool:
 def _types_applicable(
     engine, structure: Structure, formula: Formula, free_names: tuple[str, ...]
 ) -> bool:
-    from repro.engine.stats import collect_stats
+    from repro.locality.bounded_degree import BALL_LIMIT, DEGREE_BOUND
     from repro.locality.neighborhoods import max_ball_size
 
     if len(free_names) not in (1, 2) or engine.domain_mode != "universe":
         return False
     if structure.constants:
         return False
-    stats = collect_stats(structure)
-    if stats.max_degree > engine.degree_threshold:
+    degree = structure.max_degree()
+    if degree > DEGREE_BOUND:
         return False
     radius = _types_radius(formula)
     if len(free_names) == 2:
@@ -200,7 +200,7 @@ def _types_applicable(
         # skips up to |B_{2r+1}(a)| elements per far yield, so the
         # *separation* ball is what must stay constant-sized.
         radius = 2 * radius + 1
-    return max_ball_size(stats.max_degree, radius) <= engine.fast_path_ball_limit
+    return max_ball_size(degree, radius) <= BALL_LIMIT
 
 
 def _types_radius(formula: Formula) -> int:

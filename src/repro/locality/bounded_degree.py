@@ -19,6 +19,10 @@ G ⇆_r G', which for r ≥ (3^qr − 1)/2 implies agreement on φ
 (:func:`repro.locality.hanf.hanf_locality_radius`). A finite threshold m
 enables cross-size reuse via Theorem 3.10 and is validated empirically
 by the test suite.
+
+The module also declares, once, the bounded-degree class every locality
+path of the library serves: :data:`DEGREE_BOUND`, :data:`BALL_LIMIT`,
+:data:`CENSUS_MAX_RANK` and the census gate :func:`census_applicable`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import LocalityError
-from repro.eval.evaluator import evaluate
+from repro.eval.evaluator import evaluate as naive_evaluate
 from repro.resilience.budget import CancelToken
 from repro.locality.hanf import hanf_locality_radius
 from repro.locality.neighborhoods import (
@@ -36,14 +40,54 @@ from repro.locality.neighborhoods import (
     neighborhood_census,
     neighborhood_census_baseline,
 )
-from repro.logic.analysis import free_variables, quantifier_rank
+from repro.logic.analysis import constants_of, free_variables, quantifier_rank
 from repro.logic.syntax import Formula
 from repro.structures.structure import Structure
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 from repro.telemetry.tracer import span as _span
 
-__all__ = ["BoundedDegreeEvaluator", "census_key"]
+__all__ = [
+    "BALL_LIMIT",
+    "CENSUS_MAX_RANK",
+    "DEGREE_BOUND",
+    "BoundedDegreeEvaluator",
+    "census_applicable",
+    "census_key",
+]
+
+#: The class bound k: the locality paths serve structures of Gaifman
+#: degree at most this.
+DEGREE_BOUND = 3
+
+#: The largest r-ball a locality path keys per element — the fast path's
+#: worst-case Hanf ball ``max_ball_size(DEGREE_BOUND, r)``, enumeration's
+#: type or separation ball, and a Hanf record's pointed ball — so the
+#: linear-time census keeps a small constant.
+BALL_LIMIT = 64
+
+#: Quantifier-rank ceiling for answering by census: the sound Hanf
+#: radius is (3^qr − 1)/2, and past this rank the census of even a tiny
+#: structure degenerates to "the whole structure per ball" — legal but
+#: pointless.
+CENSUS_MAX_RANK = 4
+
+
+def census_applicable(structure: Structure, formula: Formula) -> tuple[bool, str]:
+    """``(ok, reason)``: is ``formula`` a constant-free sentence of rank at
+    most :data:`CENSUS_MAX_RANK`, and ``structure`` constant-free of
+    Gaifman degree at most :data:`DEGREE_BOUND`?"""
+    if free_variables(formula):
+        return False, "not a sentence"
+    if structure.constants or constants_of(formula):
+        return False, "constants present"
+    rank = quantifier_rank(formula)
+    if rank > CENSUS_MAX_RANK:
+        return False, f"quantifier rank {rank} > census cap {CENSUS_MAX_RANK}"
+    degree = structure.max_degree()
+    if degree > DEGREE_BOUND:
+        return False, f"Gaifman degree {degree} > bound {DEGREE_BOUND}"
+    return True, ""
 
 
 def census_key(census: Counter, threshold: int | None) -> tuple:
@@ -84,10 +128,6 @@ class BoundedDegreeEvaluator:
     threshold:
         Optional census truncation m (Theorem 3.10). ``None`` uses exact
         censuses, which is unconditionally sound.
-    fallback:
-        How to evaluate the sentence on a census-table miss. Defaults to
-        the naive evaluator; the query engine passes its own algebra
-        pipeline here so misses stay polynomial-friendly.
     census_mode:
         ``"fast"`` (default) uses the ball-key census pipeline of
         :func:`repro.locality.neighborhoods.neighborhood_census`;
@@ -96,7 +136,9 @@ class BoundedDegreeEvaluator:
 
     After a warm-up evaluation, any structure with a previously seen
     census is answered by a linear-time census computation plus a table
-    lookup — no formula evaluation at all. Experiment E10 measures the
+    lookup — no formula evaluation at all.  Each :meth:`evaluate` call
+    names its table-miss ``fallback``; all compute the same truth value,
+    so one table serves every caller. Experiment E10 measures the
     crossover against the naive O(n^qr) evaluator; E18 measures the
     keyed census against the per-element baseline.
     """
@@ -107,7 +149,6 @@ class BoundedDegreeEvaluator:
         degree_bound: int,
         radius: int | None = None,
         threshold: int | None = None,
-        fallback: Callable[[Structure, Formula], bool] | None = None,
         census_mode: str = "fast",
     ) -> None:
         free = free_variables(sentence)
@@ -128,7 +169,6 @@ class BoundedDegreeEvaluator:
         self.degree_bound = degree_bound
         self.radius = hanf_locality_radius(quantifier_rank(sentence)) if radius is None else radius
         self.threshold = threshold
-        self.fallback = fallback if fallback is not None else evaluate
         self.census_mode = census_mode
         self.registry = TypeRegistry()
         self.table: dict[tuple, bool] = {}
@@ -147,18 +187,23 @@ class BoundedDegreeEvaluator:
         )
 
     def evaluate(
-        self, structure: Structure, cancel_token: CancelToken | None = None
+        self,
+        structure: Structure,
+        cancel_token: CancelToken | None = None,
+        fallback: Callable[..., bool] = naive_evaluate,
     ) -> bool:
         """Decide structure ⊨ φ via the census table.
 
         ``cancel_token`` bounds the census loop and the table-miss
-        fallback; census-table hits are effectively free.
+        ``fallback(structure, sentence, cancel_token=...)`` decides a
+        miss; census-table hits are effectively free.
         """
         self._check_degree(structure)
         return self._decide(
             structure,
             self.census_of(structure, cancel_token=cancel_token),
-            cancel_token=cancel_token,
+            cancel_token,
+            fallback,
         )
 
     def evaluate_many(
@@ -178,7 +223,8 @@ class BoundedDegreeEvaluator:
             self._decide(
                 structure,
                 self.census_of(structure, cancel_token=cancel_token),
-                cancel_token=cancel_token,
+                cancel_token,
+                naive_evaluate,
             )
             for structure in structures
         ]
@@ -195,7 +241,8 @@ class BoundedDegreeEvaluator:
         self,
         structure: Structure,
         census: Counter,
-        cancel_token: CancelToken | None = None,
+        cancel_token: CancelToken | None,
+        fallback: Callable[..., bool],
     ) -> bool:
         key = census_key(census, self.threshold)
         cached = self.table.get(key)
@@ -208,14 +255,7 @@ class BoundedDegreeEvaluator:
         if _telemetry_enabled():
             _counter("locality.census_table.misses").inc()
         with _span("locality.census_table.fill"):
-            # Older fallbacks are two-argument callables; only budgeted
-            # calls pass the keyword, so those keep working unchanged.
-            if cancel_token is None:
-                value = bool(self.fallback(structure, self.sentence))
-            else:
-                value = bool(
-                    self.fallback(structure, self.sentence, cancel_token=cancel_token)
-                )
+            value = bool(fallback(structure, self.sentence, cancel_token=cancel_token))
         self.table[key] = value
         self.stats.censuses_seen = len(self.table)
         return value

@@ -219,19 +219,15 @@ class FallbackChain:
 # -- the default ladder: engine → census → naive ------------------------------
 
 
-def default_chain(
-    engine: Any | None = None,
-    degree_bound: int = 3,
-    census_max_rank: int = 4,
-    failure_threshold: int = 3,
-    cooldown_s: float = 30.0,
-) -> FallbackChain:
-    """The Theorem 3.11 degradation ladder.
+def default_chain(engine: Any | None = None) -> FallbackChain:
+    """The Theorem 3.11 degradation ladder over ``engine`` (default: fresh).
 
     1. ``engine`` — the planned/cached engine (fast path included);
-    2. ``bounded-degree`` — the linear-time census evaluator, for
-       constant-free sentences within the degree and rank caps, its
-       table misses answered by the budget-aware naive evaluator;
+    2. ``bounded-degree`` — for what
+       :func:`~repro.locality.bounded_degree.census_applicable` admits,
+       the engine's census evaluator for the sentence (the fast path's
+       table), its table misses answered by the budget-aware naive
+       evaluator;
     3. ``naive`` — the recursive reference evaluator, fault-free and
        budget-aware, the tier that always has an answer if the budget
        lets it finish.
@@ -240,12 +236,10 @@ def default_chain(
     # chain module must not import the engine at module load time.
     from repro.engine.engine import Engine
     from repro.eval.evaluator import answers as naive_answers
-    from repro.eval.evaluator import evaluate as naive_evaluate
-    from repro.locality.bounded_degree import BoundedDegreeEvaluator
-    from repro.logic.analysis import constants_of, free_variables, quantifier_rank
+    from repro.locality.bounded_degree import census_applicable
+    from repro.logic.analysis import free_variables
 
     engine = engine if engine is not None else Engine()
-    evaluators: dict[Formula, BoundedDegreeEvaluator] = {}
 
     def engine_rung(
         structure: Structure, formula: Formula, token: CancelToken | None
@@ -255,34 +249,10 @@ def default_chain(
         value = engine.evaluate(structure, formula, budget=token)
         return frozenset({()}) if value else frozenset()
 
-    def census_applicable(structure: Structure, formula: Formula) -> tuple[bool, str]:
-        if free_variables(formula):
-            return False, "not a sentence"
-        if structure.constants or constants_of(formula):
-            return False, "constants present"
-        rank = quantifier_rank(formula)
-        if rank > census_max_rank:
-            return False, f"quantifier rank {rank} > census cap {census_max_rank}"
-        degree = structure.max_degree()
-        if degree > degree_bound:
-            return False, f"Gaifman degree {degree} > bound {degree_bound}"
-        return True, ""
-
-    def census_fallback(
-        structure: Structure, sentence: Formula, cancel_token: CancelToken | None = None
-    ) -> bool:
-        return naive_evaluate(structure, sentence, cancel_token=cancel_token)
-
     def census_rung(
         structure: Structure, formula: Formula, token: CancelToken | None
     ) -> Answers:
-        evaluator = evaluators.get(formula)
-        if evaluator is None:
-            evaluator = BoundedDegreeEvaluator(
-                formula, degree_bound=degree_bound, fallback=census_fallback
-            )
-            evaluators[formula] = evaluator
-        value = evaluator.evaluate(structure, cancel_token=token)
+        value = engine.census_evaluator(formula).evaluate(structure, cancel_token=token)
         return frozenset({()}) if value else frozenset()
 
     def naive_rung(
@@ -296,8 +266,6 @@ def default_chain(
             Rung("bounded-degree", census_rung, census_applicable),
             Rung("naive", naive_rung),
         ],
-        failure_threshold=failure_threshold,
-        cooldown_s=cooldown_s,
         name="default",
     )
 

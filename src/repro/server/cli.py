@@ -53,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request materialized-row budget for every tenant",
     )
     parser.add_argument(
-        "--degree-bound",
-        type=int,
-        default=3,
-        help="degree bound for the census rung of every tenant chain",
-    )
-    parser.add_argument(
         "--fault-inject",
         type=int,
         default=None,
@@ -149,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
 
     service = QueryService(
         default_budget=default_budget,
-        degree_bound=args.degree_bound,
         trace_sample=args.trace_sample,
         access_log=open_access_log(args.access_log, slow_ms=args.slow_ms),
         readonly=args.readonly,

@@ -256,10 +256,8 @@ class QueryService:
         their own spec (and to auto-created tenants). ``None`` means
         unbudgeted unless the request itself carries limits.
     engine:
-        The shared engine; defaults to a fresh one. Its caches are the
-        cross-tenant plan/answer caches.
-    degree_bound:
-        Degree bound for the census rung of every tenant chain.
+        The shared engine; defaults to a fresh one. Its caches and census
+        evaluators serve every tenant and every tenant chain.
     auto_register:
         When true (default), a request naming an unknown tenant creates
         a session with the default budget — the multi-tenant analogue of
@@ -284,7 +282,6 @@ class QueryService:
         self,
         default_budget: Budget | None = None,
         engine: Engine | None = None,
-        degree_bound: int = 3,
         auto_register: bool = True,
         max_page_size: int = MAX_PAGE_SIZE,
         trace_sample: float | None = None,
@@ -293,7 +290,6 @@ class QueryService:
     ) -> None:
         self.engine = engine if engine is not None else Engine()
         self.default_budget = default_budget
-        self.degree_bound = degree_bound
         self.auto_register = auto_register
         self.max_page_size = min(max_page_size, MAX_PAGE_SIZE)
         self.trace_sample = trace_sample
@@ -355,7 +351,7 @@ class QueryService:
             session = TenantSession(
                 name,
                 budget if budget is not None else self.default_budget,
-                default_chain(engine=self.engine, degree_bound=self.degree_bound),
+                default_chain(engine=self.engine),
             )
             self.tenants[name] = session
             return session

@@ -375,8 +375,8 @@ class Structure:
         next use instead of re-reading the whole structure.  Active-domain
         columnar entries are dropped (the active domain itself moves
         under updates, so their key would go stale anyway), as is
-        everything else (WL colors, engine stats): each owner recomputes
-        on demand.
+        everything else (WL colors, engine stats, the max degree): each
+        owner recomputes on demand.
         """
         patched: dict = {}
         for key, value in self._cache.items():
@@ -565,12 +565,17 @@ class Structure:
 
         This is the ``k`` of bounded-degree classes in Theorems 3.10/3.11.
         Computed from the Gaifman graph, so it is well defined for every
-        signature, not just graphs.
+        signature, not just graphs, and memoized under ``("max-degree",)``
+        (updates drop it).
         """
-        from repro.structures.gaifman import gaifman_adjacency
 
-        adjacency = gaifman_adjacency(self)
-        return max((len(neighbors) for neighbors in adjacency.values()), default=0)
+        def compute() -> int:
+            from repro.structures.gaifman import gaifman_adjacency
+
+            adjacency = gaifman_adjacency(self)
+            return max((len(neighbors) for neighbors in adjacency.values()), default=0)
+
+        return self.cached(("max-degree",), compute)  # type: ignore[return-value]
 
     def is_graph(self) -> bool:
         """Whether the structure is over the one-binary-relation signature."""

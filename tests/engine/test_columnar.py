@@ -15,6 +15,7 @@ import pickle
 from hypothesis import given, settings
 
 from strategies import conformance_cases
+import repro.engine.engine as engine_module
 from repro import telemetry
 from repro.engine import ColumnarExecutor, Engine
 from repro.engine.columnar.codec import PACK_MAX_ARITY, DomainCodec, codec_for
@@ -227,12 +228,13 @@ class TestModeSelection:
 
 
 class TestExecutorParity:
-    def test_semijoin_prefilter_counts_like_the_tuple_executor(self):
+    def test_semijoin_prefilter_counts_like_the_tuple_executor(self, monkeypatch):
         graph = random_graph(12, 0.6, seed=3)
         unfiltered = Engine()
         unfiltered.answers(graph, DISTANCE_TWO)
         assert unfiltered.stats.execution.semijoin_filters == 0
-        filtered = Engine(small_plan_rows=0)
+        monkeypatch.setattr(engine_module, "SMALL_PLAN_ROWS", 0)
+        filtered = Engine()
         filtered.answers(graph, DISTANCE_TWO)
         assert filtered.stats.execution.semijoin_filters > 0
         assert filtered.answers(graph, DISTANCE_TWO) == unfiltered.answers(

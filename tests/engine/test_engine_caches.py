@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.engine.engine as engine_module
 from repro.engine import Engine, LRUCache
 from repro.errors import BudgetExceededError
 from repro.eval.evaluator import answers as naive_answers
@@ -189,11 +190,6 @@ class TestBoundedDegreeDispatch:
         assert not dispatch
         assert reason == "not a sentence"
 
-    def test_disabled_engine_does_not(self):
-        engine = Engine(enable_fast_path=False)
-        dispatch, _ = engine.fast_path_decision(undirected_cycle(10), MUTUAL)
-        assert not dispatch
-
     def test_dispatch_agrees_with_naive_across_family(self):
         engine = Engine()
         for n in range(3, 10):
@@ -224,6 +220,39 @@ class TestBoundedDegreeDispatch:
         assert evaluator is not None
         assert evaluator.stats.hits >= 3
 
+    def test_warm_dispatch_reads_the_memoized_degree(self, monkeypatch):
+        # A census-memo hit plus a table hit must not rescan the Gaifman
+        # adjacency for the degree check.
+        import repro.structures.gaifman as gaifman_module
+
+        engine = Engine()
+        cycle = undirected_cycle(40)
+        assert engine.evaluate(cycle, MUTUAL)
+        calls = []
+        adjacency = gaifman_module.gaifman_adjacency
+
+        def counting(structure):
+            calls.append(structure)
+            return adjacency(structure)
+
+        monkeypatch.setattr(gaifman_module, "gaifman_adjacency", counting)
+        for _ in range(10):
+            assert engine.evaluate(cycle, MUTUAL)
+        assert engine.stats.fast_path_dispatches == 11
+        assert calls == []
+
+    def test_updates_drop_the_degree_memo(self):
+        engine = Engine()
+        cycle = undirected_cycle(10)
+        assert cycle.max_degree() == 2
+        assert engine.fast_path_decision(cycle, MUTUAL)[0]
+        for target in (3, 5, 7):
+            cycle.insert("E", (0, target))
+        assert cycle.max_degree() == 5
+        dispatch, reason = engine.fast_path_decision(cycle, MUTUAL)
+        assert not dispatch
+        assert "exceeds bound" in reason
+
     def test_fast_path_miss_uses_algebra_not_naive(self):
         engine = Engine()
         cycle = undirected_cycle(9)
@@ -235,19 +264,21 @@ class TestBoundedDegreeDispatch:
 
 class TestSmallPlanShortCircuit:
     def test_small_plans_skip_semijoin_filter(self):
-        engine = Engine()  # default small_plan_rows keeps small plans unfiltered
+        engine = Engine()  # SMALL_PLAN_ROWS keeps small plans unfiltered
         graph = random_graph(12, 0.6, seed=3)
         engine.answers(graph, DISTANCE_TWO)
         assert engine.stats.execution.semijoin_filters == 0
 
-    def test_threshold_zero_restores_filtering(self):
-        filtered = Engine(small_plan_rows=0)
+    def test_threshold_zero_restores_filtering(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "SMALL_PLAN_ROWS", 0)
+        filtered = Engine()
         graph = random_graph(12, 0.6, seed=3)
         filtered.answers(graph, DISTANCE_TWO)
         assert filtered.stats.execution.semijoin_filters > 0
 
-    def test_answers_unaffected_by_short_circuit(self):
+    def test_answers_unaffected_by_short_circuit(self, monkeypatch):
         graph = random_graph(12, 0.6, seed=3)
-        assert Engine(small_plan_rows=0).answers(graph, DISTANCE_TWO) == Engine(
-            small_plan_rows=10**9
-        ).answers(graph, DISTANCE_TWO)
+        monkeypatch.setattr(engine_module, "SMALL_PLAN_ROWS", 0)
+        filtered = Engine().answers(graph, DISTANCE_TWO)
+        monkeypatch.setattr(engine_module, "SMALL_PLAN_ROWS", 10**9)
+        assert filtered == Engine().answers(graph, DISTANCE_TWO)
