@@ -51,7 +51,7 @@ from repro.locality.bounded_degree import (
     BoundedDegreeEvaluator,
     census_applicable,
 )
-from repro.logic.analysis import constants_of, free_variables
+from repro.logic.analysis import analyze
 from repro.logic.syntax import Formula
 from repro.resilience.budget import CancelToken
 from repro.resilience.fallback import default_chain
@@ -167,7 +167,7 @@ def _engine_backend() -> Backend:
     def compute(
         structure: Structure, formula: Formula, token: CancelToken | None = None
     ) -> Answers:
-        if free_variables(formula):
+        if analyze(formula).names:
             return engine.answers(structure, formula, budget=token)
         # evaluate() (not answers()) so the Theorem 3.11 fast-path
         # dispatch is part of the differential surface.
@@ -186,9 +186,10 @@ def _circuit_backend() -> Backend:
     compiled: dict[tuple, object] = {}
 
     def applicable(structure: Structure, formula: Formula) -> tuple[bool, str]:
-        if free_variables(formula):
+        analysis = analyze(formula)
+        if analysis.names:
             return False, "not a sentence"
-        if structure.signature.constants or constants_of(formula):
+        if structure.signature.constants or analysis.constants:
             return False, "constants present"
         return True, ""
 
@@ -352,9 +353,7 @@ def remote_backend(base_url: str, tenant: str = "conformance") -> Backend:
                     # concrete syntax can fold a free variable away (the
                     # parser simplifies ``false & P(y)`` to ``false``), and
                     # the in-process backends answer the unfolded AST.
-                    "free_variables": sorted(
-                        var.name for var in free_variables(formula)
-                    ),
+                    "free_variables": list(analyze(formula).names),
                 },
             )
             if status != 200:

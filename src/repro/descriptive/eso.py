@@ -18,7 +18,7 @@ from collections.abc import Mapping
 
 from repro.errors import BudgetExceededError, FormulaError
 from repro.eval.evaluator import evaluate
-from repro.logic.analysis import free_variables
+from repro.logic.analysis import analyze
 from repro.logic.parser import parse
 from repro.logic.syntax import Formula
 from repro.structures.gaifman import gaifman_adjacency
@@ -37,9 +37,8 @@ class ESOSentence:
     """
 
     def __init__(self, guessed: Mapping[str, int], matrix: Formula) -> None:
-        free = free_variables(matrix)
-        if free:
-            names = sorted(var.name for var in free)
+        names = list(analyze(matrix).names)
+        if names:
             raise FormulaError(f"ESO matrix must be a sentence; free: {names}")
         if not guessed:
             raise FormulaError("an ESO sentence must guess at least one relation")

@@ -45,7 +45,7 @@ from repro.eval.evaluator import answers as naive_answers
 from repro.locality.bounded_degree import BALL_LIMIT, DEGREE_BOUND, BoundedDegreeEvaluator
 from repro.locality.hanf import hanf_locality_radius
 from repro.locality.neighborhoods import max_ball_size
-from repro.logic.analysis import free_variables, quantifier_rank, validate
+from repro.logic.analysis import analyze, validate
 from repro.logic.syntax import Formula, Var
 from repro.structures.structure import Element, Structure
 from repro.telemetry.metrics import counter as _counter
@@ -280,19 +280,12 @@ class Engine:
         it.
         """
         token = as_token(budget)
-        free = free_variables(formula)
-        sorted_names = tuple(sorted(var.name for var in free))
-        if free_order is None:
-            order_names = sorted_names
-        else:
-            order_names = tuple(var.name for var in free_order)
-            missing = {var.name for var in free} - set(order_names)
-            if missing:
-                raise EvaluationError(f"free_order omits free variables {sorted(missing)}")
-            if len(set(order_names)) != len(order_names):
-                # Duplicated answer columns have bespoke naive semantics;
-                # defer to the reference implementation for this corner.
-                return naive_answers(structure, formula, free_order, cancel_token=token)
+        sorted_names = analyze(formula).names
+        order_names = _columns(sorted_names, free_order)
+        if len(set(order_names)) != len(order_names):
+            # Duplicated answer columns have bespoke naive semantics;
+            # defer to the reference implementation for this corner.
+            return naive_answers(structure, formula, free_order, cancel_token=token)
 
         with structure.lock:
             # Read the epoch before any work: rows computed while a write
@@ -342,8 +335,7 @@ class Engine:
         """
         if self.domain_mode != "universe":
             return None
-        names = tuple(sorted(var.name for var in free_variables(formula)))
-        key = (structure.uid, formula, names)
+        key = (structure.uid, formula, analyze(formula).names)
         with structure.lock:
             record = self.answer_cache.peek(key)
             if record is None:
@@ -402,18 +394,18 @@ class Engine:
         """Decide A ⊨ φ[assignment] — same contract as the naive
         :func:`repro.eval.evaluator.evaluate`."""
         token = as_token(budget)
-        free = free_variables(formula)
-        if free:
+        names = analyze(formula).names
+        if names:
             env = dict(assignment or {})
-            missing = sorted(var.name for var in free if var not in env)
+            order = tuple(Var(name) for name in names)
+            missing = [var.name for var in order if var not in env]
             if missing:
                 raise EvaluationError(f"free variables {missing} have no binding")
-            for var in free:
+            for var in order:
                 if env[var] not in structure:
                     raise EvaluationError(
                         f"assignment binds {var.name!r} to {env[var]!r}, not in universe"
                     )
-            order = tuple(sorted(free, key=lambda var: var.name))
             values = tuple(env[var] for var in order)
             return values in self.answers(structure, formula, budget=token)
 
@@ -468,19 +460,10 @@ class Engine:
         estimate-vs-actual misplanning is visible node by node; nodes the
         pipeline fused into another step are marked as such.
         """
-        free = free_variables(formula)
-        sorted_names = tuple(sorted(var.name for var in free))
-        if free_order is None:
-            order_names = sorted_names
-        else:
-            order_names = tuple(var.name for var in free_order)
-            missing = {var.name for var in free} - set(order_names)
-            if missing:
-                raise EvaluationError(f"free_order omits free variables {sorted(missing)}")
-            if len(set(order_names)) != len(order_names):
-                raise EvaluationError(
-                    "profile does not support duplicated free_order columns"
-                )
+        sorted_names = analyze(formula).names
+        order_names = _columns(sorted_names, free_order)
+        if len(set(order_names)) != len(order_names):
+            raise EvaluationError("profile does not support duplicated free_order columns")
         recorder: dict[int, NodeActuals] = {}
         with structure.lock:
             plan, normalized = self._plan_for(structure, formula)
@@ -539,7 +522,8 @@ class Engine:
         """
         if self.domain_mode != "universe":
             return False, "fast path requires universe semantics"
-        if free_variables(formula):
+        analysis = analyze(formula)
+        if analysis.names:
             return False, "not a sentence"
         stats = collect_stats(structure)
         if stats.has_constants:
@@ -547,7 +531,7 @@ class Engine:
         degree = stats.max_degree
         if degree > DEGREE_BOUND:
             return False, f"Gaifman degree {degree} exceeds bound {DEGREE_BOUND}"
-        radius = hanf_locality_radius(quantifier_rank(formula))
+        radius = hanf_locality_radius(analysis.rank)
         ball_bound = max_ball_size(DEGREE_BOUND, radius)
         if ball_bound > BALL_LIMIT:
             return False, (
@@ -591,12 +575,11 @@ class Engine:
                 validate(formula, structure.signature)
                 with _span("engine.normalize"):
                     normalized = normalize(formula)
-                wanted = tuple(sorted(var.name for var in free_variables(formula)))
                 planner = Planner(stats, len(self._domain_values(structure)))
                 self.stats.plans_built += 1
                 if _telemetry_enabled():
                     _counter("engine.plans_built").inc()
-                plan = planner.plan(normalized, wanted)
+                plan = planner.plan(normalized, analyze(formula).names)
                 plan_span.set("estimated_rows", plan.total_estimated_rows())
                 return plan, normalized
 
@@ -661,3 +644,17 @@ class Engine:
         if relation.attributes != order_names:
             relation = relation.project(order_names)
         return relation.rows
+
+
+def _columns(
+    names: tuple[str, ...], free_order: tuple[Var, ...] | None
+) -> tuple[str, ...]:
+    """The answer columns of a call: ``free_order``'s names, which must
+    cover every free variable, or the sorted free ``names`` without one."""
+    if free_order is None:
+        return names
+    order_names = tuple(var.name for var in free_order)
+    missing = set(names) - set(order_names)
+    if missing:
+        raise EvaluationError(f"free_order omits free variables {sorted(missing)}")
+    return order_names

@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import EvaluationError, FormulaError
-from repro.logic.analysis import free_variables, validate
+from repro.logic.analysis import analyze, validate
 from repro.logic.signature import Signature
 from repro.logic.syntax import (
     And,
@@ -167,9 +167,8 @@ def compile_query(formula: Formula, signature: Signature, n: int) -> Circuit:
         raise EvaluationError(f"domain size must be at least 1, got {n}")
     if signature.constants:
         raise EvaluationError("circuit compilation requires a constant-free signature")
-    free = free_variables(formula)
-    if free:
-        names = sorted(var.name for var in free)
+    names = list(analyze(formula).names)
+    if names:
         raise FormulaError(f"circuit compilation requires a sentence; free: {names}")
     validate(formula, signature)
 

@@ -71,14 +71,13 @@ from collections import Counter, deque
 from repro.errors import FMTError
 from repro.eval.evaluator import evaluate as naive_evaluate
 from repro.incremental.census import dirty_set, rekey
-from repro.logic.analysis import free_variables, quantifier_rank, subformulas
+from repro.logic.analysis import analyze, subformulas
 from repro.logic.syntax import (
     And,
     Atom,
     Const,
     Eq,
     Exists,
-    Forall,
     Formula,
     Or,
     Var,
@@ -93,7 +92,6 @@ from repro.telemetry.tracer import span as _span
 
 __all__ = [
     "AnswerIndex",
-    "is_maintainable",
     "local_existential_scope",
     "hanf_scope",
     "PATCH_LIMIT",
@@ -120,13 +118,6 @@ QUANT_EVAL_LIMIT = 256
 VERDICT_CACHE_LIMIT = 4096
 
 
-def is_maintainable(formula: Formula) -> bool:
-    """Whether the formula is quantifier-free (the strongest tier)."""
-    return not any(
-        isinstance(node, (Exists, Forall)) for node in subformulas(formula)
-    )
-
-
 # -- scope classification -----------------------------------------------------
 
 
@@ -136,8 +127,8 @@ class _QfScope:
     __slots__ = ("names",)
     tier = "qf"
 
-    def __init__(self, formula: Formula) -> None:
-        self.names = tuple(sorted(var.name for var in free_variables(formula)))
+    def __init__(self, names: tuple[str, ...]) -> None:
+        self.names = names
 
 
 class _LocalScope:
@@ -163,17 +154,6 @@ class _HanfScope:
         self.name = name
         self.radius = radius
         self.key_radius = key_radius
-
-
-def _mentions_constant(formula: Formula) -> bool:
-    for node in subformulas(formula):
-        if isinstance(node, Atom):
-            if any(isinstance(term, Const) for term in node.terms):
-                return True
-        elif isinstance(node, Eq):
-            if isinstance(node.left, Const) or isinstance(node.right, Const):
-                return True
-    return False
 
 
 def _anchored_pairs(formula: Formula) -> set[frozenset]:
@@ -219,20 +199,22 @@ def local_existential_scope(formula: Formula) -> _LocalScope | None:
     from x (k = number of witnesses): each edge of an anchoring path
     joins values that co-occur in a row that holds.
     """
-    free = free_variables(formula)
-    if len(free) != 1:
+    analysis = analyze(formula)
+    if len(analysis.names) != 1:
         return None
-    name = next(iter(free)).name
+    (name,) = analysis.names
     witnesses: list[str] = []
     body: Formula = formula
     while isinstance(body, Exists):
         witnesses.append(body.var.name)
         body = body.body
-    if not witnesses or not is_maintainable(body):
+    # The body is quantifier-free iff the prefix is the whole rank, and
+    # the prefix binds variables only, so the constants are the body's.
+    if not witnesses or analysis.rank != len(witnesses):
         return None
     if len(set(witnesses)) != len(witnesses) or name in witnesses:
         return None
-    if _mentions_constant(body):
+    if analysis.constants:
         return None
     adjacency: dict[str, set[str]] = {}
     for pair in _anchored_pairs(body):
@@ -260,21 +242,18 @@ def hanf_scope(formula: Formula) -> _HanfScope | None:
     """
     from repro.locality.hanf import hanf_locality_radius
 
-    if is_maintainable(formula):
+    analysis = analyze(formula)
+    if analysis.rank == 0 or len(analysis.names) > 1 or analysis.constants:
         return None
-    free = free_variables(formula)
-    if len(free) > 1:
-        return None
-    if _mentions_constant(formula):
-        return None
-    radius = hanf_locality_radius(quantifier_rank(formula) + 1)
-    name = next(iter(free)).name if free else None
+    radius = hanf_locality_radius(analysis.rank + 1)
+    name = analysis.names[0] if analysis.names else None
     return _HanfScope(name, radius, 2 * radius)
 
 
 def _classify(formula: Formula) -> _QfScope | _LocalScope | _HanfScope | None:
-    if is_maintainable(formula):
-        return _QfScope(formula)
+    analysis = analyze(formula)
+    if analysis.rank == 0:
+        return _QfScope(analysis.names)
     return local_existential_scope(formula) or hanf_scope(formula)
 
 

@@ -55,7 +55,7 @@ from collections.abc import Iterator
 
 from repro.errors import StaleStreamError
 from repro.eval.evaluator import evaluate as naive_evaluate
-from repro.logic.analysis import free_variables, quantifier_rank
+from repro.logic.analysis import analyze
 from repro.logic.syntax import Atom, Formula, Var
 from repro.resilience.budget import CancelToken
 from repro.structures.structure import Structure, _sort_key
@@ -128,7 +128,7 @@ def plan_enumeration(
     cancel_token: CancelToken | None,
 ) -> AnswerStream:
     """Choose a strategy and build the stream (see module docstring)."""
-    free_names = tuple(sorted(var.name for var in free_variables(formula)))
+    free_names = analyze(formula).names
     started = time.perf_counter()
     with _span("incremental.enumerate.preprocess") as prep_span:
         mode, iterator = _build(engine, structure, formula, free_names, cancel_token)
@@ -206,7 +206,7 @@ def _types_applicable(
 def _types_radius(formula: Formula) -> int:
     from repro.locality.gaifman_locality import gaifman_locality_radius
 
-    return gaifman_locality_radius(quantifier_rank(formula))
+    return gaifman_locality_radius(analyze(formula).rank)
 
 
 def _types_preprocess(

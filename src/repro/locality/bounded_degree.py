@@ -40,7 +40,7 @@ from repro.locality.neighborhoods import (
     neighborhood_census,
     neighborhood_census_baseline,
 )
-from repro.logic.analysis import constants_of, free_variables, quantifier_rank
+from repro.logic.analysis import analyze
 from repro.logic.syntax import Formula
 from repro.structures.structure import Structure
 from repro.telemetry.metrics import counter as _counter
@@ -77,13 +77,13 @@ def census_applicable(structure: Structure, formula: Formula) -> tuple[bool, str
     """``(ok, reason)``: is ``formula`` a constant-free sentence of rank at
     most :data:`CENSUS_MAX_RANK`, and ``structure`` constant-free of
     Gaifman degree at most :data:`DEGREE_BOUND`?"""
-    if free_variables(formula):
+    analysis = analyze(formula)
+    if analysis.names:
         return False, "not a sentence"
-    if structure.constants or constants_of(formula):
+    if structure.constants or analysis.constants:
         return False, "constants present"
-    rank = quantifier_rank(formula)
-    if rank > CENSUS_MAX_RANK:
-        return False, f"quantifier rank {rank} > census cap {CENSUS_MAX_RANK}"
+    if analysis.rank > CENSUS_MAX_RANK:
+        return False, f"quantifier rank {analysis.rank} > census cap {CENSUS_MAX_RANK}"
     degree = structure.max_degree()
     if degree > DEGREE_BOUND:
         return False, f"Gaifman degree {degree} > bound {DEGREE_BOUND}"
@@ -151,10 +151,11 @@ class BoundedDegreeEvaluator:
         threshold: int | None = None,
         census_mode: str = "fast",
     ) -> None:
-        free = free_variables(sentence)
-        if free:
-            names = sorted(var.name for var in free)
-            raise LocalityError(f"bounded-degree evaluation needs a sentence; free: {names}")
+        analysis = analyze(sentence)
+        if analysis.names:
+            raise LocalityError(
+                f"bounded-degree evaluation needs a sentence; free: {list(analysis.names)}"
+            )
         if degree_bound < 0:
             raise LocalityError(f"degree bound must be non-negative, got {degree_bound}")
         if radius is not None and radius < 0:
@@ -167,7 +168,7 @@ class BoundedDegreeEvaluator:
             )
         self.sentence = sentence
         self.degree_bound = degree_bound
-        self.radius = hanf_locality_radius(quantifier_rank(sentence)) if radius is None else radius
+        self.radius = hanf_locality_radius(analysis.rank) if radius is None else radius
         self.threshold = threshold
         self.census_mode = census_mode
         self.registry = TypeRegistry()

@@ -8,6 +8,7 @@ Ehrenfeucht–Fraïssé theorem ties to the number of game rounds.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 from repro.errors import FormulaError, SignatureError
 from repro.logic.signature import Signature
@@ -29,6 +30,8 @@ from repro.logic.syntax import (
 )
 
 __all__ = [
+    "Analysis",
+    "analyze",
     "quantifier_rank",
     "free_variables",
     "all_variables",
@@ -129,9 +132,8 @@ def is_sentence(formula: Formula) -> bool:
 
 def require_sentence(formula: Formula) -> Formula:
     """Return ``formula`` unchanged, raising if it has free variables."""
-    free = free_variables(formula)
-    if free:
-        names = sorted(var.name for var in free)
+    names = list(analyze(formula).names)
+    if names:
         raise FormulaError(f"expected a sentence, but variables {names} occur free")
     return formula
 
@@ -183,21 +185,56 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
             stack.append(node.body)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What a formula fixes before it meets a structure: ``names``, its
+    free variables sorted (every evaluator's answer-column order);
+    ``rank``, qr(φ); ``constants``, as :func:`constants_of`; ``atoms``,
+    the first atom of each (relation, arity) in :func:`subformulas`
+    order, all :func:`validate` checks (later ones fail with the first).
+    """
+
+    names: tuple[str, ...]
+    rank: int
+    constants: frozenset[str]
+    atoms: tuple[Atom, ...]
+
+
+def analyze(formula: Formula) -> Analysis:
+    """The :class:`Analysis` of ``formula``, walked on the first call
+    only and kept on the node (equality and hashing ignore it), so it
+    lives as long as the formula and no store keyed by formulas grows."""
+    record = formula.__dict__.get("_analysis")
+    if record is None:
+        atoms: dict[tuple[str, int], Atom] = {}
+        for node in subformulas(formula):
+            if isinstance(node, Atom):
+                atoms.setdefault((node.relation, len(node.terms)), node)
+        record = Analysis(
+            names=tuple(sorted(var.name for var in free_variables(formula))),
+            rank=quantifier_rank(formula),
+            constants=constants_of(formula),
+            atoms=tuple(atoms.values()),
+        )
+        object.__setattr__(formula, "_analysis", record)
+    return record
+
+
 def validate(formula: Formula, signature: Signature) -> None:
     """Check that ``formula`` is well-formed over ``signature``.
 
-    Verifies that every atom uses a declared relation at the declared
-    arity and that every constant is declared. Raises
-    :class:`SignatureError` on the first violation.
+    Verifies, on the :func:`analyze` record, that every atom uses a
+    declared relation at the declared arity and that every constant is
+    declared. Raises :class:`SignatureError` on the first violation.
     """
-    for node in subformulas(formula):
-        if isinstance(node, Atom):
-            arity = signature.arity(node.relation)
-            if len(node.terms) != arity:
-                raise SignatureError(
-                    f"atom {node!r} has {len(node.terms)} arguments, "
-                    f"but {node.relation!r} has arity {arity}"
-                )
-    for name in constants_of(formula):
+    record = analyze(formula)
+    for atom in record.atoms:
+        arity = signature.arity(atom.relation)
+        if len(atom.terms) != arity:
+            raise SignatureError(
+                f"atom {atom!r} has {len(atom.terms)} arguments, "
+                f"but {atom.relation!r} has arity {arity}"
+            )
+    for name in record.constants:
         if not signature.has_constant(name):
             raise SignatureError(f"constant {name!r} is not declared in {signature!r}")

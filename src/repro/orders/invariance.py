@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import FMTError, FormulaError
 from repro.eval.evaluator import evaluate
-from repro.logic.analysis import free_variables
+from repro.logic.analysis import analyze
 from repro.logic.syntax import Formula
 from repro.structures.structure import Element, Structure
 
@@ -107,9 +107,8 @@ def order_invariance_counterexample(
     invariance on this structure when the universe is small enough for
     exhaustive enumeration, and strong evidence otherwise.
     """
-    free = free_variables(sentence)
-    if free:
-        names = sorted(var.name for var in free)
+    names = list(analyze(sentence).names)
+    if names:
         raise FormulaError(f"order invariance concerns sentences; free: {names}")
     witness_true: Structure | None = None
     witness_false: Structure | None = None

@@ -14,7 +14,8 @@ its applicability predicate says no or when its :class:`CircuitBreaker`
 is open (too many consecutive failures — stop hammering a tier that is
 over budget for this workload and go straight to the next one; after a
 cooldown one probe call half-opens it again). Every degradation is
-recorded in ``resilience.*`` telemetry counters.
+recorded in ``resilience.*`` telemetry counters and in the calling
+request's own list; the chain keeps breakers, not history.
 
 Fault points are armed (:func:`repro.resilience.faults.arm_faults`) only
 around *degradable* rungs — every rung except the last — so under
@@ -112,12 +113,11 @@ class Rung:
 
 @dataclass
 class Degradation:
-    """One recorded step down the ladder (kept for introspection/tests).
+    """One step down the ladder, in its caller's list.
 
     ``trace_id`` is the request context active when the rung failed
-    (``None`` outside a request scope), so a degradation observed in the
-    chain joins the access-log line and span tree of the request that
-    caused it.
+    (``None`` outside a request scope), so a degradation joins the
+    access-log line and span tree of the request that caused it.
     """
 
     rung: str
@@ -158,19 +158,20 @@ class FallbackChain:
             rung.name: CircuitBreaker(failure_threshold, cooldown_s)
             for rung in self.rungs
         }
-        self.degradations: list[Degradation] = []
 
     def answers(
         self,
         structure: Structure,
         formula: Formula,
         budget: Budget | CancelToken | None = None,
+        degradations: list[Degradation] | None = None,
     ) -> Answers:
         """ans(φ, A) through the first rung that stays within budget.
 
         Raises the last rung's :class:`BudgetExceededError` when every
         applicable rung is over budget — the typed "I could not afford
         this query" outcome, never a hang and never a wrong answer.
+        Each rung over budget adds a :class:`Degradation` to ``degradations``.
         """
         token = as_token(budget)
         last_error: BudgetExceededError | None = None
@@ -194,9 +195,10 @@ class FallbackChain:
                 except BudgetExceededError as error:
                     breaker.record_failure()
                     last_error = error
-                    self.degradations.append(
-                        Degradation(rung.name, str(error), current_trace_id())
-                    )
+                    if degradations is not None:
+                        degradations.append(
+                            Degradation(rung.name, str(error), current_trace_id())
+                        )
                     if _telemetry_enabled():
                         _counter(f"resilience.{self.name}.degradations").inc()
                         _counter("resilience.degradations", rung=rung.name).inc()
@@ -237,14 +239,14 @@ def default_chain(engine: Any | None = None) -> FallbackChain:
     from repro.engine.engine import Engine
     from repro.eval.evaluator import answers as naive_answers
     from repro.locality.bounded_degree import census_applicable
-    from repro.logic.analysis import free_variables
+    from repro.logic.analysis import analyze
 
     engine = engine if engine is not None else Engine()
 
     def engine_rung(
         structure: Structure, formula: Formula, token: CancelToken | None
     ) -> Answers:
-        if free_variables(formula):
+        if analyze(formula).names:
             return engine.answers(structure, formula, budget=token)
         value = engine.evaluate(structure, formula, budget=token)
         return frozenset({()}) if value else frozenset()

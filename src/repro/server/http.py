@@ -271,7 +271,7 @@ class _Handler(BaseHTTPRequestHandler):
             body.get("structure_id", ""),
             query=body.get("query"),
             formula=body.get("formula"),
-            page=int(body.get("page", 0)),
+            page=body.get("page", 0),
             page_size=body.get("page_size"),
             deadline_ms=body.get("deadline_ms"),
             max_rows=body.get("max_rows"),

@@ -22,8 +22,8 @@ FO system needs and nothing else:
   LRUs) are the cross-tenant plan cache the ISSUE names: the first
   tenant to run a query pays for planning, every tenant afterwards
   reuses it;
-* per-tenant **sessions** — named *prepared queries* (parse + validate
-  + normalize once at prepare time, execute many), a per-tenant
+* per-tenant **sessions** — named *prepared queries* (parsed, validated
+  and analyzed once at prepare time, executed many), a per-tenant
   :class:`~repro.resilience.fallback.FallbackChain` over the shared
   engine (per-tenant circuit breakers: one tenant's pathological
   workload opens *its* breakers, not its neighbours'), and per-tenant
@@ -69,12 +69,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.engine.engine import Engine, ProfiledExplanation
@@ -84,10 +85,10 @@ from repro.errors import (
     ServerError,
     UnknownResourceError,
 )
-from repro.logic.analysis import free_variables, validate
+from repro.logic.analysis import analyze, validate
 from repro.logic.syntax import Formula
 from repro.resilience.budget import Budget, CancelToken
-from repro.resilience.fallback import FallbackChain, default_chain
+from repro.resilience.fallback import Degradation, FallbackChain, default_chain
 from repro.server import wire
 from repro.structures.structure import Element, Structure
 from repro.telemetry import context as trace_context
@@ -120,18 +121,20 @@ SUPERSEDED_LIMIT = 4096
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """One named query, parsed and validated once at prepare time.
+    """One query, compiled once (parsed, validated, analyzed, hashed).
 
-    ``free_names`` is the sorted free-variable order — the column order
-    of every answer page, fixed at prepare time so clients can bind
-    columns positionally.
+    :meth:`QueryService.prepare` names it; an ad-hoc read runs an unnamed
+    one (``name`` is ``None``).  ``free_names`` is the column order of
+    every answer page, fixed here so clients can bind columns
+    positionally; ``query_hash`` names the canonical text in the log.
     """
 
-    name: str
+    name: str | None
     text: str
     formula: Formula
     free_names: tuple[str, ...]
     constants: tuple[str, ...] = ()
+    query_hash: str = ""
 
     @property
     def is_sentence(self) -> bool:
@@ -172,22 +175,18 @@ class AnswerPage:
 
 @dataclass(slots=True)
 class _Read:
-    """One read after :meth:`QueryService._resolve`: what to run, and the
-    answer schema its rows take.  ``query`` is the prepared name, or
-    ``None`` for an ad-hoc formula."""
+    """One read after :meth:`QueryService._resolve`: the stored structure
+    and the compiled query to run on it — the tenant's prepared one, or
+    an unnamed one for an ad-hoc formula."""
 
     structure: Structure
     structure_id: str
-    formula: Formula
-    query: str | None
-    query_hash: str
-    natural: tuple[str, ...]
-    free_names: tuple[str, ...]
+    prepared: PreparedQuery
 
 
 @dataclass(slots=True)
 class _Request:
-    """What one request's envelope logs; the request's body fills it in."""
+    """What one request's envelope logs; its body and chain fill it in."""
 
     ctx: Any
     scope: Any
@@ -195,6 +194,7 @@ class _Request:
     query: str | None = None
     query_hash: str | None = None
     rows: int = 0
+    degradations: list[Degradation] = field(default_factory=list)
 
 
 class TenantSession:
@@ -219,6 +219,7 @@ class TenantSession:
             "structures_registered": 0,
             "queries_prepared": 0,
             "updates_applied": 0,
+            "degradations": 0,
         }
         self.lock = threading.Lock()
 
@@ -242,7 +243,7 @@ class TenantSession:
             "breakers": {
                 rung: breaker.state for rung, breaker in self.chain.breakers.items()
             },
-            "degradations": len(self.chain.degradations),
+            "degradations": counters["degradations"],
         }
 
 
@@ -593,34 +594,18 @@ class QueryService:
         different text under a taken name is a 409 conflict.
         """
         session = self.tenant(tenant)
-        if not isinstance(text, str) or not text.strip():
-            raise ServerError("'formula' must be a non-empty string")
         constant_names = frozenset(constants)
         structure = None
         if structure_id is not None:
             structure = self.structure(structure_id)
             constant_names = constant_names | structure.signature.constants
-        formula = wire.parse_formula(text, constants=constant_names or None)
-        if structure is not None:
-            validate(formula, structure.signature)
-        canonical = wire.format_formula(formula)
-        _, free_names = _answer_schema(formula, free_variables)
+        compiled = _compile(text, constant_names, structure, free_variables)
         if name is None:
-            key = (
-                canonical
-                + "|"
-                + ",".join(sorted(constant_names))
-                + "|"
-                + ",".join(free_names)
+            key = "|".join(
+                (compiled.text, ",".join(compiled.constants), ",".join(compiled.free_names))
             )
             name = "q-" + hashlib.sha256(key.encode()).hexdigest()[:16]
-        prepared = PreparedQuery(
-            name=name,
-            text=canonical,
-            formula=formula,
-            free_names=free_names,
-            constants=tuple(sorted(constant_names)),
-        )
+        prepared = replace(compiled, name=name)
         with session.lock:
             existing = session.prepared.get(name)
             if existing is not None:
@@ -638,7 +623,7 @@ class QueryService:
             session.counters["queries_prepared"] += 1
         if structure is not None:
             # Warm the shared plan cache (cheap, deduplicated by key).
-            self.engine.explain(structure, formula)
+            self.engine.explain(structure, prepared.formula)
         return prepared
 
     def prepared_query(self, tenant: str, name: str) -> PreparedQuery:
@@ -662,11 +647,8 @@ class QueryService:
         """Start a token for one request: the *tightest* of the tenant
         spec and the request overrides.  A request can only narrow its
         envelope — admission control would be decorative otherwise."""
+        _check_fields(deadline_ms=deadline_ms, max_rows=max_rows)
         spec = session.budget
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ServerError(f"deadline_ms must be positive, got {deadline_ms}")
-        if max_rows is not None and max_rows < 1:
-            raise ServerError(f"max_rows must be positive, got {max_rows}")
         base_deadline = spec.deadline_ms if spec is not None else None
         base_rows = spec.max_rows if spec is not None else None
         base_nodes = spec.max_solver_nodes if spec is not None else None
@@ -705,7 +687,6 @@ class QueryService:
         started = time.perf_counter()
         with self.request_scope(trace_id) as (ctx, scope):
             request = _Request(ctx, scope)
-            degradations_before = len(session.chain.degradations)
             status, outcome = 200, "ok"
             try:
                 yield request
@@ -722,13 +703,14 @@ class QueryService:
                 raise
             finally:
                 duration_ms = (time.perf_counter() - started) * 1000.0
+                if request.degradations:
+                    session.count("degradations", len(request.degradations))
                 _counter("server.requests", tenant=session.name, outcome=outcome).inc()
                 _histogram("server.request_ms", tenant=session.name).observe(
                     duration_ms
                 )
                 if self.access_log is not None:
                     token = request.token
-                    degraded = session.chain.degradations[degradations_before:]
                     self.access_log.log(
                         {
                             "trace_id": ctx.trace_id,
@@ -745,7 +727,7 @@ class QueryService:
                             "budget_nodes_spent": None if token is None else token.nodes,
                             "degradations": [
                                 {"rung": e.rung, "error": e.error, "trace_id": e.trace_id}
-                                for e in degraded
+                                for e in request.degradations
                             ],
                             "breakers": {
                                 rung: breaker.state
@@ -764,44 +746,35 @@ class QueryService:
         formula: str | None,
         free_variables: tuple[str, ...] | list[str] | None,
     ) -> _Read:
-        """Everything one read needs before it runs: the stored structure,
-        the formula (fetched by prepared name or parsed from ad-hoc text),
-        validated against the structure's signature, and the answer
-        schema.  Nothing executes here."""
+        """Everything one read needs before it runs: the stored structure
+        and the compiled query — the tenant's prepared one, fetched by
+        name and checked against this structure's signature, or ad-hoc
+        text compiled for this read.  Nothing executes here."""
         structure = self.structure(structure_id)
         if (query is None) == (formula is None):
             raise ServerError(
                 "exactly one of 'query' (prepared name) or 'formula' "
                 "(ad-hoc text) is required"
             )
-        if query is not None:
-            if free_variables is not None:
-                raise ServerError(
-                    "'free_variables' is fixed at prepare time for prepared queries"
-                )
-            prepared = self.prepared_query(tenant, query)
-            parsed, canonical = prepared.formula, prepared.text
-            free_variables = prepared.free_names
-        else:
-            parsed = wire.parse_formula(formula, constants=structure.signature)
-            canonical = wire.format_formula(parsed)
-        validate(parsed, structure.signature)
-        natural, free_names = _answer_schema(parsed, free_variables)
-        return _Read(
-            structure=structure,
-            structure_id=structure_id,
-            formula=parsed,
-            query=query,
-            query_hash=_query_hash(canonical),
-            natural=natural,
-            free_names=free_names,
-        )
+        if formula is not None:
+            constants = structure.signature.constants
+            compiled = _compile(formula, constants, structure, free_variables)
+            return _Read(structure, structure_id, compiled)
+        if free_variables is not None:
+            raise ServerError(
+                "'free_variables' is fixed at prepare time for prepared queries"
+            )
+        prepared = self.prepared_query(tenant, query)
+        # A query may be prepared without a structure, or read on another
+        # one; on the analysis record this checks a few atoms, no walk.
+        validate(prepared.formula, structure.signature)
+        return _Read(structure, structure_id, prepared)
 
     def _execute(
         self,
         session: TenantSession,
         read: _Read,
-        token: CancelToken | None,
+        request: _Request,
         explain: bool = False,
     ) -> tuple[frozenset[tuple[Element, ...]], ProfiledExplanation | None]:
         """Run one resolved read under the request's token.
@@ -814,14 +787,17 @@ class QueryService:
         mid-read, whichever rung answers.  Returns the rows in the read's
         answer schema, and the profile when there is one.
         """
-        profile = None
+        formula, profile = read.prepared.formula, None
         with read.structure.lock:
-            if read.query is not None and not explain:
-                rows = session.chain.answers(read.structure, read.formula, budget=token)
+            if read.prepared.name is not None and not explain:
+                rows = session.chain.answers(
+                    read.structure, formula, request.token, request.degradations
+                )
             else:
-                profile = self.engine.profile(read.structure, read.formula, budget=token)
+                profile = self.engine.profile(read.structure, formula, budget=request.token)
                 rows = profile.answers
-        rows = _cylindrify(rows, read.natural, read.free_names, read.structure.universe)
+        natural = analyze(formula).names
+        rows = _cylindrify(rows, natural, read.prepared.free_names, read.structure.universe)
         return rows, profile
 
     def answers(
@@ -862,19 +838,18 @@ class QueryService:
             request.query = query
             with _span("server.answers") as answer_span:
                 answer_span.set("tenant", tenant)
+                _check_fields(page=page, page_size=page_size)
                 token = request.token = self._effective_token(
                     session, deadline_ms, max_rows
                 )
                 read = self._resolve(
                     tenant, structure_id, query, formula, free_variables
                 )
-                request.query_hash = read.query_hash
-                rows, profile = self._execute(session, read, token, explain)
+                request.query_hash = read.prepared.query_hash
+                rows, profile = self._execute(session, read, request, explain)
                 _admit_result(len(rows), token)
                 answer_span.set("rows", len(rows))
-            result = self._page(
-                rows, page, page_size, read.free_names, query, structure_id
-            )
+            result = self._page(rows, page, page_size, read)
             if explain:
                 result = replace(
                     result,
@@ -948,15 +923,15 @@ class QueryService:
                         item.get("formula"),
                         item.get("free_variables"),
                     )
-                    reads.append(
-                        (read, int(item.get("page", 0)), item.get("page_size", page_size))
-                    )
+                    page, size = item.get("page", 0), item.get("page_size", page_size)
+                    _check_fields(page=page, page_size=size)
+                    reads.append((read, page, size))
                 answer_sets = [
-                    self._execute(session, read, token)[0] for read, _, _ in reads
+                    self._execute(session, read, request)[0] for read, _, _ in reads
                 ]
                 _admit_result(sum(len(rows) for rows in answer_sets), token)
             pages = [
-                self._page(rows, page, size, read.free_names, read.query, read.structure_id)
+                self._page(rows, page, size, read)
                 for rows, (read, page, size) in zip(answer_sets, reads)
             ]
             request.rows = sum(len(page.rows) for page in pages)
@@ -969,15 +944,9 @@ class QueryService:
         rows: frozenset[tuple[Element, ...]],
         page: int,
         page_size: int | None,
-        free_names: tuple[str, ...],
-        query: str | None,
-        structure_id: str,
+        read: _Read,
     ) -> AnswerPage:
-        if page < 0:
-            raise ServerError(f"page must be non-negative, got {page}")
-        size = DEFAULT_PAGE_SIZE if page_size is None else int(page_size)
-        if size < 1:
-            raise ServerError(f"page_size must be positive, got {size}")
+        size = DEFAULT_PAGE_SIZE if page_size is None else page_size
         size = min(size, self.max_page_size)
         ordered = sorted(rows, key=repr)
         start = page * size
@@ -988,9 +957,9 @@ class QueryService:
             page_size=size,
             total_rows=len(ordered),
             has_more=start + size < len(ordered),
-            free_names=free_names,
-            query=query,
-            structure_id=structure_id,
+            free_names=read.prepared.free_names,
+            query=read.prepared.name,
+            structure_id=read.structure_id,
         )
 
     # -- health + metrics ----------------------------------------------------
@@ -1054,28 +1023,45 @@ class QueryService:
         return render_exposition()
 
 
-def _query_hash(canonical_text: str) -> str:
-    """A stable, loggable identity for one query's canonical text."""
-    return hashlib.sha256(canonical_text.encode()).hexdigest()[:16]
+def _compile(
+    text: object,
+    constants: frozenset[str],
+    structure: Structure | None,
+    requested: object,
+) -> PreparedQuery:
+    """The one compile step of :meth:`QueryService.prepare` and an ad-hoc
+    read: parse, validate against ``structure`` when one is known,
+    analyze, fix the answer schema and hash the canonical text."""
+    if not isinstance(text, str) or not text.strip():
+        raise ServerError("'formula' must be a non-empty string")
+    formula = wire.parse_formula(text, constants=constants or None)
+    if structure is not None:
+        validate(formula, structure.signature)
+    canonical = wire.format_formula(formula)
+    return PreparedQuery(
+        name=None,
+        text=canonical,
+        formula=formula,
+        free_names=_answer_schema(analyze(formula).names, requested),
+        constants=tuple(sorted(constants)),
+        query_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
+    )
 
 
-def _answer_schema(
-    formula: Formula,
-    requested: tuple[str, ...] | list[str] | None,
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The (natural, effective) answer column orders for one query.
+def _answer_schema(natural: tuple[str, ...], requested: object) -> tuple[str, ...]:
+    """The answer column order for one query.
 
     ``natural`` is the evaluators' own order — free variables sorted by
-    name, the order every rung of the chain returns tuples in.  The
-    effective order defaults to it; an explicit request must cover every
-    free variable (a proper subset would be a silent projection) and may
-    append extra variables, which cylindrify over the universe.
+    name, the order every rung of the chain returns tuples in — and the
+    default; an explicit request must cover every free variable (a
+    proper subset would be a silent projection) and may append extra
+    variables, which cylindrify over the universe.
     """
-    natural = tuple(sorted(var.name for var in free_variables(formula)))
     if requested is None:
-        return natural, natural
+        return natural
+    _check_fields(free_variables=requested)
     effective = tuple(requested)
-    if any(not isinstance(name, str) or not name for name in effective):
+    if not all(effective):
         raise ServerError("free_variables must be non-empty strings")
     if len(set(effective)) != len(effective):
         raise ServerError("free_variables must not repeat names")
@@ -1085,7 +1071,41 @@ def _answer_schema(
             "free_variables must include every free variable of the "
             f"formula; missing {sorted(missing)}"
         )
-    return natural, effective
+    return effective
+
+
+def _integer(value: Any) -> bool:
+    # JSON's true decodes to a bool, an int subclass: it is not 1 here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Each request field :func:`_check_fields` checks: what it must be, as
+#: a predicate and as its 400 says it.
+_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "page": (lambda v: _integer(v) and v >= 0, "a non-negative integer"),
+    "page_size": (lambda v: _integer(v) and v >= 1, "a positive integer"),
+    "max_rows": (lambda v: _integer(v) and v >= 1, "a positive integer"),
+    "deadline_ms": (
+        lambda v: (_integer(v) or isinstance(v, float) and math.isfinite(v)) and v > 0,
+        "a positive finite number",
+    ),
+    "free_variables": (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(n, str) for n in v),
+        "a list of strings",
+    ),
+}
+
+
+def _check_fields(**fields: Any) -> None:
+    """The one check of the request fields a client sends: refuse a
+    malformed one with a typed 400 before it meets arithmetic that
+    would fail as a 500, or a coercion that would misread it (a bare
+    string is not a list of one-letter variable names).  ``None`` is a
+    field left out, except for ``page``, which defaults to 0 instead."""
+    for name, value in fields.items():
+        valid, expected = _FIELDS[name]
+        if (value is not None or name == "page") and not valid(value):
+            raise ServerError(f"{name} must be {expected}, got {value!r}")
 
 
 def _cylindrify(

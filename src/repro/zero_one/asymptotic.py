@@ -27,7 +27,7 @@ import itertools
 
 from repro.errors import FMTError, FormulaError
 from repro.eval.evaluator import evaluate
-from repro.logic.analysis import free_variables, quantifier_rank, validate
+from repro.logic.analysis import analyze, validate
 from repro.logic.signature import Signature
 from repro.logic.syntax import (
     And,
@@ -70,9 +70,8 @@ def mu_estimate_sentence(
     Seeds are per sample index, as in
     :func:`~repro.zero_one.random_structures.mu_estimate`.
     """
-    free = free_variables(sentence)
-    if free:
-        names = sorted(var.name for var in free)
+    names = list(analyze(sentence).names)
+    if names:
         raise FormulaError(f"μ is defined for sentences; free variables: {names}")
     validate(sentence, signature)
     return mu_estimate(
@@ -90,9 +89,8 @@ def decide_almost_sure(sentence: Formula, signature: Signature) -> bool:
     """
     if signature.constants:
         raise FMTError("the 0-1 law requires a purely relational signature")
-    free = free_variables(sentence)
-    if free:
-        names = sorted(var.name for var in free)
+    names = list(analyze(sentence).names)
+    if names:
         raise FormulaError(f"μ is defined for sentences; free variables: {names}")
     validate(sentence, signature)
 
@@ -182,7 +180,7 @@ def decide_via_witness(
     feasible for quantifier rank ≤ 2 over graphs; beyond that, pass a
     pre-verified witness or use :func:`decide_almost_sure`.
     """
-    rank = quantifier_rank(sentence)
+    rank = analyze(sentence).rank
     if witness is None:
         witness = find_extension_witness(signature, max(rank - 1, 0), seed=seed)
     return evaluate(witness, sentence)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import FormulaError, SignatureError
 from repro.logic.analysis import (
     all_variables,
+    analyze,
     constants_of,
     formula_depth,
     formula_size,
@@ -128,3 +129,49 @@ class TestValidate:
     def test_declared_constant_passes(self):
         sig = Signature({"E": 2}, constants={"c"})
         validate(Atom("E", (Const("c"), Var("x"))), sig)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E(x) & E(y) & E(x, y)",
+            "exists z (E(x, y) & (R(z) | E(z)) & ~E(y, z, x))",
+            "forall x (P(x) -> (E(x, x) <-> E(x)))",
+            "E(c, x) & E(d, x)",
+        ],
+    )
+    def test_messages_match_a_walk_of_every_atom(self, text):
+        # The analysis record keeps the first atom of each (relation,
+        # arity); the first offender it reports must be the one a walk
+        # over every atom in subformulas order would report.
+        formula = parse(text, constants={"c", "d"})
+
+        def walk_every_atom():
+            for node in subformulas(formula):
+                if isinstance(node, Atom):
+                    arity = GRAPH.arity(node.relation)
+                    if len(node.terms) != arity:
+                        raise SignatureError(
+                            f"atom {node!r} has {len(node.terms)} arguments, "
+                            f"but {node.relation!r} has arity {arity}"
+                        )
+            for name in constants_of(formula):
+                if not GRAPH.has_constant(name):
+                    raise SignatureError(f"constant {name!r} is not declared in {GRAPH!r}")
+
+        with pytest.raises(SignatureError) as expected:
+            walk_every_atom()
+        with pytest.raises(SignatureError) as reported:
+            validate(formula, GRAPH)
+        assert str(reported.value) == str(expected.value)
+
+    def test_record_is_made_once_and_kept_on_the_formula(self):
+        formula = parse("exists y (E(x, y) & E(y, c) & E(x, c))", constants={"c"})
+        record = analyze(formula)
+        assert analyze(formula) is record
+        assert record.names == ("x",)
+        assert record.rank == 1
+        assert record.constants == {"c"}
+        assert [atom.relation for atom in record.atoms] == ["E"]
+        # Equal formulas stay equal and hash alike, record or not.
+        twin = parse("exists y (E(x, y) & E(y, c) & E(x, c))", constants={"c"})
+        assert twin == formula and hash(twin) == hash(formula)

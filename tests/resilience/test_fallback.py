@@ -91,23 +91,30 @@ class TestFallbackChain:
 
     def test_first_rung_answers_when_healthy(self):
         chain = FallbackChain([_ok_rung("fast"), _ok_rung("slow")])
-        assert chain.answers(self.structure, self.sentence) == ANSWER
-        assert chain.degradations == []
+        degradations = []
+        answers = chain.answers(self.structure, self.sentence, degradations=degradations)
+        assert answers == ANSWER
+        assert degradations == []
 
     def test_budget_failure_degrades_and_records(self):
         chain = FallbackChain([_broke_rung("fast"), _ok_rung("slow")])
-        assert chain.answers(self.structure, self.sentence) == ANSWER
-        assert [d.rung for d in chain.degradations] == ["fast"]
-        assert "over budget" in chain.degradations[0].error
+        degradations = []
+        answers = chain.answers(self.structure, self.sentence, degradations=degradations)
+        assert answers == ANSWER
+        assert [d.rung for d in degradations] == ["fast"]
+        assert "over budget" in degradations[0].error
+        # The chain keeps no history of its own: each call owns its list.
+        assert not hasattr(chain, "degradations")
 
     def test_non_budget_error_propagates_immediately(self):
         def buggy(structure, formula, token):
             raise FMTError("a genuine bug")
 
         chain = FallbackChain([Rung("buggy", buggy), _ok_rung("slow")])
+        degradations = []
         with pytest.raises(FMTError, match="a genuine bug"):
-            chain.answers(self.structure, self.sentence)
-        assert chain.degradations == []
+            chain.answers(self.structure, self.sentence, degradations=degradations)
+        assert degradations == []
 
     def test_inapplicable_rung_is_skipped_silently(self):
         rung = Rung(
@@ -116,8 +123,10 @@ class TestFallbackChain:
             applicable=lambda structure, formula: (False, "not today"),
         )
         chain = FallbackChain([rung, _ok_rung("slow")])
-        assert chain.answers(self.structure, self.sentence) == ANSWER
-        assert chain.degradations == []
+        degradations = []
+        answers = chain.answers(self.structure, self.sentence, degradations=degradations)
+        assert answers == ANSWER
+        assert degradations == []
 
     def test_all_rungs_exhausted_raises_last_error(self):
         chain = FallbackChain([_broke_rung("fast"), _broke_rung("slow")])
@@ -141,10 +150,10 @@ class TestFallbackChain:
         chain.answers(self.structure, self.sentence)
         chain.answers(self.structure, self.sentence)
         assert chain.breakers["fast"].state == "open"
-        before = len(chain.degradations)
-        chain.answers(self.structure, self.sentence)
+        degradations = []
+        chain.answers(self.structure, self.sentence, degradations=degradations)
         # The open breaker skips the rung without another failed attempt.
-        assert len(chain.degradations) == before
+        assert degradations == []
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -165,10 +174,12 @@ class TestDefaultChainConformance:
         try:
             chain = default_chain()
             cases = load_corpus()
+            degradations = []
             for case in cases:
                 expected = naive_answers(case.structure, case.formula)
-                assert chain.answers(case.structure, case.formula) == expected, case.name
-            assert chain.degradations, "period-2 injection must force degradations"
+                answers = chain.answers(case.structure, case.formula, degradations=degradations)
+                assert answers == expected, case.name
+            assert degradations, "period-2 injection must force degradations"
         finally:
             reset_injector()
 

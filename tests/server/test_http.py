@@ -181,6 +181,20 @@ def test_parse_error_400(server_url: str, cycle_id: str):
     assert body["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"page": "x"}, {"page": None}, {"page_size": "x"}, {"max_rows": True}],
+    ids=repr,
+)
+def test_malformed_answer_fields_400(server_url: str, cycle_id: str, fields: dict):
+    status, body = _post(
+        server_url + "/v1/answers",
+        {"tenant": "t", "structure_id": cycle_id, "formula": "E(x, y)", **fields},
+    )
+    assert status == 400
+    assert body["error"]["type"] == "ServerError"
+
+
 def test_prepare_conflict_409(server_url: str, cycle_id: str):
     payload = {
         "tenant": "t",

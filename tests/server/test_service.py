@@ -234,6 +234,80 @@ def test_bad_overrides_rejected(service: QueryService, cycle_id: str):
         service.answers("t1", cycle_id, formula="E(x, y)", max_rows=0)
 
 
+#: Request fields a JSON client can get wrong: each must be a typed 400,
+#: never a 500 from arithmetic on it, nor a silent coercion.
+MALFORMED_READ_FIELDS = [
+    {"page": "x"},
+    {"page": None},
+    {"page": True},
+    {"page_size": "x"},
+    {"page_size": 2.5},
+    {"deadline_ms": "5"},
+    {"deadline_ms": True},
+    {"deadline_ms": float("nan")},
+    {"deadline_ms": float("inf")},
+    {"max_rows": "5"},
+    {"max_rows": True},
+    {"max_rows": 5.0},
+    {"free_variables": "yx"},
+    {"free_variables": ["x", 1]},
+]
+
+
+@pytest.mark.parametrize("fields", MALFORMED_READ_FIELDS, ids=repr)
+def test_malformed_read_fields_are_typed_400(
+    service: QueryService, cycle_id: str, fields: dict
+):
+    with pytest.raises(ServerError) as excinfo:
+        service.answers("t1", cycle_id, formula="E(x, y)", **fields)
+    assert excinfo.value.status == 400
+    assert service.tenant("t1").counters["errors"] == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"page": "x"}, {"page": None}, {"page_size": "x"}, {"free_variables": "yx"}],
+    ids=repr,
+)
+def test_malformed_batch_item_fields_are_typed_400(
+    service: QueryService, cycle_id: str, fields: dict
+):
+    requests = [
+        {"structure_id": cycle_id, "formula": "E(x, y)"},
+        {"structure_id": cycle_id, "formula": "E(x, y)", **fields},
+    ]
+    with pytest.raises(ServerError) as excinfo:
+        service.answers_batch("t1", requests)
+    assert excinfo.value.status == 400
+    assert service.engine.stats.executions == 0  # refused before any item ran
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"deadline_ms": "5"}, {"max_rows": "5"}, {"max_rows": True}],
+    ids=repr,
+)
+def test_malformed_batch_and_update_budgets_are_typed_400(
+    service: QueryService, cycle_id: str, fields: dict
+):
+    with pytest.raises(ServerError) as excinfo:
+        service.answers_batch(
+            "t1", [{"structure_id": cycle_id, "formula": "E(x, y)"}], **fields
+        )
+    assert excinfo.value.status == 400
+    update = {"op": "insert", "relation": "E", "row": [0, 2]}
+    with pytest.raises(ServerError) as excinfo:
+        service.apply_updates("t1", cycle_id, [update], **fields)
+    assert excinfo.value.status == 400
+    assert service.structure(cycle_id).epoch == 0  # nothing applied
+
+
+def test_prepare_refuses_a_string_as_free_variables(service: QueryService):
+    with pytest.raises(ServerError) as excinfo:
+        service.prepare("t1", "E(x, y)", free_variables="yx")
+    assert excinfo.value.status == 400
+
+
 def test_tightest_helper():
     assert _tightest(None, None) is None
     assert _tightest(5, None) == 5

@@ -4,6 +4,7 @@ concurrent trace isolation, and access-log degradation joins."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -14,7 +15,7 @@ from repro.resilience.faults import FaultInjector, reset_injector, set_injector
 from repro.server import wire
 from repro.server.http import serve
 from repro.server.service import QueryService
-from repro.structures.builders import undirected_cycle
+from repro.structures.builders import random_graph, undirected_cycle
 from repro.telemetry.context import normalize_trace_id
 from repro.telemetry.logs import AccessLog
 from repro.telemetry.prometheus import parse_exposition
@@ -333,6 +334,56 @@ class TestAccessLogJoins:
             for event in entry["degradations"]:
                 assert event["trace_id"] == entry["trace_id"]
                 assert event["rung"]
+
+    def test_concurrent_reads_keep_their_own_degradations(self):
+        # Two threads read one prepared query on one tenant, re-executing
+        # every time, while injected faults degrade many of the reads.
+        # Each event must land on the line of the request that caused it,
+        # never on the line of the request running beside it.
+        log = AccessLog()
+        service = QueryService(trace_sample=1.0, access_log=log)
+        structure_id = service.add_structure(random_graph(10, 0.3, seed=0), tenant="t")
+        structure = service.structure(structure_id)
+        service.prepare(
+            "t",
+            "exists y exists z (E(x, y) & E(y, z) & ~E(x, z))",
+            name="q",
+            structure_id=structure_id,
+        )
+        reads, barrier, failures = 60, threading.Barrier(2), []
+
+        def reader():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(reads):
+                    service.engine.invalidate(structure)
+                    service.answers("t", structure_id, query="q")
+            except Exception as error:  # noqa: BLE001 — reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        set_injector(FaultInjector(period=3))
+        sys.setswitchinterval(1e-5)  # interleave the two requests often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            reset_injector()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        entries = log.recent()
+        assert len(entries) == 2 * reads
+        events = [(entry, event) for entry in entries for event in entry["degradations"]]
+        assert events, "period-3 fault injection must force degradations"
+        misattributed = [
+            event for entry, event in events if event["trace_id"] != entry["trace_id"]
+        ]
+        assert misattributed == []
+        assert service.tenant("t").snapshot()["degradations"] == len(events)
 
     def test_batched_prepared_reads_degrade_into_the_batch_line(self):
         # A batched prepared read runs the tenant's chain as a single one
