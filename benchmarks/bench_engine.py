@@ -185,7 +185,7 @@ def _tuple_answers(
     plan, _ = engine._plan_for(graph, formula)
     relation = Executor(
         graph,
-        engine._domain_values(graph),
+        graph.universe,
         semijoin_filtering=plan.total_estimated_rows() > SMALL_PLAN_ROWS,
     ).run(plan)
     if order is not None and relation.attributes != order:

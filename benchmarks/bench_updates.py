@@ -154,7 +154,7 @@ def quantified_update_row(n: int) -> dict:
     live = directed_cycle(n)
     engine = Engine()
     engine.answers(live, QUANT)  # seed the maintained record
-    codec_for(live, live.universe)  # and the columnar codec
+    codec_for(live)  # and the columnar codec
     _toggle(live, 0)
     engine.answers(live, QUANT)  # pay the one-time promotion off the clock
 
@@ -168,7 +168,7 @@ def quantified_update_row(n: int) -> dict:
             _toggle(live, step)
 
             def patched_step():
-                codec_for(live, live.universe)  # columnar delta patch
+                codec_for(live)  # columnar delta patch
                 return engine.answers(live, QUANT)
 
             rows, seconds = _timed(patched_step)

@@ -162,7 +162,7 @@ def _sentence_answers(value: bool) -> Answers:
 
 
 def _engine_backend() -> Backend:
-    engine = Engine(domain="universe")
+    engine = Engine()
 
     def compute(
         structure: Structure, formula: Formula, token: CancelToken | None = None

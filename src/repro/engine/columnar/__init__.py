@@ -4,7 +4,7 @@
 (see DESIGN S20):
 
 * :mod:`~repro.engine.columnar.codec` — one element ↔ dense-int-id
-  bijection per (structure, quantification domain), with relations
+  bijection per structure, over its universe, with relations
   materialized as parallel ``array('q')`` columns and, for packable
   arities, as cached sets of mixed-radix composite keys;
 * :mod:`~repro.engine.columnar.kernels` — per-shape generated sources

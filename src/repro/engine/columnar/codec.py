@@ -1,15 +1,16 @@
-"""The domain codec: integer-code one quantification domain, once.
+"""The domain codec: integer-code a structure's universe, once.
 
 Everything the columnar tier does — packed composite keys, vectorized
 kernels, generated pipelines — rests on a single bijection between the
-quantification domain and ``range(n)``. :class:`DomainCodec` owns that
-bijection plus the columnar materialization of each base relation:
-parallel ``array('q')`` columns of element ids instead of frozensets of
-tuples of arbitrary Python objects. Both are cached on the structure
-(via :meth:`Structure.cached`), so the coding cost is paid once per
-(structure, domain) and the caches evaporate on pickling or copying
-exactly like every other per-structure memo (:meth:`Structure.__getstate__`
-keeps the mathematical content only — a copy rebuilds codecs on demand).
+universe (the engine's quantification domain) and ``range(n)``.
+:class:`DomainCodec` owns that bijection plus the columnar
+materialization of each base relation: parallel ``array('q')`` columns
+of element ids instead of frozensets of tuples of arbitrary Python
+objects. Both are cached on the structure (via :meth:`Structure.cached`),
+so the coding cost is paid once per structure and the caches evaporate
+on pickling or copying exactly like every other per-structure memo
+(:meth:`Structure.__getstate__` keeps the mathematical content only — a
+copy rebuilds codecs on demand).
 
 Row encodings come in two flavors, chosen per plan execution:
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import weakref
 from array import array
 
-from repro.structures.structure import Element, Structure
+from repro.structures.structure import CODEC_MEMO, Element, Structure
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 
@@ -50,12 +51,13 @@ PACK_KEY_LIMIT = 2**62
 
 
 class DomainCodec:
-    """Element ↔ dense int id for one (structure, domain) pair.
+    """Element ↔ dense int id for one structure's universe.
 
-    ``domain`` is the executor's quantification domain — the structure's
-    universe under ``domain="universe"`` semantics, the active domain
-    otherwise. Ids are positions in the domain tuple, so decoding is a
-    tuple index, not a dict lookup.
+    ``domain`` is ``structure.universe``, the engine's quantification
+    domain. Ids are positions in that tuple, so decoding is a tuple
+    index, not a dict lookup. ``Structure`` keeps every relation row and
+    constant inside its universe, so every value the codec meets has an
+    id.
     """
 
     __slots__ = (
@@ -69,7 +71,7 @@ class DomainCodec:
         "epoch",
     )
 
-    def __init__(self, structure: Structure, domain: tuple[Element, ...]) -> None:
+    def __init__(self, structure: Structure) -> None:
         # Weakly referenced: the codec lives in the structure's own memo
         # cache, and a strong backref would make every coded structure a
         # reference cycle — dead structures (with their cached columns
@@ -77,7 +79,7 @@ class DomainCodec:
         # dying by refcount. The codec is only ever used through a live
         # structure, so the dereference below cannot dangle in practice.
         self._structure = weakref.ref(structure)
-        self.domain = domain
+        self.domain = domain = structure.universe
         self.base = len(domain)
         self.index: dict[Element, int] = {
             element: position for position, element in enumerate(domain)
@@ -103,9 +105,9 @@ class DomainCodec:
 
     # -- scalar and row coding ------------------------------------------------
 
-    def encode(self, value: Element) -> int | None:
-        """The id of ``value``, or ``None`` when it is outside the domain."""
-        return self.index.get(value)
+    def encode(self, value: Element) -> int:
+        """The id of ``value``."""
+        return self.index[value]
 
     def decode(self, ident: int) -> Element:
         return self.domain[ident]
@@ -114,16 +116,11 @@ class DomainCodec:
         """Whether rows of this arity fit a single-int composite key."""
         return arity <= PACK_MAX_ARITY and self.base**arity < PACK_KEY_LIMIT
 
-    def encode_row(self, row: tuple[Element, ...], packed: bool = True) -> int | tuple[int, ...] | None:
-        """Pack one element row into a key (``None`` if any value is foreign)."""
-        ids = []
-        for value in row:
-            ident = self.index.get(value)
-            if ident is None:
-                return None
-            ids.append(ident)
+    def encode_row(self, row: tuple[Element, ...], packed: bool = True) -> int | tuple[int, ...]:
+        """Pack one element row into a key."""
+        ids = tuple(self.index[value] for value in row)
         if not packed:
-            return tuple(ids)
+            return ids
         key = 0
         for ident in ids:
             key = key * self.base + ident
@@ -174,12 +171,7 @@ class DomainCodec:
     # -- relation materialization --------------------------------------------
 
     def columns(self, relation: str) -> tuple[array, ...]:
-        """The relation as parallel ``array('q')`` id columns (cached).
-
-        Rows mentioning elements outside the domain are dropped — they
-        cannot contribute to any answer over this domain (under active-
-        domain semantics every relation row is inside the domain anyway).
-        """
+        """The relation as parallel ``array('q')`` id columns (cached)."""
         cached = self._columns.get(relation)
         if cached is not None:
             return cached
@@ -188,15 +180,8 @@ class DomainCodec:
         cols: tuple[array, ...] = tuple(array("q") for _ in range(arity))
         index = self.index
         for row in rows:
-            ids = []
-            for value in row:
-                ident = index.get(value)
-                if ident is None:
-                    break
-                ids.append(ident)
-            else:
-                for column, ident in zip(cols, ids):
-                    column.append(ident)
+            for column, value in zip(cols, row):
+                column.append(index[value])
         self._columns[relation] = cols
         return cols
 
@@ -233,33 +218,23 @@ class DomainCodec:
     def apply_deltas(self, deltas: list[tuple[str, str, tuple]]) -> None:
         """Patch the cached materializations with applied structure deltas.
 
-        The domain is unchanged by updates (inserts and deletes touch
-        relations only, never the universe), so the id bijection,
-        ``base``, and the cached key ``universes`` all stay valid — only
-        the per-relation columns and packed sets move.  Each delta costs
+        The universe is unchanged by updates (inserts and deletes touch
+        relations only), so the id bijection, ``base``, and the cached
+        key ``universes`` all stay valid — only the per-relation columns
+        and packed sets move.  Each delta costs
         O(1) for an insert (append one id per column, one frozenset
         union) and O(rows) for a delete (locate the coded row).  Only
         *materialized* entries are patched; relations never coded against
         this codec are still built lazily from the current contents.
-
-        Rows mentioning elements outside the domain are skipped, exactly
-        as :meth:`columns` drops them at build time.  Nullary relations
-        carry no columns to patch — their entries are dropped and rebuilt
-        on demand.
+        Nullary relations carry no columns to patch — their entries are
+        dropped and rebuilt on demand.
         """
         for op, relation, row in deltas:
             if not row:
                 self._columns.pop(relation, None)
                 self._packed.pop(relation, None)
                 continue
-            ids = []
-            for value in row:
-                ident = self.index.get(value)
-                if ident is None:
-                    break
-                ids.append(ident)
-            if len(ids) != len(row):
-                continue  # foreign row: never materialized, nothing to patch
+            ids = self.encode_row(row, packed=False)
             cols = self._columns.get(relation)
             if cols is not None:
                 if op == "insert":
@@ -277,9 +252,7 @@ class DomainCodec:
                             break
             packed = self._packed.get(relation)
             if packed is not None:
-                key = 0
-                for ident in ids:
-                    key = key * self.base + ident
+                key = self.encode_row(row)
                 if op == "insert":
                     self._packed[relation] = packed | {key}
                 else:
@@ -293,15 +266,12 @@ class DomainCodec:
 codec_stats = {"patched": 0, "rebuilt": 0}
 
 
-def codec_for(structure: Structure, domain: tuple[Element, ...]) -> DomainCodec:
-    """The (structure, domain) codec, cached on the structure.
+def codec_for(structure: Structure) -> DomainCodec:
+    """The structure's codec, cached on the structure.
 
-    The cache key includes the domain tuple because one structure can be
-    queried under both universe and active-domain semantics; under
-    ``"universe"`` the domain *is* ``structure.universe``, so the common
-    path shares a single codec. Like every ``Structure.cached`` memo the
-    codec is excluded from pickles and copies (see
-    ``Structure.__getstate__``) and rebuilt on demand.
+    Like every ``Structure.cached`` memo the codec is excluded from
+    pickles and copies (see ``Structure.__getstate__``) and rebuilt on
+    demand.
 
     **Epoch check.**  ``Structure.insert``/``delete`` keeps the memo
     (see ``Structure._patch_memos``) but bumps the epoch; the check here
@@ -309,25 +279,20 @@ def codec_for(structure: Structure, domain: tuple[Element, ...]) -> DomainCodec:
     never served as-is.  When the structure's delta log still covers the
     gap, the codec is *patched in place* (:meth:`DomainCodec.apply_deltas`
     — O(delta) instead of O(structure)); only a codec too far behind the
-    bounded log, adopted from another structure, or built for a
-    different domain tuple is rebuilt from scratch.
+    bounded log or adopted from another structure is rebuilt from
+    scratch.
     """
-    key = ("columnar-codec", domain)
-    codec = structure.cached(key, lambda: DomainCodec(structure, domain))
+    codec = structure.cached(CODEC_MEMO, lambda: DomainCodec(structure))
     if codec.epoch != structure.epoch:
         deltas = structure.deltas_since(codec.epoch)
-        if (
-            deltas is not None
-            and codec.domain == domain
-            and codec._structure() is structure
-        ):
+        if deltas is not None and codec._structure() is structure:
             codec.apply_deltas(deltas)
             codec_stats["patched"] += 1
             if _telemetry_enabled():
                 _counter("columnar.codec.patched").inc()
         else:
-            codec = DomainCodec(structure, domain)
-            structure._cache[key] = codec
+            codec = DomainCodec(structure)
+            structure._cache[CODEC_MEMO] = codec
             codec_stats["rebuilt"] += 1
             if _telemetry_enabled():
                 _counter("columnar.codec.rebuilt").inc()

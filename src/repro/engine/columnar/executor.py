@@ -1,9 +1,9 @@
 """The columnar executor: compiled kernel pipelines → :class:`Relation`.
 
-The engine's one plan executor. A plan is compiled once per (structure,
-domain) into a tree of generated kernel closures over integer-coded
-rows (:mod:`repro.engine.columnar.compile`), kept in a per-structure LRU
-of :data:`PIPELINE_CACHE_LIMIT` pipelines, and re-executions just walk
+The engine's one plan executor. A plan is compiled once per structure
+into a tree of generated kernel closures over integer-coded rows
+(:mod:`repro.engine.columnar.compile`), kept in a per-structure LRU of
+:data:`PIPELINE_CACHE_LIMIT` pipelines, and re-executions just walk
 that tree. Element objects only reappear at the plan root, where the
 (usually small) answer key set is bulk-decoded.
 
@@ -36,7 +36,7 @@ from repro.engine.columnar.codec import codec_for
 from repro.engine.columnar.compile import CompiledPlan, PipelineNode, compile_plan
 from repro.engine.plan import Plan
 from repro.eval.algebra import Relation
-from repro.structures.structure import Element, Structure
+from repro.structures.structure import PIPELINE_MEMO, Structure
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.metrics import histogram as _histogram
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
@@ -49,7 +49,7 @@ __all__ = [
     "SEMIJOIN_THRESHOLD",
 ]
 
-#: Compiled pipelines kept per (structure, domain), least recently used
+#: Compiled pipelines kept per structure, least recently used
 #: evicted first — the engine's plan-cache size. Each pipeline
 #: pins its plan, so an unbounded memo would keep every ad-hoc formula
 #: ever answered on a long-lived structure alive.
@@ -99,19 +99,18 @@ class NodeActuals:
 
 
 class ColumnarExecutor:
-    """Execute compiled kernel pipelines against one structure and domain."""
+    """Execute compiled kernel pipelines against one structure, whose
+    universe is the quantification domain."""
 
     def __init__(
         self,
         structure: Structure,
-        domain: tuple[Element, ...],
         stats: ExecutionStats | None = None,
         recorder: MutableMapping[int, NodeActuals] | None = None,
         semijoin_filtering: bool = True,
         cancel_token: CancelToken | None = None,
     ) -> None:
         self.structure = structure
-        self.domain = domain
         self.stats = stats if stats is not None else ExecutionStats()
         self.recorder = recorder
         self.semijoin_filtering = semijoin_filtering
@@ -127,8 +126,7 @@ class ColumnarExecutor:
 
     def _compiled(self, plan: Plan) -> CompiledPlan:
         pipelines = self.structure.cached(
-            ("columnar-pipeline", self.domain),
-            lambda: LRUCache(PIPELINE_CACHE_LIMIT),
+            PIPELINE_MEMO, lambda: LRUCache(PIPELINE_CACHE_LIMIT)
         )
         compiled = pipelines.get(id(plan))
         if compiled is None:
@@ -157,7 +155,7 @@ class ColumnarExecutor:
         """
         structure = self.structure
         deltas = structure.deltas_since(compiled.epoch)
-        codec = codec_for(structure, self.domain)
+        codec = codec_for(structure)
         if deltas is None or codec is not compiled.codec:
             compiled = self._compile(plan)
             pipelines.put(id(plan), compiled)
@@ -169,9 +167,9 @@ class ColumnarExecutor:
 
     def _compile(self, plan: Plan) -> CompiledPlan:
         if not _telemetry_enabled():
-            return compile_plan(plan, self.structure, self.domain)
+            return compile_plan(plan, self.structure)
         start = time.perf_counter()
-        compiled = compile_plan(plan, self.structure, self.domain)
+        compiled = compile_plan(plan, self.structure)
         _counter("columnar.pipeline.compiles").inc()
         _histogram("columnar.compile.ms").observe(
             (time.perf_counter() - start) * 1000.0
@@ -198,7 +196,6 @@ class ColumnarExecutor:
             _counter(f"executor.ops.{kind}").inc()
             _counter(f"executor.rows.{kind}").inc(len(rows))
             _histogram(f"executor.ms.{kind}").observe(elapsed * 1000.0)
-            _counter(f"columnar.kernel.{kind}").inc()
         if recorder is not None and node.plan is not None:
             recorder[id(node.plan)] = NodeActuals(rows=len(rows), seconds=elapsed)
         return rows
@@ -208,8 +205,8 @@ class ColumnarExecutor:
         children = node.children
         if not children:
             # Leaves (scans, domain columns, constant sets) depend only
-            # on the immutable structure and the pipeline's domain:
-            # materialize once, reuse the set on every execution.
+            # on the structure at the pipeline's epoch: materialize
+            # once, reuse the set on every execution.
             rows = node.cache
             if rows is None:
                 rows = node.fn()

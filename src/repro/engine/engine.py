@@ -19,9 +19,11 @@ per sentence (:meth:`Engine.census_evaluator`). Table misses inside the
 fast path fall back to the engine's own algebra pipeline, never to the
 naive O(n^k) evaluator.
 
-Default semantics is ``domain="universe"``, which agrees with the naive
-evaluator on *every* formula (the Hypothesis equivalence suite asserts
-this); ``domain="active"`` gives database-style active-domain semantics.
+Quantifiers and negation range over the structure's universe, so the
+engine agrees with the naive evaluator on *every* formula (the
+Hypothesis equivalence suite asserts this). Active-domain semantics, the
+relational-calculus view, belongs to the FO→RA compiler
+(:func:`repro.eval.translate.algebra_answers`).
 """
 
 from __future__ import annotations
@@ -211,10 +213,6 @@ class Engine:
 
     Parameters
     ----------
-    domain:
-        Quantification domain for negation/quantifiers: ``"universe"``
-        (default; agrees with the naive evaluator everywhere) or
-        ``"active"`` (active-domain semantics).
     answer_cache_size:
         LRU capacity of the answer cache, which is also the bound on
         maintained answer records. The plan cache holds
@@ -229,13 +227,9 @@ class Engine:
 
     def __init__(
         self,
-        domain: str = "universe",
         answer_cache_size: int = 1024,
         fast_path_threshold: int | None = None,
     ) -> None:
-        if domain not in ("universe", "active"):
-            raise EvaluationError(f"domain must be 'universe' or 'active', got {domain!r}")
-        self.domain_mode = domain
         self.fast_path_threshold = fast_path_threshold
         self.plan_cache = LRUCache(PLAN_CACHE_SIZE, name="plan")
         self.answer_cache = LRUCache(answer_cache_size, name="answer")
@@ -265,10 +259,10 @@ class Engine:
         return without consuming budget.
 
         For quantifier-free formulas — and quantified formulas in the
-        local-existential and Hanf-gated fragments — under universe
-        semantics the engine additionally *maintains* answers across
-        structure updates: a read whose cache record is from an earlier
-        epoch (a miss) first tries to patch that record forward in place
+        local-existential and Hanf-gated fragments — the engine
+        additionally *maintains* answers across structure updates: a
+        read whose cache record is from an earlier epoch (a miss) first
+        tries to patch that record forward in place
         (:mod:`repro.incremental.answers`) before recomputing.
 
         The read holds the structure's
@@ -296,10 +290,9 @@ class Engine:
             if record is not None:
                 return record.rows
             # A miss may still find the record of an earlier epoch: the
-            # engine maintains universe answers in sorted column order.
+            # engine maintains answers in sorted column order.
             record = self.answer_cache.peek(key)
-            maintained = self.domain_mode == "universe" and order_names == sorted_names
-            if record is not None and maintained:
+            if record is not None and order_names == sorted_names:
                 patched = self._answer_index.patch(structure, formula, record, cancel_token=token)
                 if patched is not None:
                     self.stats.answers_patched += 1
@@ -324,8 +317,8 @@ class Engine:
         ``True``/``False`` when φ's answer record for the structure (in
         sorted column order) could be patched to the current epoch and
         compared; ``None`` when the engine cannot cheaply decide (no
-        record, non-universe semantics, a query outside every maintained
-        fragment, delta log outrun, or the patch work limits tripped) —
+        record, a query outside every maintained fragment, delta log
+        outrun, or the patch work limits tripped) —
         callers that must not miss a change treat ``None`` as "assume
         changed".  The patch brings the record forward in place, so a
         follow-up :meth:`answers` call is an answer-cache hit, and it
@@ -333,8 +326,6 @@ class Engine:
         what the server's updates endpoint uses to report dirtied
         prepared queries without re-running them.
         """
-        if self.domain_mode != "universe":
-            return None
         key = (structure.uid, formula, analyze(formula).names)
         with structure.lock:
             record = self.answer_cache.peek(key)
@@ -520,8 +511,6 @@ class Engine:
         Cheap: the Hanf-radius ball-size bound stays under
         ``BALL_LIMIT``, so the linear-time census has a small constant.
         """
-        if self.domain_mode != "universe":
-            return False, "fast path requires universe semantics"
         analysis = analyze(formula)
         if analysis.names:
             return False, "not a sentence"
@@ -568,14 +557,14 @@ class Engine:
     def _plan_for(self, structure: Structure, formula: Formula) -> tuple[Plan, Formula]:
         with _span("engine.collect_stats"):
             stats = collect_stats(structure)
-        key = (formula, structure.signature, self.domain_mode, stats.plan_key)
+        key = (formula, structure.signature, stats.plan_key)
 
         def build() -> tuple[Plan, Formula]:
             with _span("engine.plan") as plan_span:
                 validate(formula, structure.signature)
                 with _span("engine.normalize"):
                     normalized = normalize(formula)
-                planner = Planner(stats, len(self._domain_values(structure)))
+                planner = Planner(stats)
                 self.stats.plans_built += 1
                 if _telemetry_enabled():
                     _counter("engine.plans_built").inc()
@@ -584,16 +573,6 @@ class Engine:
                 return plan, normalized
 
         return self.plan_cache.get_or_compute(key, build)
-
-    def _domain_values(self, structure: Structure) -> tuple[Element, ...]:
-        if self.domain_mode == "universe":
-            return structure.universe
-        active = structure.active_domain()
-        if not active:
-            # Mirror the translate convention: keep quantifiers well
-            # defined on structures with all-empty relations.
-            return (structure.universe[0],)
-        return tuple(sorted(active, key=repr))
 
     def _compute_answers(
         self,
@@ -621,11 +600,9 @@ class Engine:
         cancel_token: CancelToken | None = None,
     ) -> frozenset[tuple[Element, ...]]:
         plan, _ = self._plan_for(structure, formula)
-        domain = self._domain_values(structure)
         fault_point("engine.execute")
         executor = ColumnarExecutor(
             structure,
-            domain,
             self.stats.execution,
             recorder=recorder,
             semijoin_filtering=plan.total_estimated_rows() > SMALL_PLAN_ROWS,
@@ -639,7 +616,7 @@ class Engine:
         extra = tuple(name for name in order_names if name not in sorted_names)
         if extra:
             # Naive `answers` ranges extra free_order columns over the
-            # full universe, independent of the domain mode.
+            # full universe.
             relation = relation.extend_columns(extra, structure.universe)
         if relation.attributes != order_names:
             relation = relation.project(order_names)

@@ -180,7 +180,7 @@ class Project(Plan):
 
 @dataclass(frozen=True)
 class Complement(Plan):
-    """domain^arity minus the child — negation as active/universe complement."""
+    """domain^arity minus the child — negation as complement."""
 
     child: Plan = field(default=None)  # type: ignore[assignment]
 

@@ -20,7 +20,7 @@ style decisions along the way:
 
 Cardinality estimates use the textbook independence assumptions over
 :class:`~repro.engine.stats.StructureStats`: |L ⋈ R| ≈ |L|·|R| / d^s for
-s shared attributes over a domain of size d.
+s shared attributes over a universe of size d.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ __all__ = ["Planner"]
 class Planner:
     """Compile one normalized formula against one statistics snapshot."""
 
-    def __init__(self, stats: StructureStats, domain_size: int) -> None:
+    def __init__(self, stats: StructureStats) -> None:
         self.stats = stats
-        self.domain_size = max(1, domain_size)
+        self.domain_size = stats.universe_size
 
     # -- public entry --------------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Structure statistics: the planner's view of the data.
 
 A :class:`StructureStats` snapshot holds what a database catalog would:
-per-relation cardinalities, the universe and active-domain sizes, and the
-maximal Gaifman degree (the ``k`` of the bounded-degree theorems, reused
-from :mod:`repro.structures.gaifman`). Collection is linear in the
-structure and memoized per structure, so repeated engine calls pay for it
-once.
+per-relation cardinalities, the universe size, and the maximal Gaifman
+degree (the ``k`` of the bounded-degree theorems, reused from
+:mod:`repro.structures.gaifman`). The universe size is the domain the
+planner's estimates range over: the engine quantifies over the universe.
+Collection is linear in the structure and memoized per structure, so
+repeated engine calls pay for it once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class StructureStats:
     """Catalog statistics for one structure (immutable, hashable)."""
 
     universe_size: int
-    active_domain_size: int
     cardinalities: tuple[tuple[str, int], ...]
     max_degree: int
     has_constants: bool
@@ -41,13 +41,13 @@ class StructureStats:
         Two structures with the same plan key get the same plan from the
         planner, so the plan cache can serve both with one entry.
         """
-        return (self.universe_size, self.active_domain_size, self.cardinalities)
+        return (self.universe_size, self.cardinalities)
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{name}:{count}" for name, count in self.cardinalities)
         return (
-            f"StructureStats(|A|={self.universe_size}, adom={self.active_domain_size}, "
-            f"deg={self.max_degree}, {rels or 'no relations'})"
+            f"StructureStats(|A|={self.universe_size}, deg={self.max_degree}, "
+            f"{rels or 'no relations'})"
         )
 
 
@@ -61,7 +61,6 @@ def collect_stats(structure: Structure) -> StructureStats:
         )
         return StructureStats(
             universe_size=structure.size,
-            active_domain_size=len(structure.active_domain()),
             cardinalities=cardinalities,
             max_degree=structure.max_degree(),
             has_constants=bool(structure.constants),

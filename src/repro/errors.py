@@ -75,7 +75,7 @@ class ServerError(FMTError):
     """A request to the query service failed at the service layer.
 
     Carries the HTTP ``status`` the wire layer should answer with: 404
-    for references to unknown tenants/structures/prepared queries, 409
+    for references to unknown structures/prepared queries, 409
     for conflicting re-preparation, 400 for malformed requests.  Budget
     refusals are *not* server errors — they raise
     :class:`BudgetExceededError` and map to 429/503.
@@ -87,8 +87,8 @@ class ServerError(FMTError):
 
 
 class UnknownResourceError(ServerError):
-    """A request referenced a tenant, structure, or prepared query that
-    does not exist (HTTP 404)."""
+    """A request referenced a structure or prepared query that does not
+    exist (HTTP 404)."""
 
     def __init__(self, message: str) -> None:
         super().__init__(message, status=404)

@@ -279,8 +279,8 @@ class _Record:
     """One answer-cache entry: ``rows`` as of ``epoch``, in the scope's tier.
 
     ``scope`` is ``None`` for a formula outside every tier; such a
-    record, like any the engine does not maintain (active-domain
-    semantics, a custom column order), is only ever a hit or a miss.
+    record, like any the engine does not maintain (a custom column
+    order), is only ever a hit or a miss.
     ``census`` is ``None`` for qf and local records and for *light* Hanf
     records, which cost nothing to carry; ``promote`` is set when a
     patch fell back, and asks the recompute's :meth:`AnswerIndex.record`

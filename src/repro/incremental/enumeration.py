@@ -152,7 +152,7 @@ def _build(
         return "atom", _stream(
             (tuple(row[i] for i in order) for row in rows), token
         )
-    if _types_applicable(engine, structure, formula, free_names):
+    if _types_applicable(structure, formula, free_names):
         if len(free_names) == 1:
             satisfying = _types_preprocess(
                 engine, structure, formula, free_names, token
@@ -182,14 +182,12 @@ def _atom_streamable(formula: Formula) -> bool:
 
 
 def _types_applicable(
-    engine, structure: Structure, formula: Formula, free_names: tuple[str, ...]
+    structure: Structure, formula: Formula, free_names: tuple[str, ...]
 ) -> bool:
     from repro.locality.bounded_degree import BALL_LIMIT, DEGREE_BOUND
     from repro.locality.neighborhoods import max_ball_size
 
-    if len(free_names) not in (1, 2) or engine.domain_mode != "universe":
-        return False
-    if structure.constants:
+    if len(free_names) not in (1, 2) or structure.constants:
         return False
     degree = structure.max_degree()
     if degree > DEGREE_BOUND:

@@ -230,7 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
             _required_str(body, "formula"),
             name=body.get("name"),
             structure_id=body.get("structure_id"),
-            constants=tuple(body.get("constants", ())),
+            constants=body.get("constants", ()),
             free_variables=body.get("free_variables"),
         )
         return {
@@ -276,7 +276,7 @@ class _Handler(BaseHTTPRequestHandler):
             deadline_ms=body.get("deadline_ms"),
             max_rows=body.get("max_rows"),
             free_variables=body.get("free_variables"),
-            explain=bool(body.get("explain", False)),
+            explain=body.get("explain", False),
         )
         return page.to_wire()
 

@@ -259,11 +259,6 @@ class QueryService:
     engine:
         The shared engine; defaults to a fresh one. Its caches and census
         evaluators serve every tenant and every tenant chain.
-    auto_register:
-        When true (default), a request naming an unknown tenant creates
-        a session with the default budget — the multi-tenant analogue of
-        "anonymous users get the public rate limit". When false, unknown
-        tenants are a 404.
     trace_sample:
         Fraction of requests whose spans are recorded (deterministic
         per trace id). ``None`` (default) follows the process-wide
@@ -283,16 +278,12 @@ class QueryService:
         self,
         default_budget: Budget | None = None,
         engine: Engine | None = None,
-        auto_register: bool = True,
-        max_page_size: int = MAX_PAGE_SIZE,
         trace_sample: float | None = None,
         access_log: AccessLog | None = None,
         readonly: bool = False,
     ) -> None:
         self.engine = engine if engine is not None else Engine()
         self.default_budget = default_budget
-        self.auto_register = auto_register
-        self.max_page_size = min(max_page_size, MAX_PAGE_SIZE)
         self.trace_sample = trace_sample
         self.access_log = access_log
         self.readonly = readonly
@@ -358,11 +349,10 @@ class QueryService:
             return session
 
     def tenant(self, name: str) -> TenantSession:
+        """The tenant's session, registered with the default budget on first use."""
         with self._lock:
             session = self.tenants.get(name)
         if session is None:
-            if not self.auto_register:
-                raise UnknownResourceError(f"unknown tenant {name!r}")
             session = self.register_tenant(name)
         return session
 
@@ -593,6 +583,7 @@ class QueryService:
         Re-preparing the same name with the same text is idempotent; a
         different text under a taken name is a 409 conflict.
         """
+        _check_fields(name=name, structure_id=structure_id, constants=constants)
         session = self.tenant(tenant)
         constant_names = frozenset(constants)
         structure = None
@@ -750,6 +741,7 @@ class QueryService:
         and the compiled query — the tenant's prepared one, fetched by
         name and checked against this structure's signature, or ad-hoc
         text compiled for this read.  Nothing executes here."""
+        _check_fields(structure_id=structure_id, query=query)
         structure = self.structure(structure_id)
         if (query is None) == (formula is None):
             raise ServerError(
@@ -838,7 +830,7 @@ class QueryService:
             request.query = query
             with _span("server.answers") as answer_span:
                 answer_span.set("tenant", tenant)
-                _check_fields(page=page, page_size=page_size)
+                _check_fields(page=page, page_size=page_size, explain=explain)
                 token = request.token = self._effective_token(
                     session, deadline_ms, max_rows
                 )
@@ -947,7 +939,7 @@ class QueryService:
         read: _Read,
     ) -> AnswerPage:
         size = DEFAULT_PAGE_SIZE if page_size is None else page_size
-        size = min(size, self.max_page_size)
+        size = min(size, MAX_PAGE_SIZE)
         ordered = sorted(rows, key=repr)
         start = page * size
         window = tuple(ordered[start : start + size])
@@ -1079,6 +1071,12 @@ def _integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_STRING = (lambda v: isinstance(v, str), "a string")
+_STRINGS = (
+    lambda v: isinstance(v, (list, tuple)) and all(isinstance(n, str) for n in v),
+    "a list of strings",
+)
+
 #: Each request field :func:`_check_fields` checks: what it must be, as
 #: a predicate and as its 400 says it.
 _FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
@@ -1089,19 +1087,22 @@ _FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
         lambda v: (_integer(v) or isinstance(v, float) and math.isfinite(v)) and v > 0,
         "a positive finite number",
     ),
-    "free_variables": (
-        lambda v: isinstance(v, (list, tuple)) and all(isinstance(n, str) for n in v),
-        "a list of strings",
-    ),
+    "free_variables": _STRINGS,
+    "constants": _STRINGS,
+    "explain": (lambda v: isinstance(v, bool), "a JSON boolean"),
+    "name": _STRING,
+    "query": _STRING,
+    "structure_id": _STRING,
 }
 
 
 def _check_fields(**fields: Any) -> None:
     """The one check of the request fields a client sends: refuse a
-    malformed one with a typed 400 before it meets arithmetic that
-    would fail as a 500, or a coercion that would misread it (a bare
-    string is not a list of one-letter variable names).  ``None`` is a
-    field left out, except for ``page``, which defaults to 0 instead."""
+    malformed one with a typed 400 before it meets arithmetic or
+    hashing that would fail as a 500, or a coercion that would misread
+    it (a bare string is not a list of one-letter names, nor is
+    ``"false"`` true).  ``None`` is a field left out, except for
+    ``page``, which defaults to 0 instead."""
     for name, value in fields.items():
         valid, expected = _FIELDS[name]
         if (value is not None or name == "page") and not valid(value):

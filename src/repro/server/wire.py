@@ -423,7 +423,7 @@ def status_for_error(error: BaseException) -> int:
     * any other :class:`~repro.errors.BudgetExceededError` → 429 — the
       request exceeded its admission budget; a typed refusal.
     * :class:`~repro.errors.ServerError` → its own ``status`` (404 for
-      unknown tenants/structures/queries, 409 for prepare conflicts).
+      unknown structures/queries, 409 for prepare conflicts).
     * any other :class:`~repro.errors.FMTError` → 400 — the request was
       understood but invalid (parse errors, bad structures, ...).
     """

@@ -50,6 +50,12 @@ DELTA_LOG_LIMIT = 256
 #: moved forward over :meth:`Structure.deltas_since` by its owner.
 DIGEST_MEMO = ("content-digest",)
 
+#: Memo keys of the columnar tier's codec and compiled pipelines (see
+#: :mod:`repro.engine.columnar`); kept across updates like the digest,
+#: each entry carries its own epoch stamp and is patched by its owner.
+CODEC_MEMO = ("columnar-codec",)
+PIPELINE_MEMO = ("columnar-pipeline",)
+
 
 def _sort_key(element: Element) -> tuple[str, str]:
     return (type(element).__name__, repr(element))
@@ -367,24 +373,20 @@ class Structure:
 
         Row incidence maps each element to the ``(relation, row)`` pairs
         it occurs in; the Gaifman adjacency is derivable from it.  Both
-        are patched in O(|row| · degree).  Columnar codecs and compiled
-        pipelines over the (immutable) universe domain, and the wire
-        content digest's row sum, are *kept* — they carry their own epoch
-        stamps, and ``codec_for`` / the columnar executor /
-        ``structure_digest`` patch them forward from the delta log on
-        next use instead of re-reading the whole structure.  Active-domain
-        columnar entries are dropped (the active domain itself moves
-        under updates, so their key would go stale anyway), as is
-        everything else (WL colors, engine stats, the max degree): each
-        owner recomputes on demand.
+        are patched in O(|row| · degree).  The columnar codec and
+        compiled pipelines (:data:`CODEC_MEMO`, :data:`PIPELINE_MEMO`)
+        and the wire content digest's row sum (:data:`DIGEST_MEMO`) are
+        *kept* — they carry their own epoch stamps, and ``codec_for`` /
+        the columnar executor / ``structure_digest`` patch them forward
+        from the delta log on next use instead of re-reading the whole
+        structure.  Everything else (WL colors, engine stats, the max
+        degree) is dropped: each owner recomputes on demand.
         """
-        patched: dict = {}
-        for key, value in self._cache.items():
-            if key == DIGEST_MEMO or (
-                key[0] in ("columnar-codec", "columnar-pipeline")
-                and (key[-1] is self.universe or key[-1] == self.universe)
-            ):
-                patched[key] = value
+        patched = {
+            key: value
+            for key, value in self._cache.items()
+            if key in (DIGEST_MEMO, CODEC_MEMO, PIPELINE_MEMO)
+        }
         incidence = self._cache.get(("row-incidence",))
         if incidence is not None:
             incidence = dict(incidence)

@@ -71,11 +71,6 @@ def test_parse_error_position_points_into_text():
 # -- Engine malformed inputs -------------------------------------------------
 
 
-def test_engine_rejects_bad_domain_mode():
-    with pytest.raises(EvaluationError, match="domain must be"):
-        Engine(domain="multiverse")
-
-
 def test_engine_answers_rejects_incomplete_free_order():
     engine = Engine()
     with pytest.raises(EvaluationError, match="free_order omits"):

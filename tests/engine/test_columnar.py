@@ -2,8 +2,7 @@
 one plan executor.
 
 The contract under test is *exact answer-set agreement* with the
-independent references — the naive evaluator, and the algebra
-translation for active-domain semantics — plus the codec's coding
+independent reference, the naive evaluator, plus the codec's coding
 invariants, the packed/tuple mode switch, the bounded pipeline memo,
 and the observability and pickling behaviour the executor promises.
 """
@@ -22,11 +21,10 @@ from repro.engine.columnar.codec import PACK_MAX_ARITY, DomainCodec, codec_for
 from repro.engine.columnar.compile import compile_plan
 from repro.engine.columnar.executor import PIPELINE_CACHE_LIMIT
 from repro.eval.evaluator import answers as naive_answers
-from repro.eval.translate import algebra_answers
 from repro.logic.parser import parse
 from repro.logic.signature import Signature
 from repro.structures.builders import directed_cycle, random_graph
-from repro.structures.structure import Structure
+from repro.structures.structure import PIPELINE_MEMO, Structure
 
 DISTANCE_TWO = parse("exists z (E(x, z) & E(z, y)) & ~E(x, y)")
 HAS_LOOP = parse("exists x E(x, x)")
@@ -34,8 +32,8 @@ OUT_DOMINATED = parse("~(x = y) & forall z ((~E(x, z) | E(y, z)))")
 
 
 def pipelines(structure: Structure):
-    """The structure's compiled-pipeline memo over its universe domain."""
-    return structure._cache[("columnar-pipeline", structure.universe)]
+    """The structure's compiled-pipeline memo."""
+    return structure._cache[PIPELINE_MEMO]
 
 
 class TestColumnarEquivalence:
@@ -50,30 +48,11 @@ class TestColumnarEquivalence:
         reference = naive_answers(case.structure, case.formula)
         assert Engine().answers(case.structure, case.formula) == reference
 
-    @settings(max_examples=25, deadline=None)
-    @given(case=conformance_cases(max_size=5, formula_budget=5))
-    def test_matches_tuple_executor_under_active_domain(self, case):
-        """Active-domain semantics against the algebra translation, the
-        reference the tuple executor was itself held to."""
-        active = Engine(domain="active")
-        assert active.answers(case.structure, case.formula) == algebra_answers(
-            case.structure, case.formula, domain="active"
-        )
-
     def test_named_zoo_shapes_agree(self):
         graph = random_graph(14, 0.4, seed=9)
         for formula in (DISTANCE_TWO, HAS_LOOP, OUT_DOMINATED):
             assert Engine().answers(graph, formula) == naive_answers(
                 graph, formula
-            )
-
-    def test_empty_active_domain(self):
-        """All-empty relations under active semantics: the domain pads to
-        one universe element, as in the algebra translation."""
-        empty = Structure(Signature({"E": 2}), [0, 1, 2], {"E": []})
-        for formula in (DISTANCE_TWO, HAS_LOOP, parse("~E(x, y)")):
-            assert Engine(domain="active").answers(empty, formula) == algebra_answers(
-                empty, formula, domain="active"
             )
 
     def test_constants_resolve_through_the_codec(self):
@@ -90,7 +69,7 @@ class TestColumnarEquivalence:
 class TestDomainCodec:
     def test_round_trip_packed_and_tuple(self):
         structure = directed_cycle(7)
-        codec = DomainCodec(structure, structure.universe)
+        codec = DomainCodec(structure)
         for arity in (1, 2, 3):
             row = tuple(structure.universe[i % 7] for i in range(arity))
             packed = codec.encode_row(row, packed=True)
@@ -100,21 +79,15 @@ class TestDomainCodec:
             assert isinstance(ids, tuple)
             assert codec.decode_key(ids, arity) == row
 
-    def test_encode_foreign_element_is_none(self):
-        structure = directed_cycle(4)
-        codec = DomainCodec(structure, structure.universe)
-        assert codec.encode("not-an-element") is None
-        assert codec.encode_row((0, "not-an-element")) is None
-
     def test_packed_relation_equals_encoded_tuples(self):
         structure = random_graph(9, 0.4, seed=5)
-        codec = codec_for(structure, structure.universe)
+        codec = codec_for(structure)
         expected = {codec.encode_row(row) for row in structure.tuples("E")}
         assert codec.packed_relation("E") == expected
 
     def test_columns_are_parallel_and_cached(self):
         structure = random_graph(8, 0.5, seed=2)
-        codec = codec_for(structure, structure.universe)
+        codec = codec_for(structure)
         cols = codec.columns("E")
         assert len(cols) == 2
         decoded = {
@@ -123,21 +96,9 @@ class TestDomainCodec:
         assert decoded == set(structure.tuples("E"))
         assert codec.columns("E") is cols
 
-    def test_codec_cached_per_domain(self):
-        # Vertex 3 is isolated, so the active domain is a proper subset.
-        structure = Structure(Signature({"E": 2}), [0, 1, 2, 3], {"E": [(0, 1), (1, 2)]})
-        assert codec_for(structure, structure.universe) is codec_for(
-            structure, structure.universe
-        )
-        active = tuple(sorted(structure.active_domain(), key=repr))
-        assert active != structure.universe
-        assert codec_for(structure, active) is not codec_for(
-            structure, structure.universe
-        )
-
     def test_can_pack_respects_arity_cap(self):
         structure = directed_cycle(5)
-        codec = DomainCodec(structure, structure.universe)
+        codec = DomainCodec(structure)
         assert codec.can_pack(PACK_MAX_ARITY)
         assert not codec.can_pack(PACK_MAX_ARITY + 1)
 
@@ -170,7 +131,7 @@ class TestKernels:
         graph = random_graph(10, 0.3, seed=1)
         engine = Engine()
         plan, _ = engine._plan_for(graph, parse("forall z (E(x, z) | E(y, z))"))
-        compiled = compile_plan(plan, graph, graph.universe)
+        compiled = compile_plan(plan, graph)
         extends, unfused = [], []
 
         def walk(node):
@@ -216,7 +177,7 @@ class TestModeSelection:
         graph = random_graph(7, 0.5, seed=4)
         engine = Engine()
         plan, _ = engine._plan_for(graph, wide)
-        compiled = compile_plan(plan, graph, graph.universe)
+        compiled = compile_plan(plan, graph)
         assert not compiled.packed
         assert engine.answers(graph, wide) == naive_answers(graph, wide)
 
@@ -224,7 +185,7 @@ class TestModeSelection:
         graph = random_graph(7, 0.5, seed=4)
         engine = Engine()
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        assert compile_plan(plan, graph, graph.universe).packed
+        assert compile_plan(plan, graph).packed
 
 
 class TestExecutorParity:
@@ -258,7 +219,7 @@ class TestExecutorParity:
             assert snap["counters"]["executor.rows.AtomScan"] > 0
             assert snap["counters"]["columnar.pipeline.compiles"] >= 1
             assert any(
-                name.startswith("columnar.kernel.") for name in snap["counters"]
+                name.startswith("executor.ops.") for name in snap["counters"]
             )
             assert "executor.ms.AtomScan" in snap["histograms"]
         finally:
@@ -294,7 +255,7 @@ class TestExecutorParity:
         graph = random_graph(8, 0.4, seed=6)
         engine = Engine()
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        relation = ColumnarExecutor(graph, graph.universe).run(plan)
+        relation = ColumnarExecutor(graph).run(plan)
         assert relation.attributes == plan.attributes
         assert relation.rows == naive_answers(graph, DISTANCE_TWO)
 

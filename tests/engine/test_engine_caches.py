@@ -8,6 +8,7 @@ from repro.errors import BudgetExceededError
 from repro.eval.evaluator import answers as naive_answers
 from repro.eval.evaluator import evaluate
 from repro.logic.parser import parse
+from repro.logic.signature import GRAPH
 from repro.resilience import Budget
 from repro.structures.builders import (
     complete_graph,
@@ -15,6 +16,7 @@ from repro.structures.builders import (
     random_graph,
     undirected_cycle,
 )
+from repro.structures.structure import Structure
 
 TRIANGLE_FREE = parse("~(exists x exists y exists z (E(x, y) & E(y, z) & E(z, x)))")
 MUTUAL = parse("exists x exists y (E(x, y) & E(y, x))")
@@ -111,6 +113,21 @@ class TestPlanCache:
         # Identical cardinality profiles → one plan, two answer entries.
         assert engine.stats.plans_built == 1
         assert len(engine.answer_cache) == 2
+
+    def test_structures_differing_only_in_active_domain_share_one_plan(self):
+        """The planner estimates over the universe, so structures that
+        differ only in their active domain (node 3 isolated in one, no
+        node isolated in the other) share one plan: same universe size,
+        same cardinalities."""
+        engine = Engine()
+        isolated = Structure(GRAPH, range(4), {"E": [(0, 1), (1, 2)]})
+        covering = Structure(GRAPH, range(4), {"E": [(0, 1), (2, 3)]})
+        for structure in (isolated, covering):
+            assert engine.answers(structure, DISTANCE_TWO) == naive_answers(
+                structure, DISTANCE_TWO
+            )
+        assert engine.stats.plans_built == 1
+        assert engine.plan_cache.hits == 1
 
     def test_different_cardinalities_replan(self):
         engine = Engine()

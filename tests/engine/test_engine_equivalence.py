@@ -13,7 +13,6 @@ import strategies as fmt_st
 from repro.engine import Engine
 from repro.engine.normalize import normalize
 from repro.eval.evaluator import answers, evaluate
-from repro.eval.translate import algebra_answers
 from repro.logic.builder import V
 from repro.logic.parser import parse
 from repro.logic.signature import GRAPH, Signature
@@ -42,14 +41,6 @@ def test_answers_matches_naive_on_mixed_signature(structure, formula):
 @given(fmt_st.graphs(max_size=5), fmt_st.sentences(max_leaves=5))
 def test_evaluate_matches_naive_on_sentences(structure, sentence):
     assert ENGINE.evaluate(structure, sentence) == evaluate(structure, sentence)
-
-
-@given(fmt_st.graphs(max_size=4), fmt_st.formulas(max_leaves=4))
-def test_active_domain_mode_matches_translate(structure, formula):
-    engine = Engine(domain="active")
-    assert engine.answers(structure, formula) == algebra_answers(
-        structure, formula, domain="active"
-    )
 
 
 @given(fmt_st.formulas(max_leaves=6))

@@ -3,11 +3,10 @@
 The planner compiles a guarded universal whose ψ brings a variable the
 guard atom A lacks to one :class:`~repro.engine.plan.Division` node — set
 containment — instead of ¬∃¬ over a cylinder of ¬A. The properties here
-hold the engine to the naive evaluator (universe semantics) and to the
-algebra translation (active-domain semantics) over random guarded
-universals, hold the tuple reference executor to the columnar one on
-the engine's own plan, pin down exactly when the rule fires, and check
-that the node's output rows are charged to the row budget.
+hold the engine to the naive evaluator over random guarded universals,
+hold the tuple reference executor to the columnar one on the engine's
+own plan, pin down exactly when the rule fires, and check that the
+node's output rows are charged to the row budget.
 
 The random universals cover guards of arity 1–3 with z at any position
 (and repeated), the constant ``c`` in guards and bodies, variables shared
@@ -27,13 +26,9 @@ from hypothesis import strategies as st
 from repro.engine import ColumnarExecutor, Engine
 from repro.engine.columnar.compile import compile_plan
 from repro.engine.executor import Executor
-from repro.engine.normalize import normalize
 from repro.engine.plan import AtomScan, Complement, Division, Plan, Union
-from repro.engine.planner import Planner
-from repro.engine.stats import collect_stats
 from repro.errors import BudgetExceededError
 from repro.eval.evaluator import answers as naive_answers
-from repro.eval.translate import algebra_answers
 from repro.logic.analysis import free_variables
 from repro.logic.parser import parse
 from repro.logic.signature import Signature
@@ -185,19 +180,10 @@ def test_engine_matches_naive_under_universe_semantics(structure, formula):
 
 
 @given(structure=structures(), formula=universals())
-def test_engine_matches_algebra_under_active_domain(structure, formula):
-    assert Engine(domain="active").answers(structure, formula) == algebra_answers(
-        structure, formula, domain="active"
-    )
-
-
-@given(structure=structures(), formula=universals(), mode=st.sampled_from(("universe", "active")))
-def test_tuple_executor_matches_columnar_on_the_engines_plan(structure, formula, mode):
-    engine = Engine(domain=mode)
-    plan = engine.explain(structure, formula).plan
-    domain = engine._domain_values(structure)
-    reference = Executor(structure, domain).run(plan)
-    columnar = ColumnarExecutor(structure, domain).run(plan)
+def test_tuple_executor_matches_columnar_on_the_engines_plan(structure, formula):
+    plan = Engine().explain(structure, formula).plan
+    reference = Executor(structure, structure.universe).run(plan)
+    columnar = ColumnarExecutor(structure).run(plan)
     assert columnar.attributes == reference.attributes == plan.attributes
     assert columnar.rows == reference.rows
 
@@ -284,9 +270,6 @@ def test_guard_shapes_agree_with_naive(text):
     assert engine.answers(structure, formula) == expected
     reference = Executor(structure, structure.universe).run(plan)
     assert reference.project(tuple(sorted(plan.attributes))).rows == expected
-    assert Engine(domain="active").answers(structure, formula) == algebra_answers(
-        structure, formula, domain="active"
-    )
 
 
 def test_wide_division_runs_in_tuple_mode():
@@ -302,7 +285,7 @@ def test_wide_division_runs_in_tuple_mode():
     plan = engine.explain(structure, formula).plan
     (node,) = divisions(plan)
     assert node.arity == 4
-    assert not compile_plan(plan, structure, structure.universe).packed
+    assert not compile_plan(plan, structure).packed
     expected = naive_answers(structure, formula)
     assert engine.answers(structure, formula) == expected
     reference = Executor(structure, structure.universe).run(plan)
@@ -316,22 +299,6 @@ def test_every_guard_empty_keeps_the_whole_cylinder():
     assert Engine().answers(structure, formula) == {
         (a, b) for a in range(3) for b in range(3)
     }
-
-
-def test_constant_outside_the_domain_empties_the_guard():
-    """Executed over a domain that lacks ``c``, the guard scan compiles
-    to an empty leaf: every x̄ has an empty guard and keeps every y."""
-    signature = Signature({"E": 2}, constants={"c"})
-    structure = Structure(
-        signature, range(4), {"E": [(0, 1), (1, 2), (2, 0)]}, constants={"c": 3}
-    )
-    formula = normalize(parse("forall z (~E(c, z) | E(y, z))", constants=signature))
-    domain = (0, 1, 2)
-    plan = Planner(collect_stats(structure), len(domain)).plan(formula, ("y",))
-    assert len(divisions(plan)) == 1
-    columnar = ColumnarExecutor(structure, domain).run(plan)
-    assert columnar.rows == {(0,), (1,), (2,)}
-    assert Executor(structure, domain).run(plan).rows == columnar.rows
 
 
 def test_division_rows_are_charged_to_the_row_budget():

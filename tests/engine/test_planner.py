@@ -50,7 +50,6 @@ class TestStats:
         assert stats.cardinality("Big") == 64
         assert stats.cardinality("Small") == 2
         assert stats.cardinality("Missing") == 0
-        assert stats.active_domain_size == 8
         assert not stats.has_constants
 
     def test_stats_are_memoized_per_structure(self):
@@ -129,7 +128,7 @@ class TestPlannerCostOrdering:
 
     def test_estimates_decrease_with_selections(self):
         stats = collect_stats(SKEWED)
-        planner = Planner(stats, 8)
+        planner = Planner(stats)
         loose = planner.plan(normalize(parse("Big(x, y)")), ("x", "y"))
         tight = planner.plan(normalize(parse("Big(x, x)")), ("x",))
         assert tight.estimated_rows < loose.estimated_rows

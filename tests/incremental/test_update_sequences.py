@@ -131,7 +131,7 @@ def _cold_recompute(reference: str, structure: Structure, formula) -> frozenset:
     if reference == "columnar":
         return engine.answers(cold, formula)
     plan, _ = engine._plan_for(cold, formula)
-    relation = Executor(cold, engine._domain_values(cold)).run(plan)
+    relation = Executor(cold, cold.universe).run(plan)
     order = tuple(sorted(var.name for var in free_variables(formula)))
     if relation.attributes != order:
         relation = relation.project(order)

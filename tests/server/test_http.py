@@ -183,7 +183,14 @@ def test_parse_error_400(server_url: str, cycle_id: str):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"page": "x"}, {"page": None}, {"page_size": "x"}, {"max_rows": True}],
+    [
+        {"page": "x"},
+        {"page": None},
+        {"page_size": "x"},
+        {"max_rows": True},
+        {"explain": "false"},
+        {"structure_id": [1]},
+    ],
     ids=repr,
 )
 def test_malformed_answer_fields_400(server_url: str, cycle_id: str, fields: dict):
@@ -193,6 +200,34 @@ def test_malformed_answer_fields_400(server_url: str, cycle_id: str, fields: dic
     )
     assert status == 400
     assert body["error"]["type"] == "ServerError"
+
+
+@pytest.mark.parametrize(
+    "path, fields",
+    [
+        ("/v1/answers", {"query": ["x"]}),
+        ("/v1/queries", {"constants": "ab"}),
+        ("/v1/queries", {"constants": 5}),
+        ("/v1/queries", {"constants": [1]}),
+        ("/v1/queries", {"name": ["x"]}),
+        ("/v1/queries", {"name": 5}),
+    ],
+    ids=repr,
+)
+def test_fields_of_the_wrong_type_400(
+    server_url: str, cycle_id: str, path: str, fields: dict
+):
+    """Passed through uncoerced and refused by name: ``"ab"`` is not the
+    constants a and b, and a list is no query or query name."""
+    if path == "/v1/answers":
+        base = {"tenant": "t", "structure_id": cycle_id, "query": "q"}
+    else:
+        base = {"tenant": "t", "formula": "E(a, b)"}
+    status, body = _post(server_url + path, {**base, **fields})
+    assert status == 400
+    assert body["error"]["type"] == "ServerError"
+    (field,) = fields
+    assert body["error"]["message"].startswith(f"{field} must be")
 
 
 def test_prepare_conflict_409(server_url: str, cycle_id: str):

@@ -11,6 +11,7 @@ from repro.logic.signature import GRAPH
 from repro.resilience.budget import Budget
 from repro.server.service import (
     DEFAULT_PAGE_SIZE,
+    MAX_PAGE_SIZE,
     QueryService,
     _tightest,
 )
@@ -36,12 +37,6 @@ def test_auto_register_creates_session(service: QueryService):
     session = service.tenant("fresh")
     assert session.name == "fresh"
     assert service.tenant("fresh") is session
-
-
-def test_auto_register_off_is_404():
-    strict = QueryService(auto_register=False)
-    with pytest.raises(UnknownResourceError):
-        strict.tenant("nobody")
 
 
 def test_register_tenant_idempotent_unless_exist_ok_false(service: QueryService):
@@ -188,11 +183,11 @@ def test_page_defaults_and_validation(service: QueryService, cycle_id: str):
         service.answers("t1", cycle_id, formula="E(x, y)", page_size=0)
 
 
-def test_page_size_clamped_to_max():
-    small = QueryService(max_page_size=8)
-    structure_id = small.add_structure(undirected_cycle(6))
-    page = small.answers("t", structure_id, formula="E(x, y)", page_size=4096)
-    assert page.page_size == 8
+def test_page_size_clamped_to_max(service: QueryService, cycle_id: str):
+    page = service.answers(
+        "t1", cycle_id, formula="E(x, y)", page_size=MAX_PAGE_SIZE + 1
+    )
+    assert page.page_size == MAX_PAGE_SIZE
 
 
 def test_sentence_answers(service: QueryService, cycle_id: str):
@@ -251,6 +246,8 @@ MALFORMED_READ_FIELDS = [
     {"max_rows": 5.0},
     {"free_variables": "yx"},
     {"free_variables": ["x", 1]},
+    {"explain": "false"},
+    {"explain": 1},
 ]
 
 
@@ -302,10 +299,45 @@ def test_malformed_batch_and_update_budgets_are_typed_400(
     assert service.structure(cycle_id).epoch == 0  # nothing applied
 
 
+@pytest.mark.parametrize("field", ["structure_id", "query"])
+def test_read_ids_of_the_wrong_type_are_typed_400(
+    service: QueryService, cycle_id: str, field: str
+):
+    read = {"structure_id": cycle_id, "query": "q", field: ["x"]}
+    with pytest.raises(ServerError, match=f"{field} must be a string") as excinfo:
+        service.answers("t1", **read)
+    assert excinfo.value.status == 400
+    with pytest.raises(ServerError, match=f"{field} must be a string") as excinfo:
+        service.answers_batch("t1", [read])
+    assert excinfo.value.status == 400
+
+
 def test_prepare_refuses_a_string_as_free_variables(service: QueryService):
     with pytest.raises(ServerError) as excinfo:
         service.prepare("t1", "E(x, y)", free_variables="yx")
     assert excinfo.value.status == 400
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"constants": "ab"},  # not split into the constants a and b
+        {"constants": 5},
+        {"constants": [1]},
+        {"name": ["x"]},
+        {"name": 5},
+        {"structure_id": [1]},
+    ],
+    ids=repr,
+)
+def test_prepare_fields_of_the_wrong_type_are_typed_400(
+    service: QueryService, fields: dict
+):
+    (field,) = fields
+    with pytest.raises(ServerError, match=f"{field} must be") as excinfo:
+        service.prepare("t1", "E(a, b)", **fields)
+    assert excinfo.value.status == 400
+    assert not service.tenant("t1").prepared
 
 
 def test_tightest_helper():

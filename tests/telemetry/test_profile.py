@@ -75,7 +75,7 @@ class TestProfile:
             for node in plan_nodes(profile.plan):
                 actuals = profile.node_actuals(node)
                 if actuals is not None:
-                    rows = ColumnarExecutor(graph, graph.universe).run(node).rows
+                    rows = ColumnarExecutor(graph).run(node).rows
                     assert actuals.rows == len(rows), (query.name, node.label())
 
     def test_root_actual_rows_equal_answer_count(self):
