@@ -25,7 +25,7 @@ s shared attributes over a universe of size d.
 
 from __future__ import annotations
 
-from repro.errors import EvaluationError, FormulaError
+from repro.errors import FormulaError
 from repro.engine.plan import (
     AntiJoin,
     AtomScan,

@@ -139,29 +139,6 @@ class TypeRegistry:
 # -- ball keys (the per-element work) ----------------------------------------
 
 
-def _row_incidence(
-    structure: Structure,
-) -> dict[Element, tuple[tuple[str, tuple], ...]]:
-    """Element → the (relation, row) pairs it occurs in (memoized).
-
-    The per-element index that makes :func:`ball_key` O(|ball| · degree)
-    instead of O(|structure|): a ball only ever needs the rows incident
-    to its own members.
-    """
-
-    def compute() -> dict[Element, tuple[tuple[str, tuple], ...]]:
-        incidence: dict[Element, list[tuple[str, tuple]]] = {
-            element: [] for element in structure.universe
-        }
-        for name in structure.signature.relation_names():
-            for row in structure.relations[name]:
-                for element in set(row):
-                    incidence[element].append((name, row))
-        return {element: tuple(pairs) for element, pairs in incidence.items()}
-
-    return structure.cached(("row-incidence",), compute)  # type: ignore[return-value]
-
-
 def ball_key(
     structure: Structure, centers: tuple[Element, ...], radius: int
 ) -> tuple:
@@ -177,9 +154,10 @@ def ball_key(
     costs a duplicate registry probe, never a wrong merge.
 
     This is a pure function of (structure, centers, radius), touching
-    only the ball's own rows — O(|ball| · degree) per call.
+    only the ball's own rows — O(|ball| · degree) per call, over the
+    structure's row incidence (:meth:`Structure.row_incidence`).
     """
-    incidence = _row_incidence(structure)
+    incidence = structure.row_incidence()
     distances = _bfs_distances(structure, centers, radius)
     order = sorted(distances, key=lambda element: (distances[element], _sort_key(element)))
     index = {element: position for position, element in enumerate(order)}

@@ -365,7 +365,9 @@ class QueryService:
 
         Content-addressed and idempotent: uploading the same structure
         twice — by the same tenant or another — returns the same id.
+        A malformed ``tenant`` is refused before anything is stored.
         """
+        _check_fields(tenant=tenant)
         if isinstance(structure, dict):
             structure = wire.structure_from_dict(structure)
         structure_id = wire.structure_digest(structure)
@@ -1093,6 +1095,7 @@ _FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "name": _STRING,
     "query": _STRING,
     "structure_id": _STRING,
+    "tenant": (lambda v: isinstance(v, str) and bool(v), "a non-empty string"),
 }
 
 

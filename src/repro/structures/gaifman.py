@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.errors import StructureError
-from repro.structures.structure import Element, Structure
+from repro.structures.structure import GAIFMAN_MEMO, Element, Structure
 
 __all__ = [
     "gaifman_adjacency",
@@ -49,7 +49,7 @@ def gaifman_adjacency(structure: Structure) -> dict[Element, frozenset[Element]]
                             adjacency[first].add(second)
         return {element: frozenset(neighbors) for element, neighbors in adjacency.items()}
 
-    return structure.cached(("gaifman",), compute)  # type: ignore[return-value]
+    return structure.cached(GAIFMAN_MEMO, compute)  # type: ignore[return-value]
 
 
 def gaifman_graph(structure: Structure) -> Structure:

@@ -56,6 +56,13 @@ DIGEST_MEMO = ("content-digest",)
 CODEC_MEMO = ("columnar-codec",)
 PIPELINE_MEMO = ("columnar-pipeline",)
 
+#: Memo keys of the two structural memos every update patches in place
+#: (see :meth:`Structure._patch_memos`): the Gaifman adjacency
+#: (:func:`repro.structures.gaifman.gaifman_adjacency`) and the row
+#: incidence (:meth:`Structure.row_incidence`).
+GAIFMAN_MEMO = ("gaifman",)
+INCIDENCE_MEMO = ("row-incidence",)
+
 
 def _sort_key(element: Element) -> tuple[str, str]:
     return (type(element).__name__, repr(element))
@@ -368,58 +375,85 @@ class Structure:
         self._patch_memos(op, relation, row)
         return True
 
+    def row_incidence(self) -> dict[Element, tuple[tuple[str, tuple], ...]]:
+        """Element → the ``(relation, row)`` pairs it occurs in (memoized).
+
+        The per-element index that keeps locality work local: a ball key
+        (:func:`repro.locality.neighborhoods.ball_key`) reads only the
+        rows incident to the ball's own members, and a delete recomputes
+        the touched elements' Gaifman neighbors from it.  Updates patch
+        it in place (:meth:`_patch_memos`).
+        """
+
+        def compute() -> dict[Element, tuple[tuple[str, tuple], ...]]:
+            incidence: dict[Element, list[tuple[str, tuple]]] = {
+                element: [] for element in self.universe
+            }
+            for name in self.signature.relation_names():
+                for row in self.relations[name]:
+                    for element in set(row):
+                        incidence[element].append((name, row))
+            return {element: tuple(pairs) for element, pairs in incidence.items()}
+
+        return self.cached(INCIDENCE_MEMO, compute)  # type: ignore[return-value]
+
     def _patch_memos(self, op: str, relation: str, row: tuple) -> None:
         """Patch the structural memos for one applied delta; drop the rest.
 
-        Row incidence maps each element to the ``(relation, row)`` pairs
-        it occurs in; the Gaifman adjacency is derivable from it.  Both
-        are patched in O(|row| · degree).  The columnar codec and
-        compiled pipelines (:data:`CODEC_MEMO`, :data:`PIPELINE_MEMO`)
-        and the wire content digest's row sum (:data:`DIGEST_MEMO`) are
-        *kept* — they carry their own epoch stamps, and ``codec_for`` /
-        the columnar executor / ``structure_digest`` patch them forward
-        from the delta log on next use instead of re-reading the whole
-        structure.  Everything else (WL colors, engine stats, the max
-        degree) is dropped: each owner recomputes on demand.
+        The row incidence (:data:`INCIDENCE_MEMO`) and the Gaifman
+        adjacency (:data:`GAIFMAN_MEMO`) are patched in O(|row| · degree)
+        plus a copy of each map.  An insert adds the row to its elements'
+        incidence and joins them in the adjacency.  A delete may or may
+        not sever a touched pair (another row can still join it), so the
+        touched elements' neighbor sets are recomputed from the patched
+        incidence.  When a delete finds the adjacency but no incidence
+        memo, it builds the incidence once, from the post-delete rows
+        (one O(Σ|row|) pass); later updates patch it.  Set-up and
+        insert-only structures never pay for it.
+
+        The columnar codec and compiled pipelines (:data:`CODEC_MEMO`,
+        :data:`PIPELINE_MEMO`) and the wire content digest's row sum
+        (:data:`DIGEST_MEMO`) are *kept* — they carry their own epoch
+        stamps, and ``codec_for`` / the columnar executor /
+        ``structure_digest`` patch them forward from the delta log on
+        next use instead of re-reading the whole structure.  Everything
+        else (WL colors, engine stats, the max degree) is dropped: each
+        owner recomputes on demand.
         """
-        patched = {
+        cache = self._cache
+        self._cache = {
             key: value
-            for key, value in self._cache.items()
+            for key, value in cache.items()
             if key in (DIGEST_MEMO, CODEC_MEMO, PIPELINE_MEMO)
         }
-        incidence = self._cache.get(("row-incidence",))
+        touched = set(row)
+        incidence = cache.get(INCIDENCE_MEMO)
+        adjacency = cache.get(GAIFMAN_MEMO)
         if incidence is not None:
             incidence = dict(incidence)
             pair = (relation, row)
-            for element in set(row):
-                pairs = incidence.get(element, ())
+            for element in touched:
+                pairs = incidence[element]
                 if op == "insert":
                     incidence[element] = (*pairs, pair)
                 else:
                     incidence[element] = tuple(p for p in pairs if p != pair)
-            patched[("row-incidence",)] = incidence
-        adjacency = self._cache.get(("gaifman",))
+            self._cache[INCIDENCE_MEMO] = incidence
+        elif adjacency is not None and op == "delete":
+            incidence = self.row_incidence()
         if adjacency is not None:
-            touched = set(row)
             adjacency = dict(adjacency)
-            if op == "insert":
-                for element in touched:
+            for element in touched:
+                if op == "insert":
                     adjacency[element] = adjacency[element] | (touched - {element})
-            elif incidence is not None:
-                # A deleted row may or may not sever edges (another row
-                # can still connect the same pair); recompute the touched
-                # elements' rows from the patched incidence.
-                for element in touched:
-                    neighbors: set[Element] = set()
-                    for _, other_row in incidence.get(element, ()):
-                        neighbors.update(other_row)
-                    neighbors.discard(element)
-                    adjacency[element] = frozenset(neighbors)
-            else:
-                adjacency = None
-            if adjacency is not None:
-                patched[("gaifman",)] = adjacency
-        self._cache = patched
+                else:
+                    adjacency[element] = frozenset(
+                        value
+                        for _, other_row in incidence[element]
+                        for value in other_row
+                        if value != element
+                    )
+            self._cache[GAIFMAN_MEMO] = adjacency
 
     # -- derived structures ---------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -31,11 +32,16 @@ from repro.locality.neighborhoods import (
 )
 from repro.logic.analysis import free_variables
 from repro.logic.parser import parse
-from repro.logic.signature import GRAPH
+from repro.logic.signature import GRAPH, Signature
 from repro.resilience.budget import Budget, CancelToken
-from repro.structures.builders import directed_cycle, random_graph
+from repro.structures.builders import directed_cycle, grid_graph, random_graph
 from repro.structures.gaifman import gaifman_adjacency
-from repro.structures.structure import DELTA_LOG_LIMIT, Structure
+from repro.structures.structure import (
+    DELTA_LOG_LIMIT,
+    GAIFMAN_MEMO,
+    INCIDENCE_MEMO,
+    Structure,
+)
 
 import strategies
 
@@ -224,14 +230,72 @@ def test_census_identical_to_from_scratch_after_every_step(structure, steps, rad
         assert patched == neighborhood_census_baseline(_cold_copy(live), radius, registry)
 
 
-@given(structure=strategies.graphs(min_size=2, max_size=6), steps=deltas())
-def test_patched_gaifman_adjacency_matches_cold(structure, steps):
+#: A ternary row joins three elements at once, so deleting one can leave
+#: a pair it joined still joined by another row.
+WITH_TERNARY = Signature({"E": 2, "T": 3})
+
+
+def structures_with_deltas(signature: Signature, max_steps: int = 8):
+    """A random structure over ``signature`` and insert/delete steps on
+    any of its relations."""
+    row = st.sampled_from(signature.relation_names()).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.tuples(*[st.integers(min_value=0, max_value=5)] * signature.arity(name)),
+        )
+    )
+    return st.tuples(
+        strategies.graphs(min_size=2, max_size=6, signature=signature),
+        st.lists(st.tuples(st.booleans(), row), min_size=1, max_size=max_steps),
+    )
+
+
+@given(case=st.sampled_from([GRAPH, WITH_TERNARY]).flatmap(structures_with_deltas))
+def test_patched_gaifman_adjacency_matches_cold(case):
+    structure, steps = case
     live = _cold_copy(structure)
     gaifman_adjacency(live)  # materialize the memo so updates patch it
-    for insert, row in steps:
+    for insert, (relation, row) in steps:
         row = tuple(value % structure.size for value in row)
-        _apply(live, (insert, row))
+        (live.insert if insert else live.delete)(relation, row)
+        assert GAIFMAN_MEMO in live._cache  # patched, never dropped
         assert gaifman_adjacency(live) == gaifman_adjacency(_cold_copy(live))
+
+
+def test_deletes_patch_the_gaifman_memo_without_a_rebuild(monkeypatch):
+    """Alternating writes on a grid never rebuild the Gaifman graph: a
+    delete recomputes its touched elements' neighbors from the row
+    incidence, which the first delete builds once and later writes
+    patch.  Set-up and inserts never build the incidence."""
+    builds: Counter = Counter()
+    cached = Structure.cached
+
+    def counting(self, key, compute):
+        def build():
+            builds[self.uid, key] += 1
+            return compute()
+
+        return cached(self, key, build)
+
+    monkeypatch.setattr(Structure, "cached", counting)
+    live = grid_graph(8, 8)
+    gaifman_adjacency(live)
+    assert live.insert("E", ((0, 0), (1, 1)))
+    assert builds == Counter({(live.uid, GAIFMAN_MEMO): 1})
+    for a, b in [((0, 0), (0, 1)), ((3, 3), (3, 4)), ((7, 6), (7, 7))]:
+        # The first delete leaves the pair joined by the reverse edge,
+        # the second severs it; the inserts restore both.
+        for write, row in [
+            (live.delete, (a, b)),
+            (live.delete, (b, a)),
+            (live.insert, (a, b)),
+            (live.insert, (b, a)),
+        ]:
+            assert write("E", row)
+            assert GAIFMAN_MEMO in live._cache
+            assert gaifman_adjacency(live) == gaifman_adjacency(_cold_copy(live))
+    assert builds[live.uid, GAIFMAN_MEMO] == 1
+    assert builds[live.uid, INCIDENCE_MEMO] == 1
 
 
 def test_census_patch_honours_the_token():

@@ -230,6 +230,27 @@ def test_fields_of_the_wrong_type_400(
     assert body["error"]["message"].startswith(f"{field} must be")
 
 
+@pytest.mark.parametrize("tenant", [["x"], {"x": 1}, ""], ids=repr)
+def test_upload_with_a_malformed_tenant_400_stores_nothing(server_url: str, tenant):
+    structure = undirected_cycle(9)
+    status, body = _post(
+        server_url + "/v1/structures",
+        {"tenant": tenant, "structure": wire.structure_to_dict(structure)},
+    )
+    assert status == 400
+    assert body["error"]["type"] == "ServerError"
+    assert body["error"]["message"].startswith("tenant must be")
+    status, body = _post(
+        server_url + "/v1/answers",
+        {
+            "tenant": "t",
+            "structure_id": wire.structure_digest(structure),
+            "formula": "E(x, y)",
+        },
+    )
+    assert status == 404, body
+
+
 def test_prepare_conflict_409(server_url: str, cycle_id: str):
     payload = {
         "tenant": "t",

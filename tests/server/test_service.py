@@ -52,6 +52,19 @@ def test_tenant_name_must_be_nonempty(service: QueryService):
         service.register_tenant("")
 
 
+@pytest.mark.parametrize("tenant", [["x"], {"x": 1}, "", 5], ids=repr)
+def test_upload_refuses_a_malformed_tenant_before_storing(
+    service: QueryService, tenant
+):
+    """A list or dict tenant is unhashable and an empty one is no name:
+    each is a typed 400 naming the field, and the upload is not kept."""
+    payload = wire.structure_to_dict(undirected_cycle(7))
+    with pytest.raises(ServerError, match="tenant must be a non-empty string") as excinfo:
+        service.add_structure(payload, tenant=tenant)
+    assert excinfo.value.status == 400
+    assert service.structures == {}
+
+
 def test_tenant_inherits_default_budget():
     budgeted = QueryService(default_budget=Budget(max_rows=7))
     assert budgeted.tenant("anon").budget.max_rows == 7
