@@ -200,8 +200,8 @@ def _columnar_zoo_rows() -> list[dict]:
     repeat, so it measures execution, not cache probes; its columnar
     pipeline/codec memos (structure-resident indexes) stay warm across
     repeats, which is the executor's steady state. One untimed call per
-    executor comes first: it compiles the pipeline, fills its leaf memos
-    and lets the interpreter specialize the freshly generated kernels,
+    executor comes first: it compiles the pipeline, fills the codec's
+    scan memo and lets the interpreter specialize the freshly generated kernels,
     all of which would otherwise land in the first repeats. The tuple
     column runs :class:`~repro.engine.executor.Executor` on the engine's
     cached plan — the plan-level reference, no engine caches involved.

@@ -3,10 +3,14 @@
 Everything the columnar tier does — packed composite keys, vectorized
 kernels, generated pipelines — rests on a single bijection between the
 universe (the engine's quantification domain) and ``range(n)``.
-:class:`DomainCodec` owns that bijection plus the columnar
-materialization of each base relation: parallel ``array('q')`` columns
-of element ids instead of frozensets of tuples of arbitrary Python
-objects. Both are cached on the structure (via :meth:`Structure.cached`),
+:class:`DomainCodec` owns that bijection plus every per-structure set the
+pipelines read: the columnar materialization of each base relation
+(parallel ``array('q')`` columns of element ids instead of frozensets of
+tuples of arbitrary Python objects), its packed key set, the memoized
+result of each scan shape, and the complement universes. Compiled
+pipelines hold no data of their own, so the codec's delta patch
+(:meth:`DomainCodec.apply_deltas`) is the columnar tier's one write path.
+The codec is cached on the structure (via :meth:`Structure.cached`),
 so the coding cost is paid once per structure and the caches evaporate
 on pickling or copying exactly like every other per-structure memo
 (:meth:`Structure.__getstate__` keeps the mathematical content only — a
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
+from typing import Callable
 
 from repro.structures.structure import CODEC_MEMO, Element, Structure
 from repro.telemetry.metrics import counter as _counter
@@ -68,6 +73,7 @@ class DomainCodec:
         "universes",
         "_columns",
         "_packed",
+        "_scans",
         "epoch",
     )
 
@@ -84,16 +90,21 @@ class DomainCodec:
         self.index: dict[Element, int] = {
             element: position for position, element in enumerate(domain)
         }
-        #: arity -> frozenset of every key over domain^arity, built lazily
-        #: by complement kernels (the ∀-as-¬∃¬ pattern complements twice
-        #: per quantifier, so the full key universe is worth keeping).
-        self.universes: dict[int, frozenset] = {}
+        #: (arity, packed) -> frozenset of every key over domain^arity in
+        #: that row encoding, built lazily by complement kernels (the
+        #: ∀-as-¬∃¬ pattern complements twice per quantifier, so the full
+        #: key universe is worth keeping).  Packed and tuple-of-int plans
+        #: share one structure, so the encoding is part of the key.
+        self.universes: dict[tuple[int, bool], frozenset] = {}
         self._columns: dict[str, tuple[array, ...]] = {}
         self._packed: dict[str, frozenset[int]] = {}
+        #: relation -> scan shape -> rows (see :meth:`scan`).
+        self._scans: dict[str, dict[tuple, set]] = {}
         #: The structure epoch the cached columns were built against.
-        #: ``codec_for`` compares it on every fetch — a codec built
-        #: before an ``insert``/``delete`` holds stale columns and packed
-        #: sets and must never be served again.
+        #: ``codec_for`` compares it on every fetch, and the columnar
+        #: executor before reusing a pipeline — a codec built before an
+        #: ``insert``/``delete`` holds stale columns, packed sets and
+        #: scans and must never be served again.
         self.epoch = structure.epoch
 
     @property
@@ -213,6 +224,23 @@ class DomainCodec:
         self._packed[relation] = packed
         return packed
 
+    def scan(self, relation: str, shape: tuple, build: Callable[[], set]) -> set:
+        """The rows of one scan of ``relation``, built once per relation state.
+
+        ``shape`` is the whole scan — row encoding, pinned constant ids,
+        equalities and output positions — so every pipeline compiled
+        against this codec shares one set per shape, and ``build`` runs
+        only on a miss.  :meth:`apply_deltas` drops a relation's scans
+        when a delta touches it.  Callers never mutate the returned set.
+        """
+        scans = self._scans.get(relation)
+        if scans is None:
+            scans = self._scans[relation] = {}
+        rows = scans.get(shape)
+        if rows is None:
+            rows = scans[shape] = build()
+        return rows
+
     # -- delta maintenance ----------------------------------------------------
 
     def apply_deltas(self, deltas: list[tuple[str, str, tuple]]) -> None:
@@ -220,16 +248,19 @@ class DomainCodec:
 
         The universe is unchanged by updates (inserts and deletes touch
         relations only), so the id bijection, ``base``, and the cached
-        key ``universes`` all stay valid — only the per-relation columns
-        and packed sets move.  Each delta costs
+        key ``universes`` all stay valid — only the per-relation columns,
+        packed sets and scans move.  Each delta costs
         O(1) for an insert (append one id per column, one frozenset
-        union) and O(rows) for a delete (locate the coded row).  Only
+        union) and O(rows) for a delete (locate the coded row), and drops
+        the touched relation's memoized scans, which the next execution
+        rebuilds from the patched columns.  Only
         *materialized* entries are patched; relations never coded against
         this codec are still built lazily from the current contents.
         Nullary relations carry no columns to patch — their entries are
         dropped and rebuilt on demand.
         """
         for op, relation, row in deltas:
+            self._scans.pop(relation, None)
             if not row:
                 self._columns.pop(relation, None)
                 self._packed.pop(relation, None)

@@ -4,8 +4,11 @@ The engine's one plan executor. A plan is compiled once per structure
 into a tree of generated kernel closures over integer-coded rows
 (:mod:`repro.engine.columnar.compile`), kept in a per-structure LRU of
 :data:`PIPELINE_CACHE_LIMIT` pipelines, and re-executions just walk
-that tree. Element objects only reappear at the plan root, where the
-(usually small) answer key set is bulk-decoded.
+that tree. The tree holds no data: the sets its leaves read live in the
+structure's codec, which patches them forward across updates, so a
+cached pipeline is recompiled only when the codec itself is rebuilt.
+Element objects only reappear at the plan root, where the (usually
+small) answer key set is bulk-decoded.
 
 What a run promises:
 
@@ -125,44 +128,29 @@ class ColumnarExecutor:
     # -- pipeline cache -------------------------------------------------------
 
     def _compiled(self, plan: Plan) -> CompiledPlan:
-        pipelines = self.structure.cached(
+        """The cached pipeline for ``plan``, compiled on a miss.
+
+        A codec behind the structure's epoch is brought forward by
+        ``codec_for``, which patches it in place (and drops the touched
+        relations' scans) or, when the delta log no longer covers the
+        gap, rebuilds it; only a rebuilt codec orphans the column
+        references the pipeline captured, so only then is it recompiled.
+        """
+        structure = self.structure
+        pipelines = structure.cached(
             PIPELINE_MEMO, lambda: LRUCache(PIPELINE_CACHE_LIMIT)
         )
         compiled = pipelines.get(id(plan))
-        if compiled is None:
+        if compiled is None or (
+            compiled.codec.epoch != structure.epoch
+            and codec_for(structure) is not compiled.codec
+        ):
             compiled = self._compile(plan)
             pipelines.put(id(plan), compiled)
         elif compiled.plan is not plan:  # pragma: no cover - defensive: the
             # cached CompiledPlan pins its plan object alive, so a live id
             # can never be reused; recompile rather than trust a collision.
             return self._compile(plan)
-        if compiled.epoch != self.structure.epoch:
-            compiled = self._refresh(plan, compiled, pipelines)
-        return compiled
-
-    def _refresh(
-        self, plan: Plan, compiled: CompiledPlan, pipelines: LRUCache
-    ) -> CompiledPlan:
-        """Bring a cached pipeline forward across structure updates.
-
-        The cheap path: the delta log covers the gap and ``codec_for``
-        patched the same codec object the pipeline compiled against — the
-        generated kernels read the patched columns directly, so only the
-        leaf memos of relations the deltas touched are dropped
-        (:meth:`CompiledPlan.refresh`).  If the codec had to be rebuilt
-        (log outrun, foreign codec), the captured column references are
-        orphaned and the whole pipeline is recompiled.
-        """
-        structure = self.structure
-        deltas = structure.deltas_since(compiled.epoch)
-        codec = codec_for(structure)
-        if deltas is None or codec is not compiled.codec:
-            compiled = self._compile(plan)
-            pipelines.put(id(plan), compiled)
-            return compiled
-        compiled.refresh(deltas, structure.epoch)
-        if _telemetry_enabled():
-            _counter("columnar.pipeline.refreshes").inc()
         return compiled
 
     def _compile(self, plan: Plan) -> CompiledPlan:
@@ -203,15 +191,7 @@ class ColumnarExecutor:
     def _apply(self, node: PipelineNode) -> set:
         stats = self.stats
         children = node.children
-        if not children:
-            # Leaves (scans, domain columns, constant sets) depend only
-            # on the structure at the pipeline's epoch: materialize
-            # once, reuse the set on every execution.
-            rows = node.cache
-            if rows is None:
-                rows = node.fn()
-                node.cache = rows
-        elif node.kind == "Join":
+        if node.kind == "Join":
             left = self._exec(children[0])
             right = self._exec(children[1])
             stats.joins += 1

@@ -351,27 +351,29 @@ def build_complement(arity: int, base: int, packed: bool, universe_cache: dict) 
     """Complement kernel: ``domain^arity`` minus the rows.
 
     The full key universe for (base, arity) is built once and kept in
-    ``universe_cache`` (owned by the pipeline/codec), so repeated
-    complements — the ∀-as-¬∃¬ pattern produces two per quantifier —
-    pay one C-level ``difference`` each.
+    ``universe_cache`` (the codec's, keyed by ``(arity, packed)``: packed
+    and tuple-of-int plans over one structure need different key sets),
+    so repeated complements — the ∀-as-¬∃¬ pattern produces two per
+    quantifier — pay one C-level ``difference`` each.
     """
+    key = (arity, packed)
     if packed:
         size = base**arity
 
         def kernel(rows: set) -> set:
-            full = universe_cache.get(arity)
+            full = universe_cache.get(key)
             if full is None:
                 full = frozenset(range(size))
-                universe_cache[arity] = full
+                universe_cache[key] = full
             return full.difference(rows)
 
         return kernel
 
     def kernel(rows: set) -> set:
-        full = universe_cache.get(arity)
+        full = universe_cache.get(key)
         if full is None:
             full = frozenset(product(range(base), repeat=arity))
-            universe_cache[arity] = full
+            universe_cache[key] = full
         return full.difference(rows)
 
     return kernel

@@ -107,42 +107,6 @@ class Relation:
         return Relation(tuple(attributes), frozenset(tuple(row) for row in rows))
 
     @staticmethod
-    def from_columns(
-        attributes: Iterable[str], columns: Iterable[Iterable[Element]]
-    ) -> "Relation":
-        """Build a relation from parallel columns (the columnar boundary).
-
-        Inverse of :meth:`to_columns` up to row order: ``columns`` holds
-        one equally long value sequence per attribute, and row ``i`` is
-        the i-th entry of every column. This is the layout the columnar
-        executor tier (:mod:`repro.engine.columnar`) materializes base
-        relations in.
-        """
-        attributes = tuple(attributes)
-        columns = tuple(tuple(column) for column in columns)
-        if len(columns) != len(attributes):
-            raise EvaluationError(
-                f"{len(attributes)} attributes but {len(columns)} columns"
-            )
-        lengths = {len(column) for column in columns}
-        if len(lengths) > 1:
-            raise EvaluationError(f"ragged columns: lengths {sorted(lengths)}")
-        return Relation(attributes, frozenset(zip(*columns)) if columns else frozenset())
-
-    def to_columns(self) -> tuple[tuple[Element, ...], ...]:
-        """The relation as parallel columns, rows in sorted-by-repr order.
-
-        One tuple per attribute, aligned row-wise; the deterministic row
-        order makes the output usable in tests and serialization.
-        """
-        ordered = sorted(self.rows, key=repr)
-        if not self.attributes:
-            return ()
-        return tuple(zip(*ordered)) if ordered else tuple(
-            () for _ in self.attributes
-        )
-
-    @staticmethod
     def empty(attributes: Iterable[str]) -> "Relation":
         """The empty relation over the given attributes."""
         return Relation(tuple(attributes), frozenset())

@@ -26,7 +26,7 @@ from repro.errors import EvaluationError, FormulaError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.resilience.budget import CancelToken
-from repro.logic.analysis import free_variables, validate
+from repro.logic.analysis import analyze, free_variables, validate
 from repro.logic.syntax import (
     And,
     Atom,
@@ -171,15 +171,14 @@ def answers(
     paper's convention for Boolean queries.
     """
     validate(formula, structure.signature)
-    free = free_variables(formula)
+    names = analyze(formula).names
     if free_order is None:
-        order = tuple(sorted(free, key=lambda var: var.name))
+        order = tuple(Var(name) for name in names)
     else:
         order = tuple(Var(var.name) for var in free_order)
-        missing = free - set(order)
+        missing = set(names).difference(var.name for var in order)
         if missing:
-            names = sorted(var.name for var in missing)
-            raise EvaluationError(f"free_order omits free variables {names}")
+            raise EvaluationError(f"free_order omits free variables {sorted(missing)}")
     result = []
     for values in itertools.product(structure.universe, repeat=len(order)):
         if cancel_token is not None:

@@ -411,12 +411,13 @@ class Structure:
         (one O(Σ|row|) pass); later updates patch it.  Set-up and
         insert-only structures never pay for it.
 
-        The columnar codec and compiled pipelines (:data:`CODEC_MEMO`,
-        :data:`PIPELINE_MEMO`) and the wire content digest's row sum
-        (:data:`DIGEST_MEMO`) are *kept* — they carry their own epoch
-        stamps, and ``codec_for`` / the columnar executor /
-        ``structure_digest`` patch them forward from the delta log on
-        next use instead of re-reading the whole structure.  Everything
+        The columnar codec (:data:`CODEC_MEMO`) and the wire content
+        digest's row sum (:data:`DIGEST_MEMO`) are *kept* — they carry
+        their own epoch stamps, and ``codec_for`` / ``structure_digest``
+        patch them forward from the delta log on next use instead of
+        re-reading the whole structure.  The compiled pipelines
+        (:data:`PIPELINE_MEMO`) are kept too: they hold no data, only
+        code over the codec.  Everything
         else (WL colors, engine stats, the max degree) is dropped: each
         owner recomputes on demand.
         """

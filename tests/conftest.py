@@ -36,3 +36,22 @@ def small_random_graphs():
     return [random_graph(n, p, seed=seed) for n, p, seed in [
         (3, 0.3, 1), (4, 0.5, 2), (5, 0.4, 3), (5, 0.7, 4), (6, 0.25, 5),
     ]]
+
+
+@pytest.fixture
+def scan_builds(monkeypatch) -> list:
+    """``(relation, shape)`` of every scan the columnar codec's memo builds."""
+    from repro.engine.columnar.codec import DomainCodec
+
+    built: list = []
+    scan = DomainCodec.scan
+
+    def recording(codec, relation, shape, build):
+        def recorded():
+            built.append((relation, shape))
+            return build()
+
+        return scan(codec, relation, shape, recorded)
+
+    monkeypatch.setattr(DomainCodec, "scan", recording)
+    return built

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 
 from strategies import conformance_cases
@@ -22,18 +23,29 @@ from repro.engine.columnar.compile import compile_plan
 from repro.engine.columnar.executor import PIPELINE_CACHE_LIMIT
 from repro.eval.evaluator import answers as naive_answers
 from repro.logic.parser import parse
-from repro.logic.signature import Signature
+from repro.logic.signature import GRAPH, Signature
 from repro.structures.builders import directed_cycle, random_graph
 from repro.structures.structure import PIPELINE_MEMO, Structure
 
 DISTANCE_TWO = parse("exists z (E(x, z) & E(z, y)) & ~E(x, y)")
 HAS_LOOP = parse("exists x E(x, x)")
 OUT_DOMINATED = parse("~(x = y) & forall z ((~E(x, z) | E(y, z)))")
+#: Packed plans whose scans are projections, so neither reads the
+#: codec's packed relation directly: both go through its scan memo.
+HAS_OUT_EDGE = parse("exists y E(x, y)")
+SOURCE = parse("exists y E(x, y) & ~(exists y E(y, x))")
 
 
 def pipelines(structure: Structure):
     """The structure's compiled-pipeline memo."""
     return structure._cache[PIPELINE_MEMO]
+
+
+def leaves(node):
+    """The leaf steps of a compiled pipeline, left to right."""
+    if not node.children:
+        return [node]
+    return [leaf for child in node.children for leaf in leaves(child)]
 
 
 class TestColumnarEquivalence:
@@ -147,25 +159,32 @@ class TestKernels:
         walk(compiled.root)
         assert extends and not unfused
 
-    def test_leaf_results_are_memoized(self):
+    def test_leaf_results_are_memoized(self, scan_builds):
+        """Scans are memoized at the codec: a second execution of the
+        pipeline builds no scan."""
         engine = Engine()
         graph = random_graph(9, 0.4, seed=7)
-        first = engine.answers(graph, DISTANCE_TWO)
-        plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        root = pipelines(graph).get(id(plan)).root
-        leaves = []
-
-        def walk(node):
-            if node.children:
-                for child in node.children:
-                    walk(child)
-            else:
-                leaves.append(node)
-
-        walk(root)
-        assert leaves and all(leaf.cache is not None for leaf in leaves)
+        first = engine.answers(graph, SOURCE)
+        assert scan_builds
+        scan_builds.clear()
         engine.invalidate(graph)
-        assert engine.answers(graph, DISTANCE_TWO) == first
+        assert engine.answers(graph, SOURCE) == first
+        assert scan_builds == []
+
+    def test_pipelines_share_one_set_per_scan_shape(self):
+        """Two pipelines that scan the same shape of E read one set, the
+        codec's, instead of a copy each that a dead pipeline would pin."""
+        graph = random_graph(9, 0.4, seed=7)
+        engine = Engine()
+        scans = []
+        for formula in (HAS_OUT_EDGE, SOURCE):
+            plan, _ = engine._plan_for(graph, formula)
+            ColumnarExecutor(graph).run(plan)
+            root = pipelines(graph).get(id(plan)).root
+            scans.append([leaf.fn() for leaf in leaves(root)])
+        (alone,) = scans[0]
+        assert alone is not codec_for(graph).packed_relation("E")
+        assert any(rows is alone for rows in scans[1])
 
 
 class TestModeSelection:
@@ -186,6 +205,42 @@ class TestModeSelection:
         engine = Engine()
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
         assert compile_plan(plan, graph).packed
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
+    @pytest.mark.parametrize(
+        "structure, texts",
+        [
+            (
+                lambda: Structure(
+                    GRAPH,
+                    range(5),
+                    {"E": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 2)]},
+                ),
+                (
+                    "~(exists v. (E(v, v)))",
+                    "E(x, y) & E(y, z) & E(z, w) & ~(exists v. (E(v, v)))",
+                ),
+            ),
+            (
+                lambda: random_graph(6, 0.5, seed=3),
+                (
+                    "~E(x, y)",
+                    "forall z ((~E(x, z)) | (E(y, z) & E(u, z) & ~E(v, z)))",
+                ),
+            ),
+        ],
+        ids=["nullary", "binary"],
+    )
+    def test_packed_and_tuple_plans_share_a_structure(self, structure, texts, reverse):
+        """A packed plan and a tuple-of-int plan complement at the same
+        arity on one structure; each must get its own key universe."""
+        graph = structure()
+        engine = Engine()
+        formulas = [parse(text) for text in texts]
+        plans = [engine._plan_for(graph, formula)[0] for formula in formulas]
+        assert [compile_plan(plan, graph).packed for plan in plans] == [True, False]
+        for formula in reversed(formulas) if reverse else formulas:
+            assert engine.answers(graph, formula) == naive_answers(graph, formula)
 
 
 class TestExecutorParity:

@@ -135,28 +135,3 @@ class TestExtendColumns:
 
     def test_no_columns_is_identity(self, people):
         assert people.extend_columns((), [1]) is people
-
-
-class TestColumnarBridge:
-    def test_round_trip_through_columns(self):
-        rel = Relation.from_tuples(("a", "b"), [(1, "x"), (2, "y"), (3, "z")])
-        assert Relation.from_columns(("a", "b"), rel.to_columns()) == rel
-
-    def test_to_columns_is_deterministic_and_parallel(self):
-        rel = Relation.from_tuples(("a", "b"), [(2, "y"), (1, "x")])
-        cols = rel.to_columns()
-        assert cols == ((1, 2), ("x", "y"))
-        assert rel.to_columns() == cols
-
-    def test_empty_and_nullary_shapes(self):
-        assert Relation.from_columns((), ()) == Relation.from_tuples((), [])
-        assert Relation.from_tuples((), []).to_columns() == ()
-        assert Relation.from_columns(("a",), ((),)) == Relation.from_tuples(("a",), [])
-
-    def test_column_count_mismatch_rejected(self):
-        with pytest.raises(EvaluationError):
-            Relation.from_columns(("a", "b"), ((1, 2),))
-
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(EvaluationError):
-            Relation.from_columns(("a", "b"), ((1, 2), ("x",)))

@@ -8,17 +8,23 @@ codec built at epoch k holds wrong columns at epoch k+1.  Since ISSUE
 forward from the structure's delta log (O(delta) instead of a full
 re-encode); a rebuild happens only when the log no longer covers the
 gap or the codec belongs to another structure.
-This file is the regression suite for both paths, plus the pipeline
-leaf invalidation that rides on them.
+This file is the regression suite for both paths, plus the scan memo
+the patch drops, which is the only state compiled pipelines read
+beyond the columns.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
+import repro.engine.columnar.executor as executor_module
 from repro.engine.columnar.codec import codec_for, codec_stats
+from repro.engine.columnar.executor import ColumnarExecutor
 from repro.engine.engine import Engine
 from repro.eval.evaluator import answers as naive_answers
 from repro.logic.parser import parse
-from repro.structures.builders import directed_cycle, random_graph
+from repro.structures.builders import directed_cycle, grid_graph, random_graph
 from repro.structures.structure import CODEC_MEMO, DELTA_LOG_LIMIT
 
 
@@ -127,3 +133,72 @@ def test_quantified_columnar_answers_correct_across_updates():
         if not structure.insert("E", (a, b)):
             structure.delete("E", (a, b))
         assert engine.answers(structure, formula) == naive_answers(structure, formula)
+
+
+def test_warm_reads_skip_codec_for_and_writes_drop_the_touched_scans(
+    monkeypatch, scan_builds
+):
+    """A warm execution asks ``codec_for`` nothing; the first one after a
+    write brings the codec forward once, which drops the written
+    relation's scans, and the same pipeline then rebuilds them."""
+    fetches, compiles = [], []
+    monkeypatch.setattr(
+        executor_module,
+        "codec_for",
+        lambda structure: fetches.append(structure) or codec_for(structure),
+    )
+    compile_plan = executor_module.compile_plan
+    monkeypatch.setattr(
+        executor_module,
+        "compile_plan",
+        lambda plan, structure: compiles.append(plan) or compile_plan(plan, structure),
+    )
+    formula = parse("exists y E(x, y)")
+    structure = random_graph(9, 0.3, seed=2)
+    plan, _ = Engine()._plan_for(structure, formula)
+    executor = ColumnarExecutor(structure)
+    executor.run(plan)
+    assert (len(compiles), len(scan_builds)) == (1, 1)
+    for _ in range(5):
+        executor.run(plan)
+    assert (fetches, len(compiles), len(scan_builds)) == ([], 1, 1)
+    assert structure.insert("E", (8, 8))
+    assert executor.run(plan).rows == naive_answers(structure, formula)
+    assert (len(fetches), len(compiles)) == (1, 1)
+    assert scan_builds == [scan_builds[0]] * 2  # E's scan, built again
+
+
+#: Bytes a write may leave behind when every write is followed by a read
+#: no maintenance tier covers.  Each write changes |E|, so the read plans
+#: and compiles anew; what stays is the dead plan and pipeline until the
+#: 256-entry LRUs evict them, about 25 KB a write on a 24x24 grid.  The
+#: bound sits well below the ~150 KB a write costs when every pipeline
+#: keeps its own copy of E's scans.
+RETAINED_PER_WRITE = 64 * 1024
+
+
+def test_dead_pipelines_pin_no_stale_scans():
+    """Scans live in the codec, which the write patches, so the pipelines
+    that writes leave behind keep no copy of the relation."""
+    engine = Engine()
+    formula = parse("exists z (E(x, z) & E(z, y)) & ~E(y, x)")
+    grid = grid_graph(24, 24)
+    engine.answers(grid, formula)
+    elements = list(grid.universe)
+    size = len(elements)
+    writes = step = 0
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        while writes < 60:
+            row = (elements[step % size], elements[(step * 7 + 3) % size])
+            step += 1
+            if grid.insert("E", row):
+                writes += 1
+                engine.answers(grid, formula)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / writes < RETAINED_PER_WRITE, retained / writes

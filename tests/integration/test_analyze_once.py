@@ -20,6 +20,7 @@ from repro.engine import Engine
 from repro.logic import analysis
 from repro.logic.parser import parse
 from repro.queries.zoo import fo_graph_corpus
+from repro.resilience.faults import FaultInjector, reset_injector, set_injector
 from repro.server import wire
 from repro.server.service import QueryService
 from repro.structures.builders import random_graph, undirected_cycle
@@ -77,6 +78,30 @@ def test_warm_prepared_reads_walk_nothing(walks, zoo_service):
     for name in names:
         service.answers("t", structure_id, query=name)
     assert walks == Counter()
+
+
+def test_degraded_warm_prepared_reads_walk_nothing(walks, zoo_service):
+    """Injected faults push re-executed prepared reads down the fallback
+    chain, whose naive rung reads the analysis record as well."""
+    service, structure_id = zoo_service
+    structure = service.structure(structure_id)
+    names = []
+    for query in fo_graph_corpus():
+        text = wire.format_formula(query.formula)
+        names.append(service.prepare("t", text, structure_id=structure_id).name)
+        service.answers("t", structure_id, query=names[-1])
+    walks.clear()
+    degradations = service.tenant("t").counters["degradations"]
+    set_injector(FaultInjector(period=2))
+    try:
+        for _ in range(3):
+            for name in names:
+                service.engine.invalidate(structure)
+                service.answers("t", structure_id, query=name)
+    finally:
+        reset_injector()
+    assert walks == Counter()
+    assert service.tenant("t").counters["degradations"] > degradations
 
 
 def test_warm_dispatched_evaluate_walks_nothing(walks):

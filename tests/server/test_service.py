@@ -161,6 +161,21 @@ def test_adhoc_answers_match_naive(service: QueryService, cycle_id: str):
     assert frozenset(page.rows) == naive_answers(structure, parse(text))
 
 
+def test_adhoc_packed_and_tuple_plans_share_a_stored_structure(service: QueryService):
+    """The first read complements at arity 0 with packed keys, the second
+    with tuple-of-int keys (it has four attributes); both on one codec."""
+    structure = Structure(
+        GRAPH, range(5), {"E": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 2)]}
+    )
+    structure_id = service.add_structure(structure, tenant="t1")
+    for text in (
+        "~(exists v. (E(v, v)))",
+        "E(x, y) & E(y, z) & E(z, w) & ~(exists v. (E(v, v)))",
+    ):
+        page = service.answers("t1", structure_id, formula=text)
+        assert page.total_rows == len(naive_answers(structure, parse(text)))
+
+
 def test_exactly_one_of_query_or_formula(service: QueryService, cycle_id: str):
     with pytest.raises(ServerError):
         service.answers("t1", cycle_id)
