@@ -41,7 +41,7 @@ from repro.engine.normalize import normalize
 from repro.engine.plan import Plan, explain_plan, fused_steps
 from repro.engine.planner import Planner
 from repro.engine.stats import StructureStats, collect_stats
-from repro.incremental.answers import AnswerIndex
+from repro.incremental.answers import AnswerIndex, bring_forward
 from repro.incremental.enumeration import AnswerStream, plan_enumeration
 from repro.eval.evaluator import answers as naive_answers
 from repro.locality.bounded_degree import BALL_LIMIT, DEGREE_BOUND, BoundedDegreeEvaluator
@@ -49,7 +49,7 @@ from repro.locality.hanf import hanf_locality_radius
 from repro.locality.neighborhoods import max_ball_size
 from repro.logic.analysis import analyze, validate
 from repro.logic.syntax import Formula, Var
-from repro.structures.structure import Element, Structure
+from repro.structures.structure import Element, Structure, canonical_order
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 from repro.telemetry.tracer import span as _span
@@ -478,6 +478,42 @@ class Engine:
             answers=rows,
             seconds=elapsed,
         )
+
+    def page_order(
+        self, structure: Structure, formula: Formula, rows: frozenset[tuple[Element, ...]]
+    ) -> tuple[tuple[Element, ...], ...]:
+        """``rows`` in the canonical page order
+        (:func:`~repro.structures.structure.canonical_order`).
+
+        When ``rows`` is the very set φ's answer record holds — what a
+        read just returned from the cache, a patch or a recompute — this
+        is the order kept on the record: built by the record's first
+        page read and brought forward after each patch
+        (:func:`~repro.incremental.answers.bring_forward`), so a warm
+        read sorts nothing.  Any other rows (another rung's, a widened
+        schema's, a profile's) are sorted here.  The record is read
+        under the structure's lock without counting a lookup; a sort or
+        bisection runs after this method releases the lock, so a served
+        read's write never waits on it (enumeration's preprocessing
+        holds the lock throughout), and its order is kept only if
+        ``rows`` is still the record's then.
+        """
+        key = (structure.uid, formula, analyze(formula).names)
+        with structure.lock:
+            record = self.answer_cache.peek(key)
+            if record is None or record.rows is not rows:
+                record = None
+            elif record.ordered is rows:
+                return record.order
+            else:
+                order, ordered = record.order, record.ordered
+        if record is None:
+            return canonical_order(rows)
+        order = bring_forward(order, ordered, rows)
+        with structure.lock:
+            if record.rows is rows:
+                record.order, record.ordered = order, rows
+        return order
 
     def invalidate(self, structure: Structure) -> int:
         """Drop every cached answer for ``structure``; return the count.

@@ -162,8 +162,9 @@ def _build(
         return "types", _stream(pairs, token)
     rows = engine.answers(structure, formula, budget=token)
     # The full set is already charged to the budget by the engine; stream
-    # it in deterministic order without re-charging.
-    return "materialized", iter(sorted(rows, key=repr))
+    # it in the canonical order its answer record keeps, without
+    # re-charging.
+    return "materialized", iter(engine.page_order(structure, formula, rows))
 
 
 def _stream(values, token: CancelToken | None) -> Iterator[tuple]:

@@ -8,6 +8,12 @@ the enormous conjunctions produced by Hintikka formulas shallow.
 The public constructors perform light validation only; semantic questions
 (does an atom match the signature's arity?) are checked when a formula
 meets a structure, by :func:`repro.logic.analysis.validate`.
+
+A node computes its hash once and keeps it (equality ignores it), as
+:func:`repro.logic.analysis.analyze` keeps its record: a formula keys
+the engine's caches, and re-hashing the whole tree on every lookup
+would cost time linear in its size.  The kept hash is not pickled or
+copied, because string hashes differ between processes.
 """
 
 from __future__ import annotations
@@ -105,6 +111,13 @@ class Formula:
 
     def __rshift__(self, other: "Formula") -> "Implies":
         return Implies(self, other)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies drop the kept hash: another process hashes
+        # the node's strings differently.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 def _check_formula(child: object, where: str) -> None:
@@ -273,3 +286,20 @@ class Forall(Formula):
 
     def __repr__(self) -> str:
         return f"forall {self.var!r}. ({self.body!r})"
+
+
+def _kept_hash(self: Formula) -> int:
+    """The dataclass hash of the node's fields, computed on the first
+    call and kept on the node, so the value (and every set and dict
+    order it decides) is the one the dataclass would compute."""
+    value = self.__dict__.get("_hash")
+    if value is None:
+        value = self._field_hash()
+        object.__setattr__(self, "_hash", value)
+    return value
+
+
+for _node in (Atom, Eq, Top, Bottom, Not, And, Or, Implies, Iff, Exists, Forall):
+    _node._field_hash = _node.__hash__
+    _node.__hash__ = _kept_hash
+del _node

@@ -99,6 +99,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if trace_id is not None:
             self.send_header("X-Trace-Id", trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -121,7 +123,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(payload["status"], payload, trace_id=trace_id)
 
     def _json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        # A field value's surrounding blanks are not part of it (RFC 9110
+        # §5.5); the header parser keeps the trailing ones.
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        if not (declared.isascii() and declared.isdigit()):
+            # Where this body ends is unknown, so nothing after it on the
+            # connection can be read as a request: answer, then close.
+            self.close_connection = True
+            raise ServerError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
         if length <= 0:
             raise ServerError("request body required")
         if length > _MAX_BODY_BYTES:

@@ -143,7 +143,12 @@ class PreparedQuery:
 
 @dataclass(frozen=True)
 class AnswerPage:
-    """One page of one answer set, plus enough context to continue."""
+    """One page of one answer set, plus enough context to continue.
+
+    ``codes`` is the structure's :func:`~repro.server.wire.element_codes`
+    memo, which :meth:`to_wire` encodes the rows through; without one it
+    encodes every value.
+    """
 
     rows: tuple[tuple[Element, ...], ...]
     page: int
@@ -154,12 +159,11 @@ class AnswerPage:
     query: str | None = None
     structure_id: str = ""
     explain: dict[str, Any] | None = None
+    codes: Any = field(default=None, repr=False, compare=False)
 
     def to_wire(self) -> dict[str, Any]:
         payload = {
-            "rows": [
-                [wire.encode_element(value) for value in row] for row in self.rows
-            ],
+            "rows": wire.encode_rows(self.rows, self.codes),
             "page": self.page,
             "page_size": self.page_size,
             "total_rows": self.total_rows,
@@ -942,11 +946,10 @@ class QueryService:
     ) -> AnswerPage:
         size = DEFAULT_PAGE_SIZE if page_size is None else page_size
         size = min(size, MAX_PAGE_SIZE)
-        ordered = sorted(rows, key=repr)
+        ordered = self.engine.page_order(read.structure, read.prepared.formula, rows)
         start = page * size
-        window = tuple(ordered[start : start + size])
         return AnswerPage(
-            rows=window,
+            rows=ordered[start : start + size],
             page=page,
             page_size=size,
             total_rows=len(ordered),
@@ -954,6 +957,7 @@ class QueryService:
             free_names=read.prepared.free_names,
             query=read.prepared.name,
             structure_id=read.structure_id,
+            codes=wire.element_codes(read.structure),
         )
 
     # -- health + metrics ----------------------------------------------------

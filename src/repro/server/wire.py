@@ -18,9 +18,10 @@ Conventions
   / ``(1, b)``.  Tuples are encoded as ``{"t": [...]}`` objects so
   decoding is injective.
 * **Answer sets** are lists of encoded tuples in a canonical sort order
-  (`repr` of the decoded tuple), which is what makes server-side paging
-  deterministic: the same page of the same answer set is always the
-  same rows.
+  (`repr` of the decoded tuple, declared once as
+  :func:`repro.structures.structure.canonical_order`), which is what
+  makes server-side paging deterministic: the same page of the same
+  answer set is always the same rows.
 * **Errors** are typed payloads — ``{"error": {"type", "message", ...}}``
   — so a refusal (429/503 on :class:`~repro.errors.BudgetExceededError`)
   is machine-distinguishable from a caller mistake (400/404) without
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from typing import Any
 
 from repro.errors import (
@@ -66,7 +68,13 @@ from repro.logic.syntax import (
     Top,
     Var,
 )
-from repro.structures.structure import DIGEST_MEMO, Element, Structure
+from repro.structures.structure import (
+    DIGEST_MEMO,
+    ENCODING_MEMO,
+    Element,
+    Structure,
+    canonical_order,
+)
 
 __all__ = [
     "WIRE_VERSION",
@@ -74,6 +82,8 @@ __all__ = [
     "parse_formula",
     "encode_element",
     "decode_element",
+    "element_codes",
+    "encode_rows",
     "structure_to_dict",
     "structure_from_dict",
     "structure_digest",
@@ -170,6 +180,51 @@ def encode_element(element: Element) -> Any:
     if isinstance(element, tuple):
         return {"t": [encode_element(part) for part in element]}
     raise StructureError(f"cannot serialize universe element {element!r}")
+
+
+class _ElementCodes(dict):
+    """Element → :func:`encode_element` of it, filled on first use.
+
+    ``plain`` says every element of the universe is an exact int or
+    string, which is its own JSON value, so a row encodes as a copy."""
+
+    def __init__(self, plain: bool) -> None:
+        super().__init__()
+        self.plain = plain
+
+    def __missing__(self, element: Element) -> Any:
+        code = self[element] = encode_element(element)
+        return code
+
+
+def element_codes(structure: Structure) -> _ElementCodes:
+    """The structure's memo of :func:`encode_element`, for
+    :func:`encode_rows`: each element is encoded once, not once per page
+    row.  Kept across updates, which never change the universe, so it
+    holds at most one entry per element.  Its values are shared by every
+    page that reads it: treat them as read-only."""
+    codes = structure._cache.get(ENCODING_MEMO)
+    if codes is None:
+        # Made under the lock: an update copies the memo dict while it
+        # holds it, and an insertion mid-copy would break the copy.
+        with structure.lock:
+            plain = all(type(element) in (int, str) for element in structure.universe)
+            codes = structure.cached(ENCODING_MEMO, lambda: _ElementCodes(plain))
+    return codes
+
+
+def encode_rows(
+    rows: Iterable[tuple[Element, ...]], codes: _ElementCodes | None = None
+) -> list[list[Any]]:
+    """Answer rows as JSON lists, through a structure's
+    :func:`element_codes` when given (the rows' elements must be that
+    structure's), else encoding every value."""
+    if codes is None:
+        return [[encode_element(value) for value in row] for row in rows]
+    if codes.plain:
+        return list(map(list, rows))
+    code = codes.__getitem__
+    return [list(map(code, row)) for row in rows]
 
 
 def decode_element(value: Any) -> Element:
@@ -396,14 +451,17 @@ def updates_to_wire(deltas: list[tuple[str, str, tuple]]) -> list[dict]:
 def answers_to_wire(rows: frozenset[tuple[Element, ...]]) -> list[list[Any]]:
     """An answer set as a canonically ordered list of encoded tuples.
 
-    The sort key is ``repr`` of the decoded tuple — total over the mixed
-    int/str/tuple element universe — so paging a large answer set is
-    deterministic across requests and across server restarts.
+    The order is :func:`~repro.structures.structure.canonical_order`,
+    ``repr`` of the decoded tuple — total over the mixed int/str/tuple
+    element universe — so paging a large answer set is deterministic
+    across requests and across server restarts.  This sorts ``rows``
+    and encodes every value.  The service's answer pages have the same
+    order and bytes without either cost on a warm read: the order is
+    kept on the engine's answer record
+    (:meth:`repro.engine.engine.Engine.page_order`) and the values come
+    through the structure's :func:`element_codes`.
     """
-    return [
-        [encode_element(value) for value in row]
-        for row in sorted(rows, key=repr)
-    ]
+    return encode_rows(canonical_order(rows))
 
 
 def answers_from_wire(rows: list[list[Any]]) -> frozenset[tuple[Element, ...]]:

@@ -30,7 +30,7 @@ from typing import Callable
 from repro.errors import SignatureError, StructureError
 from repro.logic.signature import Signature
 
-__all__ = ["Structure", "Element"]
+__all__ = ["Structure", "Element", "row_key", "canonical_order"]
 
 Element = Hashable
 
@@ -63,9 +63,28 @@ PIPELINE_MEMO = ("columnar-pipeline",)
 GAIFMAN_MEMO = ("gaifman",)
 INCIDENCE_MEMO = ("row-incidence",)
 
+#: Memo key of the wire encoding of the universe's elements (see
+#: :func:`repro.server.wire.element_codes`); kept across updates, which
+#: never change the universe.
+ENCODING_MEMO = ("wire-encoding",)
+
 
 def _sort_key(element: Element) -> tuple[str, str]:
     return (type(element).__name__, repr(element))
+
+
+#: The canonical order of answer rows: by ``repr`` of the row, which is
+#: total, and injective over the wire's elements (ints, strings and
+#: nested tuples of them), so an answer set has one order and a page of
+#: it is the same rows on every read.  Answer pages, the order the
+#: engine's answer records keep (:mod:`repro.incremental.answers`) and
+#: :func:`repro.server.wire.answers_to_wire` all read it.
+row_key = repr
+
+
+def canonical_order(rows: Iterable[tuple]) -> tuple[tuple, ...]:
+    """``rows`` sorted by :data:`row_key`: the one full sort of an answer set."""
+    return tuple(sorted(rows, key=row_key))
 
 
 class Structure:
@@ -417,7 +436,9 @@ class Structure:
         patch them forward from the delta log on next use instead of
         re-reading the whole structure.  The compiled pipelines
         (:data:`PIPELINE_MEMO`) are kept too: they hold no data, only
-        code over the codec.  Everything
+        code over the codec, and so is the wire encoding of the
+        universe's elements (:data:`ENCODING_MEMO`), which no update
+        changes.  Everything
         else (WL colors, engine stats, the max degree) is dropped: each
         owner recomputes on demand.
         """
@@ -425,7 +446,7 @@ class Structure:
         self._cache = {
             key: value
             for key, value in cache.items()
-            if key in (DIGEST_MEMO, CODEC_MEMO, PIPELINE_MEMO)
+            if key in (DIGEST_MEMO, CODEC_MEMO, PIPELINE_MEMO, ENCODING_MEMO)
         }
         touched = set(row)
         incidence = cache.get(INCIDENCE_MEMO)

@@ -55,3 +55,24 @@ def scan_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(DomainCodec, "scan", recording)
     return built
+
+
+@pytest.fixture
+def formula_hashes(monkeypatch):
+    """The class name of every formula node whose hash is computed (not
+    read from the node), in order; see :mod:`repro.logic.syntax`."""
+    from repro.logic import syntax
+
+    computed: list = []
+    for node in (
+        syntax.Atom, syntax.Eq, syntax.Top, syntax.Bottom, syntax.Not, syntax.And,
+        syntax.Or, syntax.Implies, syntax.Iff, syntax.Exists, syntax.Forall,
+    ):
+        field_hash = node._field_hash
+
+        def counted(self, field_hash=field_hash):
+            computed.append(type(self).__name__)
+            return field_hash(self)
+
+        monkeypatch.setattr(node, "_field_hash", counted)
+    return computed

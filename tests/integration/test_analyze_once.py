@@ -5,7 +5,9 @@ paid once, in :func:`repro.logic.analysis.analyze`.  The walkers are
 the recursive analyses of :mod:`repro.logic.analysis`
 (``free_variables``, ``quantifier_rank``, ``subformulas`` and
 ``constants_of``); a walk is one outermost call, and what a walker
-calls of itself or of another walker belongs to the same walk.
+calls of itself or of another walker belongs to the same walk.  The
+formula's hash, which keys the engine's caches, is kept on each node
+the same way, so a warm read hashes no formula either.
 """
 
 from __future__ import annotations
@@ -78,6 +80,23 @@ def test_warm_prepared_reads_walk_nothing(walks, zoo_service):
     for name in names:
         service.answers("t", structure_id, query=name)
     assert walks == Counter()
+
+
+def test_warm_prepared_reads_hash_no_formula(formula_hashes, zoo_service):
+    """Every answer-cache lookup keys on the formula; the hash each node
+    keeps (:mod:`repro.logic.syntax`) makes that O(1) once computed."""
+    service, structure_id = zoo_service
+    names = []
+    for query in fo_graph_corpus():
+        text = wire.format_formula(query.formula)
+        names.append(service.prepare("t", text, structure_id=structure_id).name)
+        service.answers("t", structure_id, query=names[-1])
+    formula_hashes.clear()
+    hits = service.engine.answer_cache.hits
+    for name in names:
+        service.answers("t", structure_id, query=name)
+    assert service.engine.answer_cache.hits > hits
+    assert formula_hashes == []
 
 
 def test_degraded_warm_prepared_reads_walk_nothing(walks, zoo_service):

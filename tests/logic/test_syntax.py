@@ -1,8 +1,12 @@
 """Tests for the formula AST."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import FormulaError
+from repro.logic.analysis import subformulas
 from repro.logic.syntax import (
     FALSE,
     TRUE,
@@ -121,3 +125,52 @@ class TestRepr:
 
     def test_empty_or_reprs_as_false(self):
         assert repr(Or(())) == "false"
+
+
+def _sample() -> Exists:
+    x, y = Var("x"), Var("y")
+    edge = Atom("E", (x, y))
+    return Exists(
+        y,
+        And((edge, Not(Eq(x, Const("c"))), Or((Top(), Bottom())), Iff(edge, Implies(edge, edge)))),
+    )
+
+
+class TestKeptHash:
+    def test_kept_hash_is_the_dataclass_hash(self):
+        formula = _sample()
+        assert hash(formula) == type(formula)._field_hash(formula)
+        assert hash(formula) == hash(_sample())  # equal formulas, equal hashes
+        assert formula.__dict__["_hash"] == hash(formula)
+
+    def test_equality_ignores_the_kept_hash(self):
+        hashed, fresh = _sample(), _sample()
+        hash(hashed)
+        assert "_hash" not in fresh.__dict__
+        assert hashed == fresh and fresh == hashed
+
+    def test_each_node_hashes_once(self, formula_hashes):
+        formula = _sample()
+        first = hash(formula)
+        # Atom E(x, y) occurs three times as one object: hashed once.
+        assert sorted(formula_hashes) == sorted(
+            ["Exists", "And", "Atom", "Not", "Eq", "Or", "Top", "Bottom", "Iff", "Implies"]
+        )
+        formula_hashes.clear()
+        assert hash(formula) == first
+        assert {formula: 1}[formula] == 1
+        assert formula_hashes == []
+
+    @pytest.mark.parametrize("protocol", [0, 2, pickle.HIGHEST_PROTOCOL])
+    def test_pickles_and_copies_drop_the_kept_hash(self, protocol):
+        formula = _sample()
+        hash(formula)
+        for clone in (
+            pickle.loads(pickle.dumps(formula, protocol)),
+            copy.copy(formula),
+            copy.deepcopy(formula),
+        ):
+            assert "_hash" not in clone.__dict__
+            assert clone == formula and hash(clone) == hash(formula)
+        clone = pickle.loads(pickle.dumps(formula, protocol))
+        assert not any("_hash" in node.__dict__ for node in subformulas(clone))

@@ -285,6 +285,51 @@ def test_missing_body_400(server_url: str):
     assert excinfo.value.code == 400
 
 
+@pytest.mark.parametrize("declared", ["abc", "1.5", "-5", "\u0663"])
+def test_malformed_content_length_400_closes(server_url: str, declared: str):
+    """A Content-Length that is not a non-negative decimal integer is a
+    typed 400 (it was a 500 ``ValueError``), and the server closes the
+    connection, since it cannot tell where the body ends.  Sent through
+    ``http.client``: urllib sets the header itself."""
+    host, port = urllib.parse.urlsplit(server_url).netloc.split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.putrequest("POST", "/v1/answers", skip_accept_encoding=True)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", declared.encode())
+        connection.endheaders(b'{"tenant": "t"}')
+        response = connection.getresponse()
+        body = json.loads(response.read())
+        assert response.status == 400, body
+        assert body["error"]["type"] == "ServerError", body
+        assert "Content-Length" in body["error"]["message"], body
+        assert response.getheader("Connection") == "close"
+        assert response.will_close
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("padding", [" ", "\t", "  \t"])
+def test_padded_content_length_is_read(server_url: str, cycle_id: str, padding: str):
+    """Blanks around a Content-Length value are not part of it: the
+    request is answered and the connection stays open."""
+    host, port = urllib.parse.urlsplit(server_url).netloc.split(":")
+    body = json.dumps({"tenant": "t", "structure_id": cycle_id, "formula": "E(x, y)"}).encode()
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.putrequest("POST", "/v1/answers", skip_accept_encoding=True)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", f"{len(body)}{padding}".encode())
+        connection.endheaders(body)
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 200, payload
+        assert payload["total_rows"] == 12
+        assert not response.will_close
+    finally:
+        connection.close()
+
+
 def test_unknown_route_404(server_url: str):
     status, body = _get(server_url + "/nope")
     assert status == 404
