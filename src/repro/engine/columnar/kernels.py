@@ -6,8 +6,10 @@ generic ``all(...)`` filters), each builder renders a small Python
 function with the strides, pinned ids and column positions **inlined as
 constants**, compiles it once, and returns the closure — the technique
 pracmln's ``fastconj`` grounding uses for conjunction specialization.
-Generated sources are memoized globally, so two plans with the same
-shape over the same domain size share one code object.
+Generated sources are memoized in one process-wide LRU of
+:data:`CODE_CACHE_LIMIT` code objects, so two plans with the same shape
+over the same domain size share one code object, and a long-lived
+process that sees many domain sizes or constants keeps a bounded set.
 
 Two row encodings (see :mod:`repro.engine.columnar.codec`):
 
@@ -29,6 +31,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable
 
+from repro.engine.cache import LRUCache
+
 __all__ = [
     "build_scan",
     "build_join",
@@ -42,18 +46,24 @@ __all__ = [
     "compile_source",
 ]
 
+#: Compiled kernel sources kept. A source inlines the domain size and
+#: constant ids, so unbounded, every new size or constant grew the memo
+#: for good. One run of the layer ledger's four workloads compiles 42
+#: distinct sources, at most 18 in one process; the bound matches the
+#: plan cache and the per-structure pipeline memo.
+CODE_CACHE_LIMIT = 256
+
 #: source string -> compiled code object (same-shape plans share kernels).
-_CODE_CACHE: dict[str, object] = {}
+_CODE_CACHE = LRUCache(CODE_CACHE_LIMIT)
 
 _EXEC_GLOBALS = {"product": product, "range": range, "set": set, "zip": zip, "len": len}
 
 
 def compile_source(source: str, name: str) -> Callable:
     """Compile (memoized) generated kernel source and return the function."""
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, f"<columnar:{name}>", "exec")
-        _CODE_CACHE[source] = code
+    code = _CODE_CACHE.get_or_compute(
+        source, lambda: compile(source, f"<columnar:{name}>", "exec")
+    )
     namespace: dict = dict(_EXEC_GLOBALS)
     exec(code, namespace)
     return namespace[name]

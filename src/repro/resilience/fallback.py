@@ -13,9 +13,11 @@ slower rung, never by a wrong answer.
 its applicability predicate says no or when its :class:`CircuitBreaker`
 is open (too many consecutive failures — stop hammering a tier that is
 over budget for this workload and go straight to the next one; after a
-cooldown one probe call half-opens it again). Every degradation is
-recorded in ``resilience.*`` telemetry counters and in the calling
-request's own list; the chain keeps breakers, not history.
+cooldown one probe call half-opens it again). Under telemetry, each
+degradation counts once in ``resilience.degradations{rung}`` and each
+answer once in ``resilience.rung.<rung>.answers``; the calling request
+keeps its own list of degradations. The chain keeps breakers, not
+history.
 
 Fault points are armed (:func:`repro.resilience.faults.arm_faults`) only
 around *degradable* rungs — every rung except the last — so under
@@ -200,16 +202,12 @@ class FallbackChain:
                             Degradation(rung.name, str(error), current_trace_id())
                         )
                     if _telemetry_enabled():
-                        _counter(f"resilience.{self.name}.degradations").inc()
                         _counter("resilience.degradations", rung=rung.name).inc()
-                        _counter(f"resilience.rung.{rung.name}.failures").inc()
                     continue
                 breaker.record_success()
                 chain_span.set("rung", rung.name)
                 if _telemetry_enabled():
                     _counter(f"resilience.rung.{rung.name}.answers").inc()
-                    if index > 0:
-                        _counter(f"resilience.{self.name}.degraded_answers").inc()
                 return result
         if last_error is not None:
             raise last_error

@@ -26,8 +26,8 @@ FO system needs and nothing else:
   and analyzed once at prepare time, executed many), a per-tenant
   :class:`~repro.resilience.fallback.FallbackChain` over the shared
   engine (per-tenant circuit breakers: one tenant's pathological
-  workload opens *its* breakers, not its neighbours'), and per-tenant
-  request/refusal counters;
+  workload opens *its* breakers, not its neighbours'), and the tenant's
+  account of its requests (see below);
 * **admission control** — every request runs under the tightest of the
   tenant's :class:`~repro.resilience.budget.Budget` spec, the service
   default, and the request's own ``deadline_ms``/``max_rows`` overrides
@@ -57,12 +57,18 @@ directly — sampled at ``trace_sample``; the trace id is stamped on every
 span, every degradation the request caused, the structured access-log
 line (:class:`~repro.telemetry.logs.AccessLog`: tenant, query hash,
 rows, budget spend, degradations, breaker states, status, duration),
-and the wire response.  Labeled request metrics
-(``server.requests{tenant,outcome}``, ``server.request_ms{tenant}``)
-are recorded unconditionally — they are cheap, bounded-cardinality, and
-what ``GET /metrics`` exposes in Prometheus text form.  The wire-level
-``explain`` option returns :meth:`Engine.profile`'s per-node actuals
-plus the request's span tree.
+and the wire response.  The wire-level ``explain`` option returns
+:meth:`Engine.profile`'s per-node actuals plus the request's span tree.
+
+**One record per request.**  An answer, batch or update request is one
+:class:`_Request` record, settled once when it ends.  One hold of the
+tenant's lock writes it into the tenant's account
+(:meth:`TenantSession.settle`): the counters, which count batch items,
+and this service's ``server.requests{tenant,outcome}`` counters and
+``server.request_ms{tenant}`` histogram, which count requests and are
+made once per session.  The access-log line is rendered from the same
+record, and ``requests_served`` is the sum of the tenants' per-outcome
+counts, so the three agree.
 """
 
 from __future__ import annotations
@@ -73,18 +79,13 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.engine.engine import Engine, ProfiledExplanation
-from repro.errors import (
-    BudgetExceededError,
-    FMTError,
-    ServerError,
-    UnknownResourceError,
-)
+from repro.errors import BudgetExceededError, ServerError, UnknownResourceError
 from repro.logic.analysis import analyze, validate
 from repro.logic.syntax import Formula
 from repro.resilience.budget import Budget, CancelToken
@@ -93,10 +94,9 @@ from repro.server import wire
 from repro.structures.structure import Element, Structure
 from repro.telemetry import context as trace_context
 from repro.telemetry.logs import AccessLog
+from repro.telemetry.metrics import Counter, Histogram, metrics_snapshot
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.metrics import gauge as _gauge
-from repro.telemetry.metrics import histogram as _histogram
-from repro.telemetry.metrics import metrics_snapshot
 from repro.telemetry.prometheus import render_exposition
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
 from repro.telemetry.tracer import open_root as _open_root
@@ -188,24 +188,64 @@ class _Read:
     prepared: PreparedQuery
 
 
+#: What a request can come to, one ``server.requests`` series each.
+_OUTCOMES = ("ok", "refused", "error")
+
+
 @dataclass(slots=True)
 class _Request:
-    """What one request's envelope logs; its body and chain fill it in."""
+    """The one record of a served request.
+
+    Its body and the tenant's chain fill it in; :meth:`QueryService._request`
+    settles it once when the request ends.  The tenant's account
+    (:meth:`TenantSession.settle`) and the access-log line
+    (:meth:`log_entry`) both read it.  ``items`` is the batch size, and
+    ``rows`` the rows returned, or the deltas applied by an update.
+    """
 
     ctx: Any
     scope: Any
+    tenant: str
+    op: str
+    items: int = 1
     token: CancelToken | None = None
     query: str | None = None
     query_hash: str | None = None
     rows: int = 0
     degradations: list[Degradation] = field(default_factory=list)
+    status: int = 200
+    outcome: str = "ok"
+    duration_ms: float = 0.0
+
+    def log_entry(self, breakers: dict[str, Any]) -> dict[str, Any]:
+        token = self.token
+        return {
+            "trace_id": self.ctx.trace_id,
+            "sampled": self.ctx.sampled,
+            "tenant": self.tenant,
+            "op": self.op,
+            "query": self.query,
+            "query_hash": self.query_hash,
+            "rows": self.rows,
+            "status": self.status,
+            "outcome": self.outcome,
+            "duration_ms": self.duration_ms,
+            "budget_rows_spent": None if token is None else token.rows,
+            "budget_nodes_spent": None if token is None else token.nodes,
+            "degradations": [asdict(event) for event in self.degradations],
+            "breakers": {rung: breaker.state for rung, breaker in breakers.items()},
+        }
 
 
 class TenantSession:
     """Everything the service keeps per tenant.
 
     The chain wraps the *shared* engine — rungs and caches are common,
-    circuit breakers and counters are private to the tenant.
+    circuit breakers and the account are private to the tenant.  The
+    account is the counters, which count batch items, and this
+    service's ``server.requests{tenant,outcome}`` and
+    ``server.request_ms{tenant}`` series, which count requests; all are
+    made here, once, and :meth:`settle` writes them in one lock hold.
     """
 
     def __init__(self, name: str, budget: Budget | None, chain: FallbackChain) -> None:
@@ -225,11 +265,33 @@ class TenantSession:
             "updates_applied": 0,
             "degradations": 0,
         }
+        self.outcomes = {
+            outcome: Counter("server.requests", {"tenant": name, "outcome": outcome})
+            for outcome in _OUTCOMES
+        }
+        self.request_ms = Histogram("server.request_ms", {"tenant": name})
+        self.series = (*self.outcomes.values(), self.request_ms)
         self.lock = threading.Lock()
 
-    def count(self, key: str, amount: int = 1) -> None:
+    def settle(self, request: _Request) -> None:
+        """Write one ended request into the account."""
+        counters, items = self.counters, request.items
         with self.lock:
-            self.counters[key] = self.counters.get(key, 0) + amount
+            counters["requests"] += items
+            if request.op == "answers_batch":
+                counters["batch_requests"] += 1
+            if request.outcome == "refused":
+                counters["refused"] += items
+            elif request.outcome == "error":
+                counters["errors"] += items
+            elif request.op == "updates":
+                counters["updates_applied"] += request.rows
+            else:
+                counters["answered"] += items
+                counters["rows_returned"] += request.rows
+            counters["degradations"] += len(request.degradations)
+            self.outcomes[request.outcome].value += 1
+            self.request_ms.observe(request.duration_ms)
 
     def snapshot(self) -> dict[str, Any]:
         with self.lock:
@@ -297,7 +359,6 @@ class QueryService:
         self.tenants: dict[str, TenantSession] = {}
         self._lock = threading.Lock()
         self._started = time.monotonic()
-        self.requests_served = 0
 
     # -- tracing -------------------------------------------------------------
 
@@ -378,7 +439,9 @@ class QueryService:
         with self._lock:
             self.structures.setdefault(structure_id, structure)
         if tenant is not None:
-            self.tenant(tenant).count("structures_registered")
+            session = self.tenant(tenant)
+            with session.lock:
+                session.counters["structures_registered"] += 1
         return structure_id
 
     def structure(self, structure_id: str) -> Structure:
@@ -508,9 +571,7 @@ class QueryService:
             update_span.set("deltas", len(deltas)).set("applied", applied)
             update_span.set("epoch", structure.epoch)
             update_span.set("queries_dirtied", len(dirtied))
-            session.count("updates_applied", applied)
             if _telemetry_enabled():
-                _counter("incremental.updates.applied", tenant=tenant).inc(applied)
                 _counter("incremental.updates.noops", tenant=tenant).inc(noops)
                 _counter("incremental.updates.queries_dirtied", tenant=tenant).inc(
                     len(dirtied)
@@ -671,67 +732,28 @@ class QueryService:
         """The envelope of one request: ``answers``, ``answers_batch`` and
         ``apply_updates`` each run their body inside one.
 
-        It counts the request (``items`` of them for a batch), installs
-        the trace context, maps the body's outcome to a status — a budget
-        refusal or a typed error counts ``refused`` or ``errors`` once per
-        item — records ``server.requests``/``server.request_ms``, and
-        writes the one structured access-log line.  The body fills in the
-        yielded :class:`_Request`: its token, query and row count.
+        It installs the trace context and yields the request's record
+        (``items`` is a batch's size), which the body fills in: its
+        token, query and rows.  When the body ends, the envelope maps
+        its outcome to a status, settles the record into the tenant's
+        account and renders the access-log line from it.
         """
-        session.count("requests", items)
-        with self._lock:
-            self.requests_served += 1
         started = time.perf_counter()
         with self.request_scope(trace_id) as (ctx, scope):
-            request = _Request(ctx, scope)
-            status, outcome = 200, "ok"
+            request = _Request(ctx, scope, session.name, op, items)
             try:
                 yield request
-            except BudgetExceededError as error:
-                session.count("refused", items)
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                session.count("errors", items)
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
+            except BaseException as error:
+                request.status = wire.status_for_error(error)  # 500 if untyped
+                request.outcome = (
+                    "refused" if isinstance(error, BudgetExceededError) else "error"
+                )
                 raise
             finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                if request.degradations:
-                    session.count("degradations", len(request.degradations))
-                _counter("server.requests", tenant=session.name, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=session.name).observe(
-                    duration_ms
-                )
+                request.duration_ms = (time.perf_counter() - started) * 1000.0
+                session.settle(request)
                 if self.access_log is not None:
-                    token = request.token
-                    self.access_log.log(
-                        {
-                            "trace_id": ctx.trace_id,
-                            "sampled": ctx.sampled,
-                            "tenant": session.name,
-                            "op": op,
-                            "query": request.query,
-                            "query_hash": request.query_hash,
-                            "rows": request.rows,
-                            "status": status,
-                            "outcome": outcome,
-                            "duration_ms": duration_ms,
-                            "budget_rows_spent": None if token is None else token.rows,
-                            "budget_nodes_spent": None if token is None else token.nodes,
-                            "degradations": [
-                                {"rung": e.rung, "error": e.error, "trace_id": e.trace_id}
-                                for e in request.degradations
-                            ],
-                            "breakers": {
-                                rung: breaker.state
-                                for rung, breaker in session.chain.breakers.items()
-                            },
-                        }
-                    )
+                    self.access_log.log(request.log_entry(session.chain.breakers))
 
     # -- answers -------------------------------------------------------------
 
@@ -854,8 +876,6 @@ class QueryService:
                     explain=self._explain_payload(profile, request.ctx, request.scope),
                 )
             request.rows = len(result.rows)
-            session.count("answered")
-            session.count("rows_returned", request.rows)
             return result
 
     def _explain_payload(self, profile, ctx, scope) -> dict[str, Any]:
@@ -899,7 +919,6 @@ class QueryService:
         one access-log line, carrying every degradation its items caused.
         """
         session = self.tenant(tenant)
-        session.count("batch_requests")
         items = len(requests) if isinstance(requests, list) else 1
         with self._request(session, "answers_batch", trace_id, items) as request:
             with _span("server.answers_batch") as batch_span:
@@ -933,8 +952,6 @@ class QueryService:
                 for rows, (read, page, size) in zip(answer_sets, reads)
             ]
             request.rows = sum(len(page.rows) for page in pages)
-            session.count("answered", len(requests))
-            session.count("rows_returned", request.rows)
             return pages
 
     def _page(
@@ -970,21 +987,21 @@ class QueryService:
                 "uptime_s": time.monotonic() - self._started,
                 "tenants": len(self.tenants),
                 "structures": len(self.structures),
-                "requests_served": self.requests_served,
+                "requests_served": self._served(self.tenants.values()),
             }
 
     def metrics(self) -> dict[str, Any]:
         """The observability snapshot behind ``GET /metrics``: telemetry
         registry (counters/gauges/histograms), shared-cache stats, engine
-        lifetime counters, and per-tenant session counters."""
+        lifetime counters, and each tenant's account.  ``requests_served``
+        sums the tenants' per-outcome request counts."""
         with self._lock:
             tenants = dict(self.tenants)
-            requests_served = self.requests_served
             structures = len(self.structures)
         return {
             "wire_version": wire.WIRE_VERSION,
             "uptime_s": time.monotonic() - self._started,
-            "requests_served": requests_served,
+            "requests_served": self._served(tenants.values()),
             "structures": structures,
             "engine": self.engine.stats.as_dict(),
             "caches": {
@@ -998,18 +1015,18 @@ class QueryService:
     def metrics_prometheus(self) -> str:
         """``GET /metrics`` in Prometheus text format 0.0.4.
 
-        The labeled registry series render directly; the service-level
-        JSON numbers (uptime, requests served, cache rates) are exported
-        as gauges first so one exposition carries both.
+        The registry's series and this service's per-tenant request
+        series render together; the service-level JSON numbers (uptime,
+        requests served, cache rates) are exported as gauges first so one
+        exposition carries both.
         """
         with self._lock:
-            requests_served = self.requests_served
+            tenants = list(self.tenants.values())
             structures = len(self.structures)
-            tenants = len(self.tenants)
         _gauge("server.uptime_seconds").set(time.monotonic() - self._started)
-        _gauge("server.requests_served").set(requests_served)
+        _gauge("server.requests_served").set(self._served(tenants))
         _gauge("server.structures").set(structures)
-        _gauge("server.tenants").set(tenants)
+        _gauge("server.tenants").set(len(tenants))
         _gauge("server.wire_version").set(wire.WIRE_VERSION)
         for cache_name, snapshot in (
             ("plan", self.engine.plan_cache.snapshot()),
@@ -1018,7 +1035,16 @@ class QueryService:
             for stat, value in snapshot.items():
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     _gauge("server.cache." + stat, cache=cache_name).set(value)
-        return render_exposition()
+        series = tuple(s for session in tenants for s in session.series)
+        return render_exposition(extra=series)
+
+    @staticmethod
+    def _served(tenants: Iterable[TenantSession]) -> int:
+        """``requests_served``: the tenants' per-outcome request counts,
+        summed without taking their locks."""
+        return sum(
+            series.value for session in tenants for series in session.outcomes.values()
+        )
 
 
 def _compile(

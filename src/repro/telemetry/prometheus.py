@@ -89,8 +89,9 @@ def _render_value(value: float) -> str:
     return repr(float(value))
 
 
-def render_exposition(registry: MetricsRegistry | None = None) -> str:
-    """The whole registry as Prometheus text format 0.0.4.
+def render_exposition(registry: MetricsRegistry | None = None, extra: tuple = ()) -> str:
+    """The whole registry as Prometheus text format 0.0.4, with the
+    ``extra`` series held outside it (a service's per-tenant series).
 
     Families are grouped (one ``# TYPE`` line per base name, series
     sorted), counters get the conventional ``_total`` suffix, histograms
@@ -100,7 +101,7 @@ def render_exposition(registry: MetricsRegistry | None = None) -> str:
     registry = registry if registry is not None else REGISTRY
     families: dict[str, tuple[str, list[str]]] = {}
 
-    for metric in registry.metrics():
+    for metric in sorted((*registry.metrics(), *extra), key=lambda m: m.name):
         base = sanitize_name(metric.base_name)
         if isinstance(metric, Counter):
             family = base + "_total"

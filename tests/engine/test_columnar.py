@@ -18,6 +18,7 @@ from strategies import conformance_cases
 import repro.engine.engine as engine_module
 from repro import telemetry
 from repro.engine import ColumnarExecutor, Engine
+from repro.engine.columnar import kernels
 from repro.engine.columnar.codec import PACK_MAX_ARITY, DomainCodec, codec_for
 from repro.engine.columnar.compile import compile_plan
 from repro.engine.columnar.executor import PIPELINE_CACHE_LIMIT
@@ -135,6 +136,19 @@ class TestKernels:
                         packed = packed * base + digit
                     expected.add(packed)
             assert kernel(child_keys) == expected
+
+    def test_kernel_code_cache_is_bounded(self):
+        """Kernel sources inline the domain size, so one query on 100
+        cycles of distinct sizes compiles about 300 of them; the code
+        cache keeps the most recent CODE_CACHE_LIMIT, and a kernel it
+        evicted compiles again."""
+        engine = Engine()
+        for n in range(3, 103):
+            engine.answers(directed_cycle(n), DISTANCE_TWO)
+        assert len(kernels._CODE_CACHE) == kernels.CODE_CACHE_LIMIT
+        first, misses = directed_cycle(3), kernels._CODE_CACHE.misses
+        assert Engine().answers(first, DISTANCE_TWO) == naive_answers(first, DISTANCE_TWO)
+        assert kernels._CODE_CACHE.misses > misses
 
     def test_project_of_extend_compiles_to_one_node(self):
         """The union branches of ∀z (E(x, z) ∨ E(y, z)) are
