@@ -29,6 +29,7 @@ relational-calculus view, belongs to the FO→RA compiler
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -480,40 +481,47 @@ class Engine:
         )
 
     def page_order(
-        self, structure: Structure, formula: Formula, rows: frozenset[tuple[Element, ...]]
-    ) -> tuple[tuple[Element, ...], ...]:
+        self,
+        structure: Structure,
+        formula: Formula,
+        rows: frozenset[tuple[Element, ...]],
+        render: Callable[[Sequence], Sequence[str]] | None = None,
+    ) -> tuple[tuple[tuple[Element, ...], ...], tuple[str, ...] | None]:
         """``rows`` in the canonical page order
-        (:func:`~repro.structures.structure.canonical_order`).
+        (:func:`~repro.structures.structure.canonical_order`), and with
+        ``render`` (rows → each row's text), each row's text at the same
+        index.
 
         When ``rows`` is the very set φ's answer record holds — what a
         read just returned from the cache, a patch or a recompute — this
-        is the order kept on the record: built by the record's first
-        page read and brought forward after each patch
+        is the order and the texts kept on the record: made by the
+        record's first page read and brought forward after each patch
         (:func:`~repro.incremental.answers.bring_forward`), so a warm
-        read sorts nothing.  Any other rows (another rung's, a widened
-        schema's, a profile's) are sorted here.  The record is read
-        under the structure's lock without counting a lookup; a sort or
-        bisection runs after this method releases the lock, so a served
-        read's write never waits on it (enumeration's preprocessing
-        holds the lock throughout), and its order is kept only if
-        ``rows`` is still the record's then.
+        read sorts and renders nothing.  Any other rows (another rung's,
+        a widened schema's, a profile's) are sorted here and come back
+        without texts: their caller renders what it serves.  The record
+        is read under the structure's lock without counting a lookup; a
+        sort, bisection or rendering runs after this method releases the
+        lock, so a served read's write never waits on it (enumeration's
+        preprocessing holds the lock throughout), and the result is kept
+        only if ``rows`` is still the record's then.
         """
         key = (structure.uid, formula, analyze(formula).names)
         with structure.lock:
             record = self.answer_cache.peek(key)
             if record is None or record.rows is not rows:
                 record = None
-            elif record.ordered is rows:
-                return record.order
             else:
-                order, ordered = record.order, record.ordered
+                order, ordered, texts = record.order, record.ordered, record.texts
+                if ordered is rows and (texts is not None or render is None):
+                    return order, texts
         if record is None:
-            return canonical_order(rows)
-        order = bring_forward(order, ordered, rows)
+            return canonical_order(rows), None
+        order, texts = bring_forward(order, ordered, rows, texts, render)
         with structure.lock:
             if record.rows is rows:
-                record.order, record.ordered = order, rows
-        return order
+                record.order, record.ordered, record.texts = order, rows, texts
+        return order, texts
 
     def invalidate(self, structure: Structure) -> int:
         """Drop every cached answer for ``structure``; return the count.

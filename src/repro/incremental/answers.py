@@ -71,16 +71,22 @@ they replaced on the record, and the next page read brings it forward
 (:func:`bring_forward`) by bisection over the rows that changed instead
 of re-sorting — unless more than :data:`BISECT_LIMIT` rows, and more
 than one in :data:`BISECT_SHARE` of the new rows, changed; then it
-sorts once.  So an ordered record holds one tuple of row references,
-plus at most one superseded row set until its next page read, and a
-record that nothing pages or enumerates is never ordered.
+sorts once.  Beside the order, a served page read keeps each row's JSON
+text at the same index (``texts``, rendered by the renderer the read
+passes in): the first page read renders every row, and bringing the
+order forward moves the texts with it and renders only the rows added.
+So an ordered record holds one tuple of row references and, once
+served, one tuple of row texts, plus at most one superseded row set
+until its next page read, and a record that nothing pages or enumerates
+is never ordered.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
+from collections.abc import Callable, Sequence
 
 from repro.errors import FMTError
 from repro.eval.evaluator import evaluate as naive_evaluate
@@ -315,10 +321,12 @@ class _Record:
     evaluations.
     ``order`` is ``ordered`` in canonical order, and ``ordered`` is
     ``rows`` itself or the row set a patch replaced (both ``None`` until
-    a page is read; see :func:`bring_forward`).
+    a page is read; see :func:`bring_forward`).  ``texts`` is each
+    row's JSON text at the same index as ``order``, or ``None`` when
+    nothing rendered them.
     """
 
-    __slots__ = ("epoch", "rows", "scope", "census", "promote", "order", "ordered")
+    __slots__ = ("epoch", "rows", "scope", "census", "promote", "order", "ordered", "texts")
 
     def __init__(
         self, epoch: int, rows: frozenset, scope: _QfScope | _LocalScope | _HanfScope | None
@@ -330,32 +338,61 @@ class _Record:
         self.promote = False
         self.order: tuple | None = None
         self.ordered: frozenset | None = None
+        self.texts: tuple | None = None
 
 
-def bring_forward(order: tuple | None, ordered: frozenset | None, rows: frozenset) -> tuple:
+def bring_forward(
+    order: tuple | None,
+    ordered: frozenset | None,
+    rows: frozenset,
+    texts: tuple | None = None,
+    render: Callable[[Sequence], Sequence[str]] | None = None,
+) -> tuple[tuple, tuple | None]:
     """``rows`` in canonical order, from ``order``, the order of ``ordered``
-    (a record's kept order; ``None`` when it has none, which sorts).
+    (a record's kept order; ``None`` when it has none, which sorts), and
+    with ``render``, each row's text at the same index.
 
-    The set differences reuse the hashes both frozensets store; each
-    changed row then costs one bisection (O(log n) keys) and one move of
-    the tail, and none of the unchanged rows is keyed again.
+    ``texts`` are ``order``'s rows rendered, and move with them; only
+    the added rows are rendered.  The re-sort side, and an order with no
+    texts to move, render every row.  Without ``render`` no texts come
+    back.  The set differences reuse the hashes both frozensets store;
+    each changed row then costs one bisection (O(log n) keys) and one
+    move of the tail, and none of the unchanged rows is keyed again.
     """
-    if order is None:
-        return canonical_order(rows)
-    removed, added = ordered - rows, rows - ordered
+    if render is None:
+        texts = None
+    elif texts is None:
+        order = None  # no texts to move: sort and render afresh
+    if order is not None:
+        removed, added = ordered - rows, list(rows - ordered)
+        if len(removed) + len(added) <= max(BISECT_LIMIT, len(rows) // BISECT_SHARE):
+            return _bisect(order, texts, removed, added, render)
+    order = canonical_order(rows)
+    return order, None if render is None else tuple(render(order))
+
+
+def _bisect(order, texts, removed, added, render):
+    """Move ``order`` and its ``texts`` (or ``None``) over the changed rows."""
     if not removed and not added:
-        return order
-    if len(removed) + len(added) > max(BISECT_LIMIT, len(rows) // BISECT_SHARE):
-        return canonical_order(rows)
+        return order, texts
     moved = list(order)
+    moved_texts = None if texts is None else list(texts)
     for row in removed:
         index = bisect_left(moved, row_key(row), key=row_key)
         while moved[index] != row:  # rows whose keys tie
             index += 1
         del moved[index]
-    for row in added:
-        insort(moved, row, key=row_key)
-    return tuple(moved)
+        if moved_texts is not None:
+            del moved_texts[index]
+    if moved_texts is None:
+        for row in added:
+            insort(moved, row, key=row_key)
+        return tuple(moved), None
+    for row, text in zip(added, render(added)):
+        index = bisect_right(moved, row_key(row), key=row_key)
+        moved.insert(index, row)
+        moved_texts.insert(index, text)
+    return tuple(moved), tuple(moved_texts)
 
 
 class _Overflow(Exception):

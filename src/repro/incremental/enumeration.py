@@ -164,7 +164,8 @@ def _build(
     # The full set is already charged to the budget by the engine; stream
     # it in the canonical order its answer record keeps, without
     # re-charging.
-    return "materialized", iter(engine.page_order(structure, formula, rows))
+    order, _ = engine.page_order(structure, formula, rows)
+    return "materialized", iter(order)
 
 
 def _stream(values, token: CancelToken | None) -> Iterator[tuple]:

@@ -48,7 +48,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServerError
 from repro.server import wire
-from repro.server.service import QueryService
+from repro.server.service import AnswerPage, QueryService
 from repro.telemetry.context import mint, trace_scope
 from repro.telemetry.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.telemetry.tracer import span as _span
@@ -56,6 +56,7 @@ from repro.telemetry.tracer import span as _span
 __all__ = ["QueryServer", "make_server", "serve"]
 
 _MAX_BODY_BYTES = 32 * 1024 * 1024
+_JSON = "application/json"
 
 
 class QueryServer(ThreadingHTTPServer):
@@ -90,12 +91,13 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _send_json(
-        self, status: int, payload: dict[str, Any], trace_id: str | None = None
+    def _send(
+        self, status: int, body: bytes, content_type: str, trace_id: str | None
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
+        """The one response writer: every response, page, JSON or text,
+        goes out through here."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if trace_id is not None:
             self.send_header("X-Trace-Id", trace_id)
@@ -104,23 +106,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(
-        self, status: int, text: str, content_type: str, trace_id: str | None = None
-    ) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if trace_id is not None:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _send_error_payload(
         self, error: BaseException, trace_id: str | None = None
     ) -> None:
         payload = wire.error_to_wire(error, trace_id=trace_id)
-        self._send_json(payload["status"], payload, trace_id=trace_id)
+        self._send(payload["status"], _dumps(payload), _JSON, trace_id)
 
     def _json_body(self) -> dict[str, Any]:
         # A field value's surrounding blanks are not part of it (RFC 9110
@@ -159,25 +149,17 @@ class _Handler(BaseHTTPRequestHandler):
         )
         try:
             parts = urlsplit(self.path)
+            content_type = _JSON
             if parts.path == "/healthz":
-                self._send_json(200, self._service.health(), trace_id=context.trace_id)
+                body = _dumps(self._service.health())
+            elif parts.path == "/metrics" and self._wants_prometheus(parts.query):
+                body = self._service.metrics_prometheus().encode()
+                content_type = _PROMETHEUS_CONTENT_TYPE
             elif parts.path == "/metrics":
-                if self._wants_prometheus(parts.query):
-                    self._send_text(
-                        200,
-                        self._service.metrics_prometheus(),
-                        _PROMETHEUS_CONTENT_TYPE,
-                        trace_id=context.trace_id,
-                    )
-                else:
-                    self._send_json(
-                        200, self._service.metrics(), trace_id=context.trace_id
-                    )
+                body = _dumps(self._service.metrics())
             else:
-                self._send_error_payload(
-                    ServerError(f"no route for GET {self.path}", status=404),
-                    trace_id=context.trace_id,
-                )
+                raise ServerError(f"no route for GET {self.path}", status=404)
+            self._send(200, body, content_type, context.trace_id)
         except Exception as error:  # noqa: BLE001 — boundary: encode, don't crash
             self._send_error_payload(error, trace_id=context.trace_id)
 
@@ -213,8 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
                         raise ServerError(
                             f"no route for POST {self.path}", status=404
                         )
-            result["trace_id"] = context.trace_id
-            self._send_json(200, result, trace_id=context.trace_id)
+            self._send(200, _response(result, context.trace_id), _JSON, context.trace_id)
         except Exception as error:  # noqa: BLE001 — boundary: encode, don't crash
             if context is None:
                 context = mint(header_id, rate=self._service.trace_rate())
@@ -267,18 +248,17 @@ class _Handler(BaseHTTPRequestHandler):
             max_rows=body.get("max_rows"),
         )
 
-    def _post_answers(self, body: dict[str, Any]) -> dict[str, Any]:
+    def _post_answers(self, body: dict[str, Any]) -> AnswerPage | list[AnswerPage]:
         tenant = _required_str(body, "tenant")
         if "requests" in body:
-            pages = self._service.answers_batch(
+            return self._service.answers_batch(
                 tenant,
                 body["requests"],
                 deadline_ms=body.get("deadline_ms"),
                 max_rows=body.get("max_rows"),
                 page_size=body.get("page_size"),
             )
-            return {"results": [page.to_wire() for page in pages]}
-        page = self._service.answers(
+        return self._service.answers(
             tenant,
             body.get("structure_id", ""),
             query=body.get("query"),
@@ -290,7 +270,22 @@ class _Handler(BaseHTTPRequestHandler):
             free_variables=body.get("free_variables"),
             explain=body.get("explain", False),
         )
-        return page.to_wire()
+
+
+def _response(result: dict | AnswerPage | list[AnswerPage], trace_id: str) -> bytes:
+    """A 200 body: ``result`` with ``trace_id`` at the top level, dumped
+    with sorted keys.  Answer pages splice in their row texts
+    (:meth:`AnswerPage.to_json`), a batch's under ``results``."""
+    if isinstance(result, AnswerPage):
+        return result.to_json(trace_id).encode()
+    if isinstance(result, list):
+        pages = f"[{', '.join(page.to_json() for page in result)}]"
+        return wire.splice({"trace_id": trace_id}, "results", pages).encode()
+    return _dumps({**result, "trace_id": trace_id})
+
+
+def _dumps(payload: dict[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode()
 
 
 def _updates_target(path: str) -> str | None:

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import threading
 import time
@@ -145,9 +146,15 @@ class PreparedQuery:
 class AnswerPage:
     """One page of one answer set, plus enough context to continue.
 
-    ``codes`` is the structure's :func:`~repro.server.wire.element_codes`
-    memo, which :meth:`to_wire` encodes the rows through; without one it
-    encodes every value.
+    Its wire form is text: :meth:`to_json` is the page's envelope dumped
+    with sorted keys, with the page's row texts spliced in at ``rows``
+    (:func:`~repro.server.wire.splice`), and :meth:`to_wire` is that text
+    parsed, so the dict and the bytes cannot drift.  ``texts`` are the
+    rows' JSON texts when the rows are an answer record's, kept on the
+    record beside its page order; other rows render through
+    ``elements``, the structure's
+    :class:`~repro.server.wire.ElementTexts`, when the page is
+    serialized.
     """
 
     rows: tuple[tuple[Element, ...], ...]
@@ -156,14 +163,16 @@ class AnswerPage:
     total_rows: int
     has_more: bool
     free_names: tuple[str, ...]
+    elements: wire.ElementTexts = field(repr=False, compare=False)
     query: str | None = None
     structure_id: str = ""
     explain: dict[str, Any] | None = None
-    codes: Any = field(default=None, repr=False, compare=False)
+    texts: tuple[str, ...] | None = field(default=None, repr=False, compare=False)
 
-    def to_wire(self) -> dict[str, Any]:
-        payload = {
-            "rows": wire.encode_rows(self.rows, self.codes),
+    def to_json(self, trace_id: str | None = None) -> str:
+        """The page's JSON text: ``json.dumps(page, sort_keys=True)`` of
+        the wire page, plus ``trace_id`` at the top level when given."""
+        envelope = {
             "page": self.page,
             "page_size": self.page_size,
             "total_rows": self.total_rows,
@@ -173,8 +182,14 @@ class AnswerPage:
             "structure_id": self.structure_id,
         }
         if self.explain is not None:
-            payload["explain"] = self.explain
-        return payload
+            envelope["explain"] = self.explain
+        if trace_id is not None:
+            envelope["trace_id"] = trace_id
+        texts = self.elements.render(self.rows) if self.texts is None else self.texts
+        return wire.splice(envelope, "rows", f"[{', '.join(texts)}]")
+
+    def to_wire(self) -> dict[str, Any]:
+        return json.loads(self.to_json())
 
 
 @dataclass(slots=True)
@@ -963,18 +978,22 @@ class QueryService:
     ) -> AnswerPage:
         size = DEFAULT_PAGE_SIZE if page_size is None else page_size
         size = min(size, MAX_PAGE_SIZE)
-        ordered = self.engine.page_order(read.structure, read.prepared.formula, rows)
-        start = page * size
+        elements = wire.element_texts(read.structure)
+        ordered, texts = self.engine.page_order(
+            read.structure, read.prepared.formula, rows, elements.render
+        )
+        start, stop = page * size, (page + 1) * size
         return AnswerPage(
-            rows=ordered[start : start + size],
+            rows=ordered[start:stop],
             page=page,
             page_size=size,
             total_rows=len(ordered),
-            has_more=start + size < len(ordered),
+            has_more=stop < len(ordered),
             free_names=read.prepared.free_names,
             query=read.prepared.name,
             structure_id=read.structure_id,
-            codes=wire.element_codes(read.structure),
+            texts=None if texts is None else texts[start:stop],
+            elements=elements,
         )
 
     # -- health + metrics ----------------------------------------------------

@@ -21,7 +21,14 @@ Conventions
   (`repr` of the decoded tuple, declared once as
   :func:`repro.structures.structure.canonical_order`), which is what
   makes server-side paging deterministic: the same page of the same
-  answer set is always the same rows.
+  answer set is always the same rows.  :func:`answers_to_wire` is the
+  reference encoding.  A served page is rendered as text instead: one
+  encoder, :class:`ElementTexts`, renders each row's JSON text from its
+  elements' texts, the engine's answer record keeps those texts beside
+  its page order, and a response is its envelope dumped with sorted
+  keys with the page's row texts spliced in at ``rows``
+  (:func:`splice`) — the bytes ``json.dumps(page, sort_keys=True)``
+  makes, without encoding or dumping a row on a warm read.
 * **Errors** are typed payloads — ``{"error": {"type", "message", ...}}``
   — so a refusal (429/503 on :class:`~repro.errors.BudgetExceededError`)
   is machine-distinguishable from a caller mistake (400/404) without
@@ -82,8 +89,10 @@ __all__ = [
     "parse_formula",
     "encode_element",
     "decode_element",
-    "element_codes",
+    "ElementTexts",
+    "element_texts",
     "encode_rows",
+    "splice",
     "structure_to_dict",
     "structure_from_dict",
     "structure_digest",
@@ -182,49 +191,63 @@ def encode_element(element: Element) -> Any:
     raise StructureError(f"cannot serialize universe element {element!r}")
 
 
-class _ElementCodes(dict):
-    """Element → :func:`encode_element` of it, filled on first use.
+class ElementTexts(dict):
+    """Element → the JSON text of :func:`encode_element` of it, filled on
+    first use: the one encoder of served answer rows.
 
-    ``plain`` says every element of the universe is an exact int or
-    string, which is its own JSON value, so a row encodes as a copy."""
+    A row's text is its elements' texts joined (:meth:`render`).  Each
+    text is what ``json.dumps`` makes of the element with its defaults
+    (``ensure_ascii``, ``", "`` and ``": "`` separators), which are the
+    response envelope's, so a row text spliced into an envelope
+    (:func:`splice`) is the bytes ``json.dumps`` of the whole page
+    makes."""
 
-    def __init__(self, plain: bool) -> None:
-        super().__init__()
-        self.plain = plain
+    def __missing__(self, element: Element) -> str:
+        text = self[element] = json.dumps(encode_element(element))
+        return text
 
-    def __missing__(self, element: Element) -> Any:
-        code = self[element] = encode_element(element)
-        return code
+    def render(self, rows: Iterable[tuple[Element, ...]]) -> list[str]:
+        """Each row's JSON text (a JSON list of its elements)."""
+        text = self.__getitem__
+        return [f"[{', '.join(map(text, row))}]" for row in rows]
 
 
-def element_codes(structure: Structure) -> _ElementCodes:
-    """The structure's memo of :func:`encode_element`, for
-    :func:`encode_rows`: each element is encoded once, not once per page
-    row.  Kept across updates, which never change the universe, so it
-    holds at most one entry per element.  Its values are shared by every
-    page that reads it: treat them as read-only."""
-    codes = structure._cache.get(ENCODING_MEMO)
-    if codes is None:
+def element_texts(structure: Structure) -> ElementTexts:
+    """The structure's :class:`ElementTexts` memo: each element is
+    rendered once, not once per page row.  Kept across updates, which
+    never change the universe, so it holds at most one entry per
+    element."""
+    texts = structure._cache.get(ENCODING_MEMO)
+    if texts is None:
         # Made under the lock: an update copies the memo dict while it
         # holds it, and an insertion mid-copy would break the copy.
         with structure.lock:
-            plain = all(type(element) in (int, str) for element in structure.universe)
-            codes = structure.cached(ENCODING_MEMO, lambda: _ElementCodes(plain))
-    return codes
+            texts = structure.cached(ENCODING_MEMO, ElementTexts)
+    return texts
 
 
-def encode_rows(
-    rows: Iterable[tuple[Element, ...]], codes: _ElementCodes | None = None
-) -> list[list[Any]]:
-    """Answer rows as JSON lists, through a structure's
-    :func:`element_codes` when given (the rows' elements must be that
-    structure's), else encoding every value."""
-    if codes is None:
-        return [[encode_element(value) for value in row] for row in rows]
-    if codes.plain:
-        return list(map(list, rows))
-    code = codes.__getitem__
-    return [list(map(code, row)) for row in rows]
+def encode_rows(rows: Iterable[tuple[Element, ...]]) -> list[list[Any]]:
+    """Answer rows as JSON lists, encoding every value: the reference
+    encoder under :func:`answers_to_wire`."""
+    return [[encode_element(value) for value in row] for row in rows]
+
+
+def splice(envelope: dict[str, Any], key: str, text: str) -> str:
+    """``json.dumps({**envelope, key: value}, sort_keys=True)``, for the
+    value whose JSON text is ``text``, without parsing or dumping it.
+
+    The keys that sort before ``key`` and those after it are dumped
+    apart, and ``text`` goes between them by key position: nothing
+    searches the dumped text, which may hold ``key`` inside a string (a
+    query name, an ``explain`` payload).  ``text`` must be dumped with
+    ``json.dumps``' defaults, as :meth:`ElementTexts.render` renders.
+    """
+    items = envelope.items()
+    before = json.dumps({name: value for name, value in items if name < key}, sort_keys=True)
+    after = json.dumps({name: value for name, value in items if name > key}, sort_keys=True)
+    head = before[:-1] + ", " if len(before) > 2 else "{"
+    tail = ", " + after[1:] if len(after) > 2 else "}"
+    return f"{head}{json.dumps(key)}: {text}{tail}"
 
 
 def decode_element(value: Any) -> Element:
@@ -454,12 +477,13 @@ def answers_to_wire(rows: frozenset[tuple[Element, ...]]) -> list[list[Any]]:
     The order is :func:`~repro.structures.structure.canonical_order`,
     ``repr`` of the decoded tuple — total over the mixed int/str/tuple
     element universe — so paging a large answer set is deterministic
-    across requests and across server restarts.  This sorts ``rows``
-    and encodes every value.  The service's answer pages have the same
-    order and bytes without either cost on a warm read: the order is
-    kept on the engine's answer record
-    (:meth:`repro.engine.engine.Engine.page_order`) and the values come
-    through the structure's :func:`element_codes`.
+    across requests and across server restarts.  This is the reference
+    encoding: it sorts ``rows`` and encodes every value.  A served answer
+    page has the same order and, dumped, the same bytes, without either
+    cost on a warm read: the engine's answer record keeps the order and
+    each row's JSON text beside it
+    (:meth:`repro.engine.engine.Engine.page_order`), and the page's
+    response splices the row texts into its envelope (:func:`splice`).
     """
     return encode_rows(canonical_order(rows))
 

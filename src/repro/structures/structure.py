@@ -63,9 +63,9 @@ PIPELINE_MEMO = ("columnar-pipeline",)
 GAIFMAN_MEMO = ("gaifman",)
 INCIDENCE_MEMO = ("row-incidence",)
 
-#: Memo key of the wire encoding of the universe's elements (see
-#: :func:`repro.server.wire.element_codes`); kept across updates, which
-#: never change the universe.
+#: Memo key of each universe element's JSON text, from which served
+#: answer rows are rendered (see :func:`repro.server.wire.element_texts`);
+#: kept across updates, which never change the universe.
 ENCODING_MEMO = ("wire-encoding",)
 
 
@@ -436,9 +436,8 @@ class Structure:
         patch them forward from the delta log on next use instead of
         re-reading the whole structure.  The compiled pipelines
         (:data:`PIPELINE_MEMO`) are kept too: they hold no data, only
-        code over the codec, and so is the wire encoding of the
-        universe's elements (:data:`ENCODING_MEMO`), which no update
-        changes.  Everything
+        code over the codec.  So is each universe element's JSON text
+        (:data:`ENCODING_MEMO`), which no update changes.  Everything
         else (WL colors, engine stats, the max degree) is dropped: each
         owner recomputes on demand.
         """

@@ -111,7 +111,9 @@ class Histogram:
     stream instead of freezing on the first 65536 observations (the
     warm-up traffic of a long-running server). The replacement RNG is
     seeded from the metric name, so a replayed workload reproduces the
-    same percentiles bit-for-bit. Aggregate moments (count/sum/min/max)
+    same percentiles bit-for-bit; it is made on the first replacement,
+    so a histogram that never fills its sample holds none (a
+    ``random.Random`` is about 2.5 KB). Aggregate moments (count/sum/min/max)
     stay exact regardless. Percentiles use the nearest-rank definition,
     so e.g. ``percentile(50)`` of 1..100 is 50.
     """
@@ -130,9 +132,7 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
         self._sample: list[float] = []
-        # str seeding hashes with SHA-512, not PYTHONHASHSEED, so the
-        # reservoir is deterministic across interpreter runs.
-        self._rng = random.Random(self.name)
+        self._rng: random.Random | None = None
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -144,6 +144,10 @@ class Histogram:
         if len(self._sample) < self.SAMPLE_LIMIT:
             self._sample.append(value)
         else:
+            if self._rng is None:
+                # str seeding hashes with SHA-512, not PYTHONHASHSEED, so
+                # the reservoir is deterministic across interpreter runs.
+                self._rng = random.Random(self.name)
             slot = self._rng.randrange(self.count)
             if slot < self.SAMPLE_LIMIT:
                 self._sample[slot] = value

@@ -309,6 +309,26 @@ def test_malformed_content_length_400_closes(server_url: str, declared: str):
         connection.close()
 
 
+@pytest.mark.parametrize(
+    "path", ["/healthz", "/metrics", "/metrics?format=prometheus", "/nope"]
+)
+def test_every_response_says_it_closes(server_url: str, path: str):
+    """A client that asks to close gets ``Connection: close`` back on
+    every response, the Prometheus exposition included (its writer
+    omitted the header)."""
+    host, port = urllib.parse.urlsplit(server_url).netloc.split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.request("GET", path, headers={"Connection": "close"})
+        response = connection.getresponse()
+        response.read()
+        assert response.getheader("Connection") == "close", path
+        assert response.getheader("X-Trace-Id")
+        assert response.will_close
+    finally:
+        connection.close()
+
+
 @pytest.mark.parametrize("padding", [" ", "\t", "  \t"])
 def test_padded_content_length_is_read(server_url: str, cycle_id: str, padding: str):
     """Blanks around a Content-Length value are not part of it: the

@@ -11,6 +11,7 @@ as they come.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
@@ -209,13 +210,16 @@ def test_reads_the_record_does_not_hold_sort_as_they_come(sorts):
 
 
 def test_page_order_racing_writes_orders_the_rows_read():
-    """Four readers take answers and then their page order, as a served
-    read does, while a writer toggles one edge between the two calls,
-    under a short switch interval.  Each order must be exactly the rows
-    its reader got: an order kept for one row set and served for
-    another (the record moved on in between) would show here."""
+    """Four readers take answers and then their page order and row
+    texts, as a served read does, while a writer toggles one edge
+    between the two calls, under a short switch interval.  Each order
+    must be exactly the rows its reader got, and each text the render
+    of the row at its index: an order or texts kept for one row set and
+    served for another (the record moved on in between) would show
+    here.  Rows the record no longer holds come back without texts."""
     structure = random_graph(12, 0.3, seed=3)
     engine = Engine()
+    render = wire.element_texts(structure).render
     formulas = [parse(QUERIES[name][0]) for name in ("qf", "local", "hanf")]
     edges = structure.relations["E"]
     toggled = next((b, a) for a, b in sorted(edges) if (b, a) not in edges)
@@ -226,10 +230,13 @@ def test_page_order_racing_writes_orders_the_rows_read():
             while not done.is_set():
                 for formula in formulas:
                     rows = engine.answers(structure, formula)
-                    order = engine.page_order(structure, formula, rows)
-                    if list(order) != sorted(rows, key=repr):
-                        wrong.append((formula, order, rows))
-                    reads.append(len(rows))
+                    order, texts = engine.page_order(structure, formula, rows, render)
+                    if list(order) != sorted(rows, key=repr) or (
+                        texts is not None
+                        and list(texts) != [json.dumps(row) for row in wire.encode_rows(order)]
+                    ):
+                        wrong.append((formula, order, texts, rows))
+                    reads.append(texts is not None)
         except Exception as error:  # noqa: BLE001 — reported below
             errors.append(error)
 
@@ -260,24 +267,26 @@ def test_page_order_racing_writes_orders_the_rows_read():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert not wrong, wrong[:1]
+    assert any(reads)
     assert engine.stats.answers_patched > 0
     for formula in formulas:
         rows = engine.answers(structure, formula)
-        assert list(engine.page_order(structure, formula, rows)) == sorted(
-            naive_answers(structure, formula), key=repr
-        )
+        order, texts = engine.page_order(structure, formula, rows, render)
+        assert list(order) == sorted(naive_answers(structure, formula), key=repr)
+        assert texts == tuple(json.dumps(row) for row in wire.answers_to_wire(rows))
 
 
 def test_orders_are_built_outside_the_structure_lock(monkeypatch):
-    """The first page read's sort and a later read's bisection run
-    without the structure's lock, so no write waits on them; the order
-    is then kept on the record."""
+    """The first page read's sort and render and a later read's
+    bisection run without the structure's lock, so no write waits on
+    them; the order and texts are then kept on the record."""
     structure = random_graph(10, 0.35, seed=4)
     engine = Engine()
+    render = wire.element_texts(structure).render
     formula = parse(QUERIES["qf"][0])
     lock_free = []
 
-    def probed(order, ordered, rows):
+    def probed(*args):
         # The lock is an RLock: another thread gets it only if this one
         # does not hold it.
         def take() -> None:
@@ -291,23 +300,26 @@ def test_orders_are_built_outside_the_structure_lock(monkeypatch):
         thread.start()
         thread.join(timeout=10)
         assert not thread.is_alive()
-        return answer_records.bring_forward(order, ordered, rows)
+        return answer_records.bring_forward(*args)
 
     monkeypatch.setattr(engine_module, "bring_forward", probed)
     rows = engine.answers(structure, formula)
-    order = engine.page_order(structure, formula, rows)
-    assert engine.page_order(structure, formula, rows) is order
+    order, texts = engine.page_order(structure, formula, rows, render)
+    assert engine.page_order(structure, formula, rows, render) == (order, texts)
+    assert engine.page_order(structure, formula, rows, render)[1] is texts
     edges = structure.relations["E"]
     structure.insert("E", next((b, a) for a, b in sorted(edges) if (b, a) not in edges))
     rows = engine.answers(structure, formula)
     assert engine.stats.answers_patched == 1
-    assert list(engine.page_order(structure, formula, rows)) == sorted(rows, key=repr)
+    order, texts = engine.page_order(structure, formula, rows, render)
+    assert list(order) == sorted(rows, key=repr)
+    assert texts == tuple(render(order))
     assert lock_free == [True, True]
 
 
 def test_encoding_memo_made_during_an_update_breaks_nothing():
-    """A page read makes the structure's encoding memo outside the
-    structure's lock; an update copies the memo dict while holding it.
+    """A page read asks for the structure's element-text memo outside
+    the structure's lock; an update copies the memo dict while holding it.
     Making the memo mid-copy raised ``dictionary changed size during
     iteration`` in the writer.  The memo dict is padded so each copy
     takes long enough to be interrupted."""
@@ -322,7 +334,7 @@ def test_encoding_memo_made_during_an_update_breaks_nothing():
 
             def first_page(structure=structure, start=start):
                 start.wait()
-                wire.element_codes(structure)
+                wire.element_texts(structure)
 
             reader = threading.Thread(target=first_page)
             reader.start()
@@ -344,7 +356,7 @@ def test_encoding_memo_made_during_an_update_breaks_nothing():
     ids=["plain", "tagged"],
 )
 def test_page_bytes_equal_the_wire_encoding_of_the_answer_set(structure):
-    """Pages, encoded through the structure's element memo, concatenate
+    """Pages, rendered through the structure's element texts, concatenate
     to :func:`wire.answers_to_wire` of the naive answers, for a universe
     of ints and one of tagged tuples, before and after a write."""
     service = QueryService()
@@ -407,7 +419,10 @@ def test_records_no_page_reads_are_never_ordered():
         engine.answer_cache.peek((structure.uid, formula, analyze(formula).names))
         for formula in formulas
     ]
-    assert all(record.order is None and record.ordered is None for record in records)
+    assert all(
+        record.order is None and record.ordered is None and record.texts is None
+        for record in records
+    )
 
 
 @given(
@@ -415,9 +430,17 @@ def test_records_no_page_reads_are_never_ordered():
     after=st.frozensets(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
 )
 def test_bring_forward_equals_a_fresh_sort(before, after):
-    """Both ways forward, bisection and re-sort, give the canonical order."""
+    """Both ways forward, bisection and re-sort, give the canonical order,
+    and the texts brought forward with it equal a fresh render."""
+    render = wire.ElementTexts().render
     order = canonical_order(before)
-    assert answer_records.bring_forward(order, before, after) == canonical_order(after)
+    texts = tuple(render(order))
     near = frozenset(list(before)[: len(before) - 1]) | {(31, 31)}
-    assert answer_records.bring_forward(order, before, near) == canonical_order(near)
+    for rows in (after, near):
+        fresh = canonical_order(rows)
+        assert answer_records.bring_forward(order, before, rows) == (fresh, None)
+        assert answer_records.bring_forward(order, before, rows, texts, render) == (
+            fresh,
+            tuple(render(fresh)),
+        )
 

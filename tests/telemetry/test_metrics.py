@@ -1,6 +1,7 @@
 """Metrics registry unit tests: counters, gauges, histogram percentiles."""
 
 import json
+import random
 import threading
 
 import pytest
@@ -152,6 +153,38 @@ class TestReservoirSampling:
             return list(hist._sample)
 
         assert build() == build()
+
+    def test_no_rng_below_the_sample_limit(self):
+        """The replacement RNG (about 2.5 KB) is made on the first
+        replacement: a histogram that never fills its sample holds none."""
+        hist = Histogram("server.request_ms", {"tenant": "one-request"})
+        hist.observe(1.0)
+        assert hist._rng is None
+        small = _small_histogram("lat", 10)
+        for value in range(10):
+            small.observe(float(value))
+        assert small._rng is None
+        small.observe(10.0)
+        assert small._rng is not None
+
+    def test_lazy_rng_samples_as_an_eagerly_seeded_algorithm_r(self):
+        name = "server.request_ms"
+        hist = Histogram(name, {"tenant": "t"})
+        limit = Histogram.SAMPLE_LIMIT
+        values = [float((7919 * index) % 100_003) for index in range(limit + 1000)]
+        for value in values:
+            hist.observe(value)
+        # Algorithm R with the RNG seeded from the series name up front.
+        rng, sample = random.Random(hist.name), []
+        for count, value in enumerate(values, start=1):
+            if len(sample) < limit:
+                sample.append(value)
+            else:
+                slot = rng.randrange(count)
+                if slot < limit:
+                    sample[slot] = value
+        assert hist._sample == sample
+        assert hist._sample != values[:limit]  # some slots were replaced
 
     def test_aggregates_stay_exact(self):
         hist = _small_histogram("lat", 10)
