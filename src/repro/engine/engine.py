@@ -33,7 +33,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import EvaluationError, LocalityError
+from repro.errors import EvaluationError
 from repro.resilience.budget import Budget, CancelToken, as_token
 from repro.resilience.faults import fault_point
 from repro.engine.cache import LRUCache
@@ -409,12 +409,9 @@ class Engine:
                     _counter("engine.fast_path.dispatches").inc()
                 evaluator = self.census_evaluator(formula)
                 with _span("engine.fast_path"):
-                    try:
-                        return evaluator.evaluate(
-                            structure, cancel_token=token, fallback=self._fast_path_fallback
-                        )
-                    except LocalityError:  # pragma: no cover - decision guards this
-                        pass
+                    return evaluator.evaluate(
+                        structure, cancel_token=token, fallback=self._fast_path_fallback
+                    )
             return bool(self.answers(structure, formula, budget=token))
 
     def explain(self, structure: Structure, formula: Formula) -> Explanation:
@@ -558,10 +555,9 @@ class Engine:
         analysis = analyze(formula)
         if analysis.names:
             return False, "not a sentence"
-        stats = collect_stats(structure)
-        if stats.has_constants:
+        if structure.constants:
             return False, "structure interprets constants"
-        degree = stats.max_degree
+        degree = structure.max_degree()
         if degree > DEGREE_BOUND:
             return False, f"Gaifman degree {degree} exceeds bound {DEGREE_BOUND}"
         radius = hanf_locality_radius(analysis.rank)

@@ -1,12 +1,12 @@
 """Structure statistics: the planner's view of the data.
 
 A :class:`StructureStats` snapshot holds what a database catalog would:
-per-relation cardinalities, the universe size, and the maximal Gaifman
-degree (the ``k`` of the bounded-degree theorems, reused from
-:mod:`repro.structures.gaifman`). The universe size is the domain the
-planner's estimates range over: the engine quantifies over the universe.
-Collection is linear in the structure and memoized per structure, so
-repeated engine calls pay for it once.
+per-relation cardinalities and the universe size. The universe size is
+the domain the planner's estimates range over: the engine quantifies
+over the universe. Collection reads each relation's size once and is
+memoized per structure, so repeated engine calls pay for it once; it
+builds no Gaifman graph (the locality fast path reads the memoized
+:meth:`~repro.structures.structure.Structure.max_degree` itself).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class StructureStats:
 
     universe_size: int
     cardinalities: tuple[tuple[str, int], ...]
-    max_degree: int
     has_constants: bool
 
     def cardinality(self, relation: str) -> int:
@@ -45,10 +44,7 @@ class StructureStats:
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{name}:{count}" for name, count in self.cardinalities)
-        return (
-            f"StructureStats(|A|={self.universe_size}, deg={self.max_degree}, "
-            f"{rels or 'no relations'})"
-        )
+        return f"StructureStats(|A|={self.universe_size}, {rels or 'no relations'})"
 
 
 def collect_stats(structure: Structure) -> StructureStats:
@@ -62,7 +58,6 @@ def collect_stats(structure: Structure) -> StructureStats:
         return StructureStats(
             universe_size=structure.size,
             cardinalities=cardinalities,
-            max_degree=structure.max_degree(),
             has_constants=bool(structure.constants),
         )
 

@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable POST /v1/structures/<id>/updates (typed 403); for "
         "replicas that must never diverge from their upstream",
     )
-    parser.add_argument(
-        "--verbose", action="store_true", help="log one line per request to stderr"
-    )
     return parser
 
 
@@ -147,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         access_log=open_access_log(args.access_log, slow_ms=args.slow_ms),
         readonly=args.readonly,
     )
-    server = make_server(service, host=args.host, port=args.port, verbose=args.verbose)
+    server = make_server(service, host=args.host, port=args.port)
     print(f"serving on {server.url}", flush=True)
 
     def _shutdown(signum, frame) -> None:  # noqa: ARG001 — signal API

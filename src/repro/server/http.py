@@ -22,11 +22,13 @@ result or the typed error payload.  Status codes come from
 **Tracing (telemetry v2).**  Every request gets a
 :class:`~repro.telemetry.context.TraceContext` — the client's id from
 the ``trace_id`` body field or ``X-Trace-Id`` header when valid, a
-fresh one otherwise — installed as a request-scoped tracer stack for
-the duration of the handler, so a reused ``ThreadingHTTPServer`` thread
-can never leak spans between tenants.  The final trace id is echoed in
-every response body (success and typed error) and as an ``X-Trace-Id``
-response header; span *recording* follows the service's sampling rate.
+fresh one otherwise — installed as the handler thread's tracer state
+(:class:`~repro.telemetry.context.trace_scope`) for the duration of the
+request, so a reused ``ThreadingHTTPServer`` thread can never leak
+spans between tenants, and the service joins that scope.  The final
+trace id is echoed in every response body (success and typed error) and
+as an ``X-Trace-Id`` response header; span *recording* follows the
+service's sampling rate.
 
 ``GET /metrics`` content-negotiates: JSON by default (unchanged), and
 Prometheus text exposition 0.0.4 when the ``Accept`` header asks for
@@ -65,10 +67,9 @@ class QueryServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], service: QueryService, verbose: bool = False):
+    def __init__(self, address: tuple[str, int], service: QueryService):
         super().__init__(address, _Handler)
         self.service = service
-        self.verbose = verbose
 
     @property
     def url(self) -> str:
@@ -88,8 +89,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
+        """Silent: the access log (``--access-log``) is the request log."""
 
     def _send(
         self, status: int, body: bytes, content_type: str, trace_id: str | None
@@ -312,12 +312,11 @@ def make_server(
     service: QueryService | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    verbose: bool = False,
 ) -> QueryServer:
     """Bind (but do not start) a server; ``port=0`` picks an ephemeral
     port, readable from ``server.server_address``."""
     service = service if service is not None else QueryService()
-    return QueryServer((host, port), service, verbose=verbose)
+    return QueryServer((host, port), service)
 
 
 def serve(

@@ -50,15 +50,18 @@ its structure's lock while it runs, and an update holds it while it
 applies its deltas and re-registers the structure, so no read sees half
 a batch of deltas.
 
-**Observability (telemetry v2, S19).**  Every answer request runs under
-a :class:`~repro.telemetry.context.TraceContext` — reused when the
-transport already installed one, minted here when the service is driven
-directly — sampled at ``trace_sample``; the trace id is stamped on every
-span, every degradation the request caused, the structured access-log
-line (:class:`~repro.telemetry.logs.AccessLog`: tenant, query hash,
-rows, budget spend, degradations, breaker states, status, duration),
-and the wire response.  The wire-level ``explain`` option returns
-:meth:`Engine.profile`'s per-node actuals plus the request's span tree.
+**Observability (telemetry v2, S19).**  Every answer, batch and update
+request runs in one :class:`~repro.telemetry.context.trace_scope`, the
+thread's tracer state for the request: the transport's when it
+installed one, else one minted here from the request's ``trace_id`` and
+sampled at ``trace_sample``.  The request's record holds that scope.
+Its trace id is stamped on every span, every degradation the request
+caused, the structured access-log line
+(:class:`~repro.telemetry.logs.AccessLog`: tenant, query hash, rows,
+budget spend, degradations, breaker states, status, duration), and the
+wire response.  The request's span trees stay in its scope, not in the
+process buffer.  The wire-level ``explain`` option returns
+:meth:`Engine.profile`'s per-node actuals plus the scope's span tree.
 
 **One record per request.**  An answer, batch or update request is one
 :class:`_Request` record, settled once when it ends.  One hold of the
@@ -74,33 +77,32 @@ counts, so the three agree.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.engine.engine import Engine, ProfiledExplanation
 from repro.errors import BudgetExceededError, ServerError, UnknownResourceError
+from repro.eval.algebra import Relation
 from repro.logic.analysis import analyze, validate
 from repro.logic.syntax import Formula
 from repro.resilience.budget import Budget, CancelToken
 from repro.resilience.fallback import Degradation, FallbackChain, default_chain
 from repro.server import wire
 from repro.structures.structure import Element, Structure
-from repro.telemetry import context as trace_context
+from repro.telemetry.context import mint, trace_scope
 from repro.telemetry.logs import AccessLog
-from repro.telemetry.metrics import Counter, Histogram, metrics_snapshot
+from repro.telemetry.metrics import Counter, Gauge, Histogram, metrics_snapshot
 from repro.telemetry.metrics import counter as _counter
-from repro.telemetry.metrics import gauge as _gauge
 from repro.telemetry.prometheus import render_exposition
+from repro.telemetry.tracer import current_scope
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
-from repro.telemetry.tracer import open_root as _open_root
 from repro.telemetry.tracer import span as _span
 
 __all__ = [
@@ -214,12 +216,12 @@ class _Request:
     Its body and the tenant's chain fill it in; :meth:`QueryService._request`
     settles it once when the request ends.  The tenant's account
     (:meth:`TenantSession.settle`) and the access-log line
-    (:meth:`log_entry`) both read it.  ``items`` is the batch size, and
-    ``rows`` the rows returned, or the deltas applied by an update.
+    (:meth:`log_entry`) both read it.  ``scope`` is the request's trace
+    scope, ``items`` the batch size, and ``rows`` the rows returned, or
+    the deltas applied by an update.
     """
 
-    ctx: Any
-    scope: Any
+    scope: trace_scope
     tenant: str
     op: str
     items: int = 1
@@ -235,8 +237,8 @@ class _Request:
     def log_entry(self, breakers: dict[str, Any]) -> dict[str, Any]:
         token = self.token
         return {
-            "trace_id": self.ctx.trace_id,
-            "sampled": self.ctx.sampled,
+            "trace_id": self.scope.trace_id,
+            "sampled": self.scope.sampled,
             "tenant": self.tenant,
             "op": self.op,
             "query": self.query,
@@ -382,24 +384,6 @@ class QueryService:
         if self.trace_sample is not None:
             return self.trace_sample
         return 1.0 if _telemetry_enabled() else 0.0
-
-    @contextmanager
-    def request_scope(self, trace_id: object = None):
-        """The request's trace context: reuse the transport's, else mint.
-
-        Yields ``(context, scope)`` where ``scope`` is ``None`` when an
-        enclosing scope (installed by the HTTP layer) is already active —
-        the service then joins that trace instead of starting a nested
-        one, so transport-driven and directly-driven calls behave
-        identically.
-        """
-        existing = trace_context.current_trace()
-        if existing is not None:
-            yield existing, None
-            return
-        minted = trace_context.mint(trace_id, rate=self.trace_rate())
-        with trace_context.trace_scope(minted) as scope:
-            yield minted, scope
 
     # -- tenants -------------------------------------------------------------
 
@@ -747,15 +731,22 @@ class QueryService:
         """The envelope of one request: ``answers``, ``answers_batch`` and
         ``apply_updates`` each run their body inside one.
 
-        It installs the trace context and yields the request's record
-        (``items`` is a batch's size), which the body fills in: its
-        token, query and rows.  When the body ends, the envelope maps
-        its outcome to a status, settles the record into the tenant's
-        account and renders the access-log line from it.
+        A request the transport serves joins the trace scope the
+        transport installed; a request driven directly gets one minted
+        from ``trace_id`` and installed here.  The envelope yields the
+        request's record, which holds that scope (``items`` is a batch's
+        size), and the body fills it in: its token, query and rows.  When
+        the body ends, the envelope maps its outcome to a status, settles
+        the record into the tenant's account and renders the access-log
+        line from it.
         """
         started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):
-            request = _Request(ctx, scope, session.name, op, items)
+        scope = current_scope()
+        joined = isinstance(scope, trace_scope)
+        if not joined:
+            scope = trace_scope(mint(trace_id, rate=self.trace_rate()))
+        with nullcontext() if joined else scope:
+            request = _Request(scope, session.name, op, items)
             try:
                 yield request
             except BaseException as error:
@@ -887,28 +878,10 @@ class QueryService:
             result = self._page(rows, page, page_size, read)
             if explain:
                 result = replace(
-                    result,
-                    explain=self._explain_payload(profile, request.ctx, request.scope),
+                    result, explain=_explain_payload(profile, request.scope)
                 )
             request.rows = len(result.rows)
             return result
-
-    def _explain_payload(self, profile, ctx, scope) -> dict[str, Any]:
-        """The wire ``explain`` object: profile actuals + span tree."""
-        spans: list[dict[str, Any]]
-        root = _open_root()
-        if root is not None:
-            spans = [root.to_dict()]
-        elif scope is not None:
-            spans = [finished.to_dict() for finished in scope.roots]
-        else:
-            spans = []
-        return {
-            "trace_id": ctx.trace_id,
-            "sampled": ctx.sampled,
-            "profile": profile.to_dict() if profile is not None else None,
-            "spans": spans,
-        }
 
     def answers_batch(
         self,
@@ -1034,28 +1007,31 @@ class QueryService:
     def metrics_prometheus(self) -> str:
         """``GET /metrics`` in Prometheus text format 0.0.4.
 
-        The registry's series and this service's per-tenant request
-        series render together; the service-level JSON numbers (uptime,
-        requests served, cache rates) are exported as gauges first so one
-        exposition carries both.
+        The registry's series render with this service's own: its
+        per-tenant request series, and its JSON numbers (uptime, requests
+        served, cache stats) as gauges made for this scrape.  None of
+        them enter the process-wide registry, so two services in one
+        process each expose their own.
         """
         with self._lock:
             tenants = list(self.tenants.values())
             structures = len(self.structures)
-        _gauge("server.uptime_seconds").set(time.monotonic() - self._started)
-        _gauge("server.requests_served").set(self._served(tenants))
-        _gauge("server.structures").set(structures)
-        _gauge("server.tenants").set(len(tenants))
-        _gauge("server.wire_version").set(wire.WIRE_VERSION)
+        gauges = [
+            _gauge("server.uptime_seconds", time.monotonic() - self._started),
+            _gauge("server.requests_served", self._served(tenants)),
+            _gauge("server.structures", structures),
+            _gauge("server.tenants", len(tenants)),
+            _gauge("server.wire_version", wire.WIRE_VERSION),
+        ]
         for cache_name, snapshot in (
             ("plan", self.engine.plan_cache.snapshot()),
             ("answer", self.engine.answer_cache.snapshot()),
         ):
             for stat, value in snapshot.items():
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    _gauge("server.cache." + stat, cache=cache_name).set(value)
+                    gauges.append(_gauge("server.cache." + stat, value, cache=cache_name))
         series = tuple(s for session in tenants for s in session.series)
-        return render_exposition(extra=series)
+        return render_exposition(extra=(*gauges, *series))
 
     @staticmethod
     def _served(tenants: Iterable[TenantSession]) -> int:
@@ -1064,6 +1040,26 @@ class QueryService:
         return sum(
             series.value for session in tenants for series in session.outcomes.values()
         )
+
+
+def _gauge(name: str, value: float, **labels: str) -> Gauge:
+    gauge = Gauge(name, labels)
+    gauge.set(value)
+    return gauge
+
+
+def _explain_payload(
+    profile: ProfiledExplanation | None, scope: trace_scope
+) -> dict[str, Any]:
+    """The wire ``explain`` object: profile actuals plus the request's
+    span tree, read from its scope — its open root (the transport's
+    request span), else the roots finished in it."""
+    return {
+        "trace_id": scope.trace_id,
+        "sampled": scope.sampled,
+        "profile": profile.to_dict() if profile is not None else None,
+        "spans": [root.to_dict() for root in scope.stack[:1] or scope.roots],
+    }
 
 
 def _compile(
@@ -1172,20 +1168,9 @@ def _cylindrify(
     free tuple — the cylindrification of the answer relation)."""
     if effective == natural:
         return rows
-    index = {name: position for position, name in enumerate(natural)}
-    extra = [name for name in effective if name not in index]
-    combos = list(itertools.product(universe, repeat=len(extra)))
-    widened = set()
-    for row in rows:
-        for combo in combos:
-            bound = dict(zip(extra, combo))
-            widened.add(
-                tuple(
-                    row[index[name]] if name in index else bound[name]
-                    for name in effective
-                )
-            )
-    return frozenset(widened)
+    extra = tuple(name for name in effective if name not in natural)
+    relation = Relation(natural, rows).extend_columns(extra, universe)
+    return relation.project(effective).rows
 
 
 def _admit_result(total_rows: int, token: CancelToken | None) -> None:

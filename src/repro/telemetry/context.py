@@ -4,15 +4,18 @@ PR 2's tracer answers *where did this call spend its time*; this module
 answers *which request was that* — the piece a multi-tenant server needs
 before span trees, degradation events, and HTTP outcomes can be joined
 into one story.  A :class:`TraceContext` is minted once per request
-(HTTP layer or service entry point), carries a ``trace_id``, the id of
-the request's root span, and the **sampling decision**, and is installed
-on the handling thread with :func:`trace_scope`.
+(HTTP layer or service entry point), carries a ``trace_id`` and the
+**sampling decision**, and is installed on the handling thread with
+:class:`trace_scope`.
 
 Two properties the server stack relies on:
 
-* **Scoped, not global.** :func:`trace_scope` swaps in a *fresh* span
-  stack for the duration of the request and restores the previous one on
-  exit — even if the request body raised mid-span.  A reused
+* **Scoped, not global.** A :class:`trace_scope` *is* the tracer's state
+  on its thread while it is installed (a
+  :class:`~repro.telemetry.tracer.Scope`): its own span stack, trace id
+  and sampling decision, and the roots finished inside it, which go to
+  it alone, not to the process buffer.  Exiting puts the previous state
+  back, even if the request body raised mid-span.  A reused
   ``ThreadingHTTPServer`` handler thread therefore can never re-parent
   the next tenant's spans under a leaked span from the previous request
   (the PR 2 thread-local stack had exactly this failure mode).
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -38,7 +40,6 @@ __all__ = [
     "current_trace",
     "current_trace_id",
     "mint",
-    "new_span_id",
     "new_trace_id",
     "sampling_decision",
     "trace_scope",
@@ -50,17 +51,10 @@ __all__ = [
 #: client still gets a traced response instead of a 400.
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{1,64}$")
 
-_local = threading.local()
-
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (64 random bits)."""
     return os.urandom(8).hex()
-
-
-def new_span_id() -> str:
-    """A fresh 8-hex-char span id (32 random bits)."""
-    return os.urandom(4).hex()
 
 
 def sampling_decision(trace_id: str, rate: float) -> bool:
@@ -82,7 +76,7 @@ def sampling_decision(trace_id: str, rate: float) -> bool:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """One request's trace identity: ids plus the sampling decision.
+    """One request's trace identity: its id plus the sampling decision.
 
     ``sampled`` decides whether spans are *recorded* inside this
     request's :func:`trace_scope`; the trace id is echoed on the wire
@@ -91,11 +85,7 @@ class TraceContext:
     """
 
     trace_id: str
-    span_id: str
     sampled: bool
-
-    def to_wire(self) -> str:
-        return self.trace_id
 
 
 def normalize_trace_id(raw: object) -> str | None:
@@ -117,59 +107,32 @@ def mint(trace_id: object = None, rate: float = 1.0) -> TraceContext:
     """
     accepted = normalize_trace_id(trace_id)
     final = accepted if accepted is not None else new_trace_id()
-    return TraceContext(
-        trace_id=final,
-        span_id=new_span_id(),
-        sampled=sampling_decision(final, rate),
-    )
+    return TraceContext(trace_id=final, sampled=sampling_decision(final, rate))
+
+
+class trace_scope(_tracer.Scope):
+    """One request's tracer state, built from its :class:`TraceContext`.
+
+    Entering installs it as this thread's tracer state (recording iff
+    ``context.sampled``); exiting restores the previous state
+    **unconditionally**, abandoning any spans an exception left open —
+    the leak fix the reused-handler-thread scenario needs.  The roots
+    finished inside it are kept in :attr:`roots`, and only there: they
+    are what the server attaches to ``explain`` responses.
+    """
+
+    __slots__ = ("context",)
+
+    def __init__(self, context: TraceContext) -> None:
+        super().__init__(context.trace_id, context.sampled)
+        self.context = context
 
 
 def current_trace() -> TraceContext | None:
     """The context installed on this thread, if any."""
-    stack = getattr(_local, "contexts", None)
-    return stack[-1] if stack else None
+    scope = _tracer.current_scope()
+    return scope.context if isinstance(scope, trace_scope) else None
 
 
 def current_trace_id() -> str | None:
-    context = current_trace()
-    return context.trace_id if context is not None else None
-
-
-class trace_scope:
-    """Install a :class:`TraceContext` on this thread for one request.
-
-    Entering swaps in a fresh tracer span stack (recording iff
-    ``context.sampled``); exiting restores the previous stack and
-    context **unconditionally**, abandoning any spans an exception left
-    open — the leak fix the reused-handler-thread scenario needs.  The
-    scope collects the root spans finished inside it (:attr:`roots`),
-    which is what the server attaches to ``explain`` responses.
-    """
-
-    __slots__ = ("context", "_tracer_token", "roots", "orphaned_spans")
-
-    def __init__(self, context: TraceContext) -> None:
-        self.context = context
-        self._tracer_token: object | None = None
-        self.roots: list[_tracer.Span] = []
-        self.orphaned_spans = 0
-
-    def __enter__(self) -> "trace_scope":
-        contexts = getattr(_local, "contexts", None)
-        if contexts is None:
-            contexts = []
-            _local.contexts = contexts
-        contexts.append(self.context)
-        self._tracer_token = _tracer.push_scope(
-            trace_id=self.context.trace_id,
-            recording=self.context.sampled,
-            roots=self.roots,
-        )
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.orphaned_spans = _tracer.pop_scope(self._tracer_token)
-        contexts = getattr(_local, "contexts", None)
-        if contexts:
-            contexts.pop()
-        return False
+    return _tracer.current_scope().trace_id

@@ -15,16 +15,22 @@ sites never need their own enabled checks just to attach attributes —
 though they should guard *expensive* attribute computation with
 :func:`is_enabled`).
 
-**Request scoping (telemetry v2).**  The global switch is no longer the
-only way to record: :func:`push_scope`/:func:`pop_scope` (driven by
-:class:`repro.telemetry.context.trace_scope`) install a *per-request*
-stack with its own recording decision, so a sampled server request
-records spans even with ``REPRO_TELEMETRY`` unset, an unsampled one
-stays free, and a request that dies mid-span can never leak open spans
-onto the reused handler thread — the scope's stack is discarded on exit
-and the previous one restored.  Every recorded span carries the scope's
-``trace_id`` plus its own ``span_id``, and serializes with
-:meth:`Span.to_dict` (what the server attaches to ``explain`` responses).
+**Request scoping (telemetry v2).**  A thread's whole tracer state is
+one :class:`Scope` in the tracer's one thread-local slot: the trace id,
+the sampling decision, the open-span stack and the roots finished in
+it.  Outside any request it is the thread's base scope, which records
+while the process-wide switch is on and files finished roots in the
+process buffer that :func:`finished_spans` reads.  A request scope
+(:class:`repro.telemetry.context.trace_scope`) replaces it for the
+request: its sampling decision overrides the switch, so a sampled
+server request records spans even with ``REPRO_TELEMETRY`` unset and an
+unsampled one stays free; a root that finishes inside it goes only to
+its :attr:`Scope.roots`; and a request that dies mid-span can never
+leak open spans onto the reused handler thread, because exiting the
+scope puts the previous one back whatever its stack holds.  Every
+recorded span carries its scope's ``trace_id`` plus its own
+``span_id``, and serializes with :meth:`Span.to_dict` (what the server
+attaches to ``explain`` responses).
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ from collections.abc import Callable
 from typing import Any
 
 __all__ = [
+    "Scope",
     "Span",
+    "current_scope",
     "current_span",
     "disable",
     "drain_spans",
@@ -47,9 +55,6 @@ __all__ = [
     "finished_spans",
     "is_enabled",
     "is_recording",
-    "open_root",
-    "pop_scope",
-    "push_scope",
     "reset_tracer",
     "span",
     "traced",
@@ -59,7 +64,6 @@ __all__ = [
 TRACE_BUFFER_SIZE = 1024
 
 _enabled = False
-_local = threading.local()
 _finished: deque[Span] = deque(maxlen=TRACE_BUFFER_SIZE)
 _finished_lock = threading.Lock()
 
@@ -87,8 +91,8 @@ def is_recording() -> bool:
     Inside a request scope the scope's sampling decision wins (in both
     directions); outside, the process-wide switch decides.
     """
-    recording = getattr(_local, "recording", None)
-    return _enabled if recording is None else recording
+    sampled = _local.scope.sampled
+    return _enabled if sampled is None else sampled
 
 
 #: Monotonic span-id source: cheap, unique within the process, rendered
@@ -96,48 +100,54 @@ def is_recording() -> bool:
 _span_ids = itertools.count(1)
 
 
-def _stack() -> list[Span]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+# -- the per-thread state ----------------------------------------------------
 
 
-# -- request scoping ----------------------------------------------------------
+class Scope:
+    """The tracer's whole state on one thread.
 
-
-def push_scope(
-    trace_id: str | None, recording: bool, roots: list["Span"] | None = None
-) -> tuple:
-    """Swap in a fresh, request-scoped tracer state on this thread.
-
-    Returns an opaque token holding the previous state; hand it back to
-    :func:`pop_scope`.  ``roots`` (if given) additionally collects the
-    root spans finished while the scope is active — the request's span
-    trees, available without scanning the global buffer.
+    ``sampled`` is the scope's sampling decision; ``None`` marks the
+    thread's base scope, which follows the process-wide switch and files
+    its finished roots in the process buffer.  A request scope keeps the
+    roots finished inside it in ``roots``.  Entering a scope makes it
+    the thread's state; exiting puts the previous one back and counts in
+    ``orphaned_spans`` the spans still open on its stack (non-zero means
+    an exception unwound past a ``with span(...)`` block: the request
+    died mid-span, and those spans stay behind with the scope).
     """
-    token = (
-        getattr(_local, "stack", None),
-        getattr(_local, "trace_id", None),
-        getattr(_local, "recording", None),
-        getattr(_local, "roots", None),
-    )
-    _local.stack = []
-    _local.trace_id = trace_id
-    _local.recording = recording
-    _local.roots = roots
-    return token
+
+    __slots__ = ("trace_id", "sampled", "stack", "roots", "orphaned_spans", "_outer")
+
+    def __init__(self, trace_id: str | None = None, sampled: bool | None = None) -> None:
+        self.trace_id = trace_id
+        self.sampled = sampled
+        self.stack: list[Span] = []
+        self.roots: list[Span] = []
+        self.orphaned_spans = 0
+        self._outer: Scope | None = None
+
+    def __enter__(self) -> "Scope":
+        self._outer, _local.scope = _local.scope, self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _local.scope, self._outer = self._outer, None
+        self.orphaned_spans = len(self.stack)
+        return False
 
 
-def pop_scope(token: tuple) -> int:
-    """Restore the pre-scope tracer state; returns how many spans the
-    scope abandoned still-open (non-zero means an exception unwound past
-    a ``with span(...)`` block — the request died mid-span, and without
-    scoping those spans would have re-parented the thread's next trace)."""
-    orphans = len(getattr(_local, "stack", None) or ())
-    _local.stack, _local.trace_id, _local.recording, _local.roots = token
-    return orphans
+class _Local(threading.local):
+    def __init__(self) -> None:
+        self.scope = Scope()
+
+
+_local = _Local()
+
+
+def current_scope() -> Scope:
+    """This thread's tracer state: the installed request scope, or the
+    thread's base scope outside any request."""
+    return _local.scope
 
 
 class Span:
@@ -145,7 +155,7 @@ class Span:
 
     Spans are their own context managers; entering pushes onto the
     calling thread's span stack, exiting pops and attaches the span to
-    its parent (or to the finished-roots buffer if it has none).
+    its parent (or, if it has none, to its scope's finished roots).
     """
 
     __slots__ = (
@@ -170,22 +180,23 @@ class Span:
     # -- context manager ----------------------------------------------------
 
     def __enter__(self) -> "Span":
-        self.trace_id = getattr(_local, "trace_id", None)
-        _stack().append(self)
+        scope = _local.scope
+        self.trace_id = scope.trace_id
+        scope.stack.append(self)
         self.start_s = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.end_s = time.perf_counter()
-        stack = _stack()
+        scope = _local.scope
+        stack = scope.stack
         if stack and stack[-1] is self:
             stack.pop()
         if stack:
             stack[-1].children.append(self)
+        elif scope.sampled is not None:
+            scope.roots.append(self)
         else:
-            roots = getattr(_local, "roots", None)
-            if roots is not None:
-                roots.append(self)
             with _finished_lock:
                 _finished.append(self)
         return False
@@ -273,8 +284,8 @@ def span(name: str, **attributes: Any) -> Span | _NoopSpan:
     built even while disabled) and use :meth:`Span.set` inside the block
     instead.
     """
-    recording = getattr(_local, "recording", None)
-    if not (_enabled if recording is None else recording):
+    sampled = _local.scope.sampled
+    if not (_enabled if sampled is None else sampled):
         return NOOP_SPAN
     return Span(name, attributes)
 
@@ -299,18 +310,13 @@ def traced(name: str | None = None) -> Callable:
 
 def current_span() -> Span | None:
     """The innermost open span on this thread, if any."""
-    stack = _stack()
+    stack = _local.scope.stack
     return stack[-1] if stack else None
 
 
-def open_root() -> Span | None:
-    """The outermost *open* span on this thread (the live request root)."""
-    stack = _stack()
-    return stack[0] if stack else None
-
-
 def finished_spans() -> tuple[Span, ...]:
-    """Finished root spans, oldest first (bounded buffer)."""
+    """Root spans finished outside any request scope, oldest first
+    (bounded buffer)."""
     with _finished_lock:
         return tuple(_finished)
 
@@ -327,7 +333,7 @@ def reset_tracer() -> None:
     """Drop finished spans and this thread's open-span stack."""
     with _finished_lock:
         _finished.clear()
-    _local.stack = []
+    _local.scope.stack.clear()
 
 
 if os.environ.get("REPRO_TELEMETRY", "").strip().lower() in ("1", "true", "yes", "on"):

@@ -13,15 +13,17 @@ from repro.resilience import Budget
 from repro.structures.builders import (
     complete_graph,
     directed_cycle,
+    grid_graph,
     random_graph,
     undirected_cycle,
 )
-from repro.structures.structure import Structure
+from repro.structures.structure import GAIFMAN_MEMO, Structure
 
 TRIANGLE_FREE = parse("~(exists x exists y exists z (E(x, y) & E(y, z) & E(z, x)))")
 MUTUAL = parse("exists x exists y (E(x, y) & E(y, x))")
 DISTANCE_TWO = parse("exists z (E(x, z) & E(z, y)) & ~E(x, y)")
 EDGE = parse("E(x, y)")
+HAS_EDGE = parse("exists y E(x, y)")
 
 
 class TestLRUCache:
@@ -269,6 +271,14 @@ class TestBoundedDegreeDispatch:
         dispatch, reason = engine.fast_path_decision(cycle, MUTUAL)
         assert not dispatch
         assert "exceeds bound" in reason
+
+    def test_planning_a_query_builds_no_gaifman_graph(self):
+        # Only the sentence gate reads the Gaifman degree, so a cold read
+        # of a query with free variables leaves the adjacency unbuilt.
+        grid = grid_graph(8, 8)
+        rows = Engine().answers(grid, HAS_EDGE)
+        assert GAIFMAN_MEMO not in grid._cache
+        assert rows == naive_answers(grid, HAS_EDGE)
 
     def test_fast_path_miss_uses_algebra_not_naive(self):
         engine = Engine()

@@ -111,6 +111,26 @@ def test_an_untyped_failure_counts_as_a_tenant_error(monkeypatch, no_faults):
     assert (entry["status"], entry["outcome"]) == (500, "error")
 
 
+def test_each_service_exposes_its_own_gauges(no_faults):
+    first, first_id = _serve(("gauges-a", "gauges-b"))
+    second, _ = _serve(("gauges-c",))
+    first.answers("gauges-a", first_id, query="q")
+
+    def gauges(service):
+        families = parse_exposition(service.metrics_prometheus())
+        return {
+            family: sum(families[family]["samples"].values())
+            for family in ("server_tenants", "server_requests_served")
+        }
+
+    assert gauges(first) == {"server_tenants": 2, "server_requests_served": 1}
+    assert gauges(second) == {"server_tenants": 1, "server_requests_served": 0}
+    assert gauges(first) == {"server_tenants": 2, "server_requests_served": 1}
+    for service in (first, second):
+        held = service.metrics()["telemetry"]["gauges"]
+        assert [key for key in held if key.startswith("server.")] == []
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["telemetry", "no-telemetry"])
 def test_warm_prepared_reads_build_no_labeled_key(monkeypatch, no_faults, enabled):
     was_enabled = telemetry.is_enabled()

@@ -4,6 +4,7 @@ concurrent trace isolation, and access-log degradation joins."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import urllib.error
@@ -11,6 +12,7 @@ import urllib.request
 
 import pytest
 
+from repro import telemetry
 from repro.resilience.faults import FaultInjector, reset_injector, set_injector
 from repro.server import wire
 from repro.server.http import serve
@@ -181,6 +183,65 @@ class TestExplain:
         )
         assert status == 200
         assert "explain" not in body
+
+
+class TestOneScopePerRequest:
+    """A request's trace state is one scope: its id is the only random
+    draw, and its span trees stay with it, not in the process buffer."""
+
+    @pytest.fixture()
+    def prepared(self, server_url, cycle_id):
+        status, _, _ = _request(
+            server_url + "/v1/queries",
+            {"tenant": "t", "formula": "exists y. E(x, y)", "name": "scoped",
+             "structure_id": cycle_id},
+        )
+        assert status == 200
+        service = QueryService(trace_sample=1.0)
+        structure_id = service.add_structure(undirected_cycle(6), tenant="t")
+        service.prepare("t", "exists y. E(x, y)", name="scoped", structure_id=structure_id)
+        return service, structure_id
+
+    @pytest.mark.parametrize("client_id, draws", [("abc123", 0), (None, 1)])
+    def test_only_a_minted_trace_id_draws_randomness(
+        self, monkeypatch, server_url, cycle_id, prepared, client_id, draws
+    ):
+        service, structure_id = prepared
+        drawn = []
+        urandom = os.urandom
+
+        def counting(size):
+            drawn.append(size)
+            return urandom(size)
+
+        monkeypatch.setattr(os, "urandom", counting)
+        status, body, _ = _request(
+            server_url + "/v1/answers",
+            {"tenant": "t", "structure_id": cycle_id, "query": "scoped",
+             **({} if client_id is None else {"trace_id": client_id})},
+        )
+        assert status == 200 and body["total_rows"] == 6
+        assert len(drawn) == draws
+        drawn.clear()
+        page = service.answers("t", structure_id, query="scoped", trace_id=client_id)
+        assert page.total_rows == 6
+        assert len(drawn) == draws
+
+    def test_request_spans_stay_with_their_request(self, server_url, cycle_id, prepared):
+        service, structure_id = prepared
+        telemetry.reset_tracer()
+        for _ in range(50):
+            service.answers("t", structure_id, query="scoped")
+        direct = service.answers("t", structure_id, query="scoped", explain=True)
+        assert [root["name"] for root in direct.explain["spans"]] == ["server.answers"]
+        status, body, _ = _request(
+            server_url + "/v1/answers",
+            {"tenant": "t", "structure_id": cycle_id, "query": "scoped",
+             "explain": True},
+        )
+        assert status == 200
+        assert [root["name"] for root in body["explain"]["spans"]] == ["server.request"]
+        assert telemetry.finished_spans() == ()
 
 
 class TestMetricsNegotiation:

@@ -7,11 +7,9 @@ import pytest
 from repro import telemetry
 from repro.telemetry import tracer
 from repro.telemetry.context import (
-    TraceContext,
     current_trace,
     current_trace_id,
     mint,
-    new_span_id,
     new_trace_id,
     normalize_trace_id,
     sampling_decision,
@@ -24,7 +22,6 @@ class TestIdentity:
         ids = {new_trace_id() for _ in range(64)}
         assert len(ids) == 64
         assert all(len(t) == 16 and int(t, 16) >= 0 for t in ids)
-        assert len(new_span_id()) == 8
 
     def test_normalize_accepts_lowercase_hex(self):
         assert normalize_trace_id("deadbeef") == "deadbeef"
@@ -131,9 +128,6 @@ class TestSerialization:
         assert data["span_id"] == outer.span_id
         assert [child["name"] for child in data["children"]] == ["inner"]
         assert data["duration_ms"] == pytest.approx(outer.duration_ms)
-
-    def test_context_to_wire(self):
-        assert TraceContext("abcd", "0102", True).to_wire() == "abcd"
 
 
 class TestThreadIsolation:
