@@ -10,7 +10,7 @@ Two layers are measured separately:
 * **service level** — direct :class:`QueryService` calls, no sockets, so
   the speedup assertion measures engine work, not loopback overhead;
 * **HTTP level** — a closed-loop client against a live
-  ``ThreadingHTTPServer`` on localhost, reporting per-request latency
+  :class:`~repro.server.http.QueryServer` on localhost, reporting per-request latency
   percentiles (p50/p95/p99) and the batched-vs-unbatched ratio for the
   same work through ``POST /v1/answers``.  Each loop holds one
   persistent keep-alive ``http.client`` connection, as a real client

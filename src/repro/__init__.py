@@ -48,8 +48,8 @@ Subpackages
     The multi-tenant FO query service: stable HTTP/JSON wire format,
     content-addressed structure store, prepared queries, per-tenant
     budgets + fallback chains as admission control, and a stdlib
-    ``ThreadingHTTPServer`` transport — ``python -m repro.server``
-    (S18).
+    ``socketserver`` transport, one thread per connection —
+    ``python -m repro.server`` (S18).
 
 Quickstart
 ----------

@@ -1,7 +1,8 @@
 """repro.server — a multi-tenant FO query service (S18).
 
 The serving layer over the toolbox: a long-running HTTP/JSON service
-(stdlib only — ``http.server`` + ``ThreadingHTTPServer``) with
+(stdlib only — a ``socketserver`` request loop, one thread per
+connection) with
 
 * a **stable wire format** (:mod:`repro.server.wire`, v1) shared with
   the conformance corpus — structures, formulas (concrete syntax),

@@ -1,4 +1,4 @@
-"""The HTTP/JSON transport: stdlib ``ThreadingHTTPServer`` around
+"""The HTTP/JSON transport: a stdlib ``socketserver`` loop around
 :class:`~repro.server.service.QueryService`.
 
 Endpoints (all JSON, wire format v1 — see :mod:`repro.server.wire`):
@@ -19,32 +19,55 @@ result or the typed error payload.  Status codes come from
 (including the conformance ``remote`` backend) can branch on status and
 ``error.type`` without parsing message text.
 
+**Transport.**  :class:`_Handler` reads each request head itself: the
+request line, then one ``readline`` per header field into a dict keyed
+by the lower-cased field name (a repeated field keeps its first value),
+and dispatches ``do_GET``/``do_POST``.  Each response — status line,
+``Server``, ``Date`` (formatted once a second), ``Content-Type``,
+``Content-Length``, ``X-Trace-Id`` and, when the connection closes,
+``Connection: close`` — goes out in one write with its body, and every
+accepted socket has ``TCP_NODELAY`` set.  Connections persist on
+HTTP/1.1 unless the client sends ``Connection: close``, and on HTTP/1.0
+only with ``Connection: keep-alive``; ``Expect: 100-continue`` is
+answered with ``100 Continue`` before the body is read.  A head the
+server cannot read gets a typed error payload and the connection is
+closed: 400 for a malformed request line or field, or two
+``Content-Length`` fields that differ; 411 for ``Transfer-Encoding``
+(bodies must declare their length); 414 for a request line over 64 KiB;
+431 for a field line over 64 KiB or more than 100 fields; 501 for a
+method with no route; 505 for an HTTP major version other than 1.
+The server imports none of ``http.server``, ``http.client``, ``email``
+or ``ssl``.
+
 **Tracing (telemetry v2).**  Every request gets a
 :class:`~repro.telemetry.context.TraceContext` — the client's id from
 the ``trace_id`` body field or ``X-Trace-Id`` header when valid, a
 fresh one otherwise — installed as the handler thread's tracer state
 (:class:`~repro.telemetry.context.trace_scope`) for the duration of the
-request, so a reused ``ThreadingHTTPServer`` thread can never leak
-spans between tenants, and the service joins that scope.  The final
-trace id is echoed in every response body (success and typed error) and
-as an ``X-Trace-Id`` response header; span *recording* follows the
-service's sampling rate.
+request, so a connection's thread, which serves each of its requests in
+turn, can never leak spans between them, and the service joins that
+scope.  The final trace id is echoed in every response body (success and
+typed error) and as an ``X-Trace-Id`` response header; span *recording*
+follows the service's sampling rate.
 
 ``GET /metrics`` content-negotiates: JSON by default (unchanged), and
 Prometheus text exposition 0.0.4 when the ``Accept`` header asks for
 ``text/plain`` or the query string says ``?format=prometheus``.
 
-Concurrency: ``ThreadingHTTPServer`` gives one thread per in-flight
-request; everything those threads touch (service dicts, engine caches,
-tenant counters) takes its own lock, and the per-request admission token
-bounds how long any of them can run.
+Concurrency: ``socketserver.ThreadingMixIn`` starts one thread per
+accepted connection, which serves that connection's requests in order;
+everything those threads touch (service dicts, engine caches, tenant
+counters) takes its own lock, and the per-request admission token bounds
+how long any of them can run.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -59,10 +82,50 @@ __all__ = ["QueryServer", "make_server", "serve"]
 
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 _JSON = "application/json"
+_SERVER = "fmtoolbox/1"
+#: Longest request line or header field line read, in bytes, and most
+#: header fields read per request.
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+_BLANK = (b"\r\n", b"\n")
+#: HTTP-version (RFC 9112 §2.3): one digit each side of the dot.
+_VERSION = re.compile(r"HTTP/([0-9])\.[0-9]")
+#: Reason phrases of the statuses this server sends (RFC 9110 §15).
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    403: "Forbidden",
+    404: "Not Found",
+    409: "Conflict",
+    411: "Length Required",
+    413: "Content Too Large",
+    414: "URI Too Long",
+    429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-class QueryServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` carrying the service instance."""
+def http_date(seconds: float) -> str:
+    """``seconds`` since the epoch as an IMF-fixdate (RFC 9110 §5.6.7),
+    e.g. ``Sun, 06 Nov 1994 08:49:37 GMT``; the names are fixed, not
+    the locale's."""
+    t = time.gmtime(seconds)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+class QueryServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    """A threading TCP server carrying the service instance: one thread
+    per accepted connection, started on accept."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -70,52 +133,135 @@ class QueryServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: QueryService):
         super().__init__(address, _Handler)
         self.service = service
+        self._date = (0, "")
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def date(self) -> str:
+        """The ``Date`` field value, formatted at most once a second."""
+        now = int(time.time())
+        stamp = self._date
+        if stamp[0] != now:
+            # Threads may race to refresh it; each writes a whole pair.
+            stamp = self._date = (now, http_date(now))
+        return stamp[1]
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "fmtoolbox/1"
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY on every accepted socket. A response goes out as two
-    # writes (headers, then body); with Nagle's algorithm on, the body
-    # waits for the ACK of the headers, which a keep-alive client delays
-    # by ~40 ms, so every read on a persistent connection stalled.
+
+class _Headers(dict):
+    """A request's header fields by lower-cased name; a repeated field
+    keeps its first value.  :meth:`get` takes a name in any case."""
+
+    def get(self, name: str, default: str | None = None) -> str | None:
+        return dict.get(self, name.lower(), default)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    # TCP_NODELAY on every accepted socket: with Nagle's algorithm on, the
+    # last segment of a response longer than one segment, or a response
+    # written after a ``100 Continue``, waits ~40 ms for the client's
+    # delayed ACK.
     disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silent: the access log (``--access-log``) is the request log."""
+    def handle(self) -> None:
+        """Serve the connection's requests in turn until one closes it."""
+        self.close_connection = False
+        while not self.close_connection:
+            try:
+                method = self._read_head()
+                if method is None:
+                    return
+                route = getattr(self, f"do_{method}", None)
+                if route is None:
+                    raise ServerError(f"no route for method {method!r}", status=501)
+            except ServerError as error:
+                # The rest of the stream cannot be framed: answer, then close.
+                self.close_connection = True
+                context = mint(
+                    self.headers.get("X-Trace-Id"), rate=self._service.trace_rate()
+                )
+                self._send_error_payload(error, context.trace_id)
+                return
+            route()
 
-    def _send(
-        self, status: int, body: bytes, content_type: str, trace_id: str | None
-    ) -> None:
+    def _read_head(self) -> str | None:
+        """Read one request line and its header fields into ``path`` and
+        ``headers``; return the method, or ``None`` once the client has
+        closed the connection.  A head that cannot be read raises a
+        typed :class:`ServerError`."""
+        headers = self.headers = _Headers()
+        readline = self.rfile.readline
+        line = readline(_MAX_LINE + 1)
+        if line in _BLANK:
+            # RFC 9112 §2.2: ignore an empty line before a request line.
+            line = readline(_MAX_LINE + 1)
+        if not line:
+            return None
+        if len(line) > _MAX_LINE:
+            raise ServerError(f"request line over {_MAX_LINE} bytes", status=414)
+        words = line.decode("latin-1").split()
+        version = _VERSION.fullmatch(words[-1]) if len(words) == 3 else None
+        if version is None:
+            raise ServerError(f"malformed request line {line[:100]!r}")
+        if version[1] != "1":
+            raise ServerError(f"HTTP version {words[2]!r} is not served", status=505)
+        method, self.path, _ = words
+        for _ in range(_MAX_FIELDS + 1):
+            line = readline(_MAX_LINE + 1)
+            if line in _BLANK:
+                break
+            if not line:
+                return None
+            if len(line) > _MAX_LINE:
+                raise ServerError(f"header field over {_MAX_LINE} bytes", status=431)
+            name, colon, value = line.decode("latin-1").partition(":")
+            # A field name is a token: no blank before the colon (RFC 9112
+            # §5.1) or at the start of the line (a folded line, §5.2).
+            if not colon or not name or " " in name or "\t" in name:
+                raise ServerError(f"malformed header field {line[:100]!r}")
+            # A field value's surrounding blanks are not part of it (RFC
+            # 9110 §5.5).
+            key, value = name.lower(), value.strip(" \t\r\n")
+            if headers.setdefault(key, value) != value and key == "content-length":
+                raise ServerError("Content-Length fields differ")
+        else:
+            raise ServerError(f"more than {_MAX_FIELDS} header fields", status=431)
+        if "transfer-encoding" in headers:
+            raise ServerError(
+                "Transfer-Encoding is not read; send Content-Length", status=411
+            )
+        connection = headers.get("connection", "").lower()
+        http_1_0 = words[2] == "HTTP/1.0"
+        self.close_connection = connection == "close" or (
+            http_1_0 and connection != "keep-alive"
+        )
+        if not http_1_0 and headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return method
+
+    def _send(self, status: int, body: bytes, content_type: str, trace_id: str) -> None:
         """The one response writer: every response, page, JSON or text,
-        goes out through here."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if trace_id is not None:
-            self.send_header("X-Trace-Id", trace_id)
+        goes out through here, head and body in one write."""
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: {_SERVER}\r\nDate: {self.server.date()}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+            f"X-Trace-Id: {trace_id}\r\n"
+        )
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode() + body)
 
-    def _send_error_payload(
-        self, error: BaseException, trace_id: str | None = None
-    ) -> None:
+    def _send_error_payload(self, error: BaseException, trace_id: str) -> None:
         payload = wire.error_to_wire(error, trace_id=trace_id)
         self._send(payload["status"], _dumps(payload), _JSON, trace_id)
 
     def _json_body(self) -> dict[str, Any]:
-        # A field value's surrounding blanks are not part of it (RFC 9110
-        # §5.5); the header parser keeps the trailing ones.
-        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        declared = self.headers.get("Content-Length") or "0"
         if not (declared.isascii() and declared.isdigit()):
             # Where this body ends is unknown, so nothing after it on the
             # connection can be read as a request: answer, then close.
@@ -143,7 +289,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
+    def do_GET(self) -> None:  # noqa: N802 — dispatched by method name
         context = mint(
             self.headers.get("X-Trace-Id"), rate=self._service.trace_rate()
         )
@@ -171,7 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         return "text/plain" in (self.headers.get("Accept") or "")
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
+    def do_POST(self) -> None:  # noqa: N802 — dispatched by method name
         context = None
         header_id = self.headers.get("X-Trace-Id")
         try:

@@ -99,7 +99,6 @@ from repro.structures.structure import Element, Structure
 from repro.telemetry.context import mint, trace_scope
 from repro.telemetry.logs import AccessLog
 from repro.telemetry.metrics import Counter, Gauge, Histogram, metrics_snapshot
-from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.prometheus import render_exposition
 from repro.telemetry.tracer import current_scope
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
@@ -218,7 +217,9 @@ class _Request:
     (:meth:`TenantSession.settle`) and the access-log line
     (:meth:`log_entry`) both read it.  ``scope`` is the request's trace
     scope, ``items`` the batch size, and ``rows`` the rows returned, or
-    the deltas applied by an update.
+    the deltas applied by an update; ``noops`` and ``dirtied`` count an
+    update's deltas that changed nothing and the prepared queries it
+    dirtied.
     """
 
     scope: trace_scope
@@ -229,6 +230,8 @@ class _Request:
     query: str | None = None
     query_hash: str | None = None
     rows: int = 0
+    noops: int = 0
+    dirtied: int = 0
     degradations: list[Degradation] = field(default_factory=list)
     status: int = 200
     outcome: str = "ok"
@@ -280,6 +283,8 @@ class TenantSession:
             "structures_registered": 0,
             "queries_prepared": 0,
             "updates_applied": 0,
+            "update_noops": 0,
+            "queries_dirtied": 0,
             "degradations": 0,
         }
         self.outcomes = {
@@ -303,6 +308,8 @@ class TenantSession:
                 counters["errors"] += items
             elif request.op == "updates":
                 counters["updates_applied"] += request.rows
+                counters["update_noops"] += request.noops
+                counters["queries_dirtied"] += request.dirtied
             else:
                 counters["answered"] += items
                 counters["rows_returned"] += request.rows
@@ -565,16 +572,12 @@ class QueryService:
                         self._superseded.pop(new_id, None)
                         while len(self._superseded) > SUPERSEDED_LIMIT:
                             self._superseded.popitem(last=False)
-            request.rows = applied
+            request.rows, request.noops = applied, noops
             dirtied = self._dirtied_queries(session, structure, token)
+            request.dirtied = len(dirtied)
             update_span.set("deltas", len(deltas)).set("applied", applied)
             update_span.set("epoch", structure.epoch)
             update_span.set("queries_dirtied", len(dirtied))
-            if _telemetry_enabled():
-                _counter("incremental.updates.noops", tenant=tenant).inc(noops)
-                _counter("incremental.updates.queries_dirtied", tenant=tenant).inc(
-                    len(dirtied)
-                )
             return {
                 "structure_id": new_id,
                 "previous_id": structure_id,

@@ -15,8 +15,8 @@ Two properties the server stack relies on:
   :class:`~repro.telemetry.tracer.Scope`): its own span stack, trace id
   and sampling decision, and the roots finished inside it, which go to
   it alone, not to the process buffer.  Exiting puts the previous state
-  back, even if the request body raised mid-span.  A reused
-  ``ThreadingHTTPServer`` handler thread therefore can never re-parent
+  back, even if the request body raised mid-span.  A server thread that
+  serves one connection's requests in turn therefore can never re-parent
   the next tenant's spans under a leaked span from the previous request
   (the PR 2 thread-local stack had exactly this failure mode).
 * **Deterministic sampling.** The decision is a pure function of

@@ -370,9 +370,9 @@ def test_metrics_reflect_traffic(server_url: str, cycle_id: str):
 
 
 def test_keep_alive_reads_do_not_stall(server_url: str, cycle_id: str):
-    """Twenty reads over one persistent connection. The handler writes
-    headers and body separately; with Nagle's algorithm on, each body
-    waited ~40 ms for the client's delayed ACK of the headers."""
+    """Twenty reads over one persistent connection. When the handler
+    wrote headers and body separately with Nagle's algorithm on, each
+    body waited ~40 ms for the client's delayed ACK of the headers."""
     status, body = _post(
         server_url + "/v1/queries",
         {"tenant": "t", "formula": "exists y. E(x, y)", "structure_id": cycle_id},

@@ -132,6 +132,33 @@ def test_each_service_exposes_its_own_gauges(no_faults):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["telemetry", "no-telemetry"])
+def test_update_counts_stay_on_their_tenant(no_faults, enabled):
+    """An update's no-op deltas and dirtied queries count on its tenant,
+    not in the process-wide registry, where every service in the
+    process would show them."""
+    was_enabled = telemetry.is_enabled()
+    telemetry.enable() if enabled else telemetry.disable()
+    try:
+        first, first_id = _serve(("writer",))
+        first.prepare("writer", EDGES, name="edges", structure_id=first_id)
+        second, _ = _serve(())
+        result = first.apply_updates("writer", first_id, [
+            {"op": "insert", "relation": "E", "row": [0, 2]},
+            {"op": "insert", "relation": "E", "row": [0, 1]},  # already there
+        ])
+    finally:
+        telemetry.enable() if was_enabled else telemetry.disable()
+    for service in (first, second):
+        held = service.metrics()["telemetry"]["counters"]
+        assert [key for key in held if key.startswith("incremental.updates.")] == []
+    assert (result["applied"], result["noops"]) == (1, 1)
+    assert "edges" in result["queries_dirtied"]
+    counters = first.metrics()["tenants"]["writer"]["counters"]
+    assert (counters["updates_applied"], counters["update_noops"]) == (1, 1)
+    assert counters["queries_dirtied"] == len(result["queries_dirtied"])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["telemetry", "no-telemetry"])
 def test_warm_prepared_reads_build_no_labeled_key(monkeypatch, no_faults, enabled):
     was_enabled = telemetry.is_enabled()
     telemetry.enable() if enabled else telemetry.disable()
