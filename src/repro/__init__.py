@@ -60,94 +60,60 @@ True
 True
 """
 
-from repro.errors import (
-    BudgetExceededError,
-    DatalogError,
-    EvaluationError,
-    FMTError,
-    FormulaError,
-    GameError,
-    LocalityError,
-    ParseError,
-    SignatureError,
-    StaleStreamError,
-    StructureError,
-)
-from repro.engine import (
-    Engine,
-    default_engine,
-    engine_answers,
-    engine_evaluate,
-)
-from repro.eval import (
-    BooleanQuery,
-    Query,
-    algebra_answers,
-    answers,
-    compile_query,
-    evaluate,
-    evaluate_circuit,
-)
-from repro.games import (
-    distinguishing_sentence,
-    ef_equivalent,
-    linear_order_duplicator,
-    play_ef_game,
-    solve_ef_game,
-)
-from repro.locality import (
-    BoundedDegreeEvaluator,
-    hanf_equivalent,
-    neighborhood_census,
-    threshold_hanf_equivalent,
-)
-from repro.logic import (
-    GRAPH,
-    ORDER,
-    SET,
-    SUCCESSOR,
-    Signature,
-    parse,
-    quantifier_rank,
-)
-from repro.structures import (
-    Structure,
-    bare_set,
-    linear_order,
-    neighborhood,
-    random_graph,
-    undirected_cycle,
-)
-from repro.zero_one import decide_almost_sure, mu_estimate
-from repro import telemetry
+from __future__ import annotations
+
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "FMTError", "SignatureError", "FormulaError", "ParseError",
-    "StructureError", "EvaluationError", "GameError", "LocalityError",
-    "DatalogError", "BudgetExceededError", "StaleStreamError",
-    # logic
-    "Signature", "GRAPH", "ORDER", "SUCCESSOR", "SET", "parse",
-    "quantifier_rank",
-    # structures
-    "Structure", "bare_set", "linear_order", "random_graph",
-    "undirected_cycle", "neighborhood",
-    # eval
-    "evaluate", "answers", "algebra_answers", "compile_query",
-    "evaluate_circuit", "Query", "BooleanQuery",
-    # engine
-    "Engine", "default_engine", "engine_answers", "engine_evaluate",
-    # games
-    "solve_ef_game", "ef_equivalent", "play_ef_game",
-    "linear_order_duplicator", "distinguishing_sentence",
-    # locality
-    "hanf_equivalent", "threshold_hanf_equivalent", "neighborhood_census",
-    "BoundedDegreeEvaluator",
-    # zero-one
-    "decide_almost_sure", "mu_estimate",
-    # observability
-    "telemetry",
-]
+#: Each module → the convenience exports it provides.  They resolve on
+#: first access (PEP 562), so importing one subpackage — the server, say
+#: — loads only what that subpackage imports, not the whole toolbox.
+_SOURCES = {
+    "repro.errors": (
+        "FMTError", "SignatureError", "FormulaError", "ParseError",
+        "StructureError", "EvaluationError", "GameError", "LocalityError",
+        "DatalogError", "BudgetExceededError", "StaleStreamError",
+    ),
+    "repro.logic": (
+        "Signature", "GRAPH", "ORDER", "SUCCESSOR", "SET", "parse",
+        "quantifier_rank",
+    ),
+    "repro.structures": (
+        "Structure", "bare_set", "linear_order", "random_graph",
+        "undirected_cycle", "neighborhood",
+    ),
+    "repro.eval": (
+        "evaluate", "answers", "algebra_answers", "compile_query",
+        "evaluate_circuit", "Query", "BooleanQuery",
+    ),
+    "repro.engine": ("Engine", "default_engine", "engine_answers", "engine_evaluate"),
+    "repro.games": (
+        "solve_ef_game", "ef_equivalent", "play_ef_game",
+        "linear_order_duplicator", "distinguishing_sentence",
+    ),
+    "repro.locality": (
+        "hanf_equivalent", "threshold_hanf_equivalent", "neighborhood_census",
+        "BoundedDegreeEvaluator",
+    ),
+    "repro.zero_one": ("decide_almost_sure", "mu_estimate"),
+}  # fmt: skip
+_ORIGIN = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = ["__version__", *_ORIGIN, "telemetry"]
+
+
+def __getattr__(name: str):
+    if name == "telemetry":  # the observability subpackage itself
+        return importlib.import_module("repro.telemetry")
+    try:
+        module = _ORIGIN[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

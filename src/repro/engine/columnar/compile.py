@@ -13,6 +13,15 @@ never materialized (EXPLAIN ANALYZE marks them fused into that step):
 * ``Project(Join)`` — the projection becomes the join kernel's emit
   expression, so the joined row never exists; only the projected key is
   ever built (π fused into the probe loop);
+* a ``Join`` (under any ``Project``) one of whose sides has only shared
+  attributes is a semijoin: the other side's rows are probed in it and
+  re-keyed, and no match is built (step kind ``SemiJoin``);
+* ``A ⋉ π_S(B ⋈ C)`` — that semijoin, or an ``AntiJoin``, against a
+  projected join whose projection drops only attributes B and C share —
+  indexes B and C by the attributes S keeps and meets the two sets per
+  row of A, so B ⋈ C is never built (``SemiJoinMeet``,
+  ``AntiJoinMeet``: the step a worst-case-optimal join takes on a
+  triangle);
 * ``Project(AtomScan)`` — composed into the scan's emit positions;
 * ``Project(Extend)`` — one strided-range kernel;
 * identity ``Project`` and double ``Complement`` — dropped entirely;
@@ -67,7 +76,8 @@ class PipelineNode:
 
     ``fn`` consumes the children's key sets and returns this node's key
     set; ``kind`` names the primary operator (the fused ``Project(Join)``
-    keeps kind ``"Join"``) for stats and telemetry; ``plan`` is the
+    keeps kind ``"Join"``; a join that is a semijoin is a ``"SemiJoin"``)
+    for stats and telemetry; ``plan`` is the
     outermost plan node this step realizes, which is what EXPLAIN
     recorders key on — so a plan node fused into a step sits below the
     node its actuals are recorded under
@@ -315,13 +325,15 @@ class _Builder:
     def _join(self, join: Join, out_plan: Plan | None = None) -> PipelineNode:
         left, right = join.left, join.right
         lattrs, rattrs = left.attributes, right.attributes
+        target = out_plan if out_plan is not None else join
+        if set(rattrs) <= set(lattrs) or set(lattrs) <= set(rattrs):
+            return self._semijoin(target, left, right)
         shared_names = [a for a in lattrs if a in rattrs]
         left_shared = tuple(lattrs.index(a) for a in shared_names)
         right_shared = tuple(rattrs.index(a) for a in shared_names)
         right_extras = tuple(
             position for position, a in enumerate(rattrs) if a not in lattrs
         )
-        target = out_plan if out_plan is not None else join
         projection: tuple[tuple[str, int], ...] | None = None
         if target.attributes != join_attributes(lattrs, rattrs):
             projection = tuple(
@@ -365,6 +377,9 @@ class _Builder:
                 f"antijoin attributes {plan.attributes} != left {left.attributes}"
             )
         lattrs, rattrs = left.attributes, right.attributes
+        halves = self._meet_halves(right, lattrs)
+        if halves is not None:
+            return self._meet(plan, left, right, halves, keep_matching=False)
         shared_names = [a for a in lattrs if a in rattrs]
         fn = kernels.build_half_join(
             len(lattrs),
@@ -377,6 +392,91 @@ class _Builder:
         )
         return PipelineNode(
             plan, "AntiJoin", fn, (self.build(left), self.build(right))
+        )
+
+    def _semijoin(self, target: Plan, left: Plan, right: Plan) -> PipelineNode:
+        """A join one of whose sides has only shared attributes: ⋉.
+
+        The output reads only the other side, so it is that side's rows
+        that match, re-keyed. When the all-shared side is a projected
+        join the meet kernel decides each match without building that
+        join; otherwise the kept side's rows are probed in the other.
+        """
+        for kept, other in ((left, right), (right, left)):
+            halves = self._meet_halves(other, kept.attributes)
+            if halves is not None:
+                return self._meet(target, kept, other, halves, keep_matching=True)
+        if set(right.attributes) <= set(left.attributes):
+            kept, other = left, right
+        else:
+            kept, other = right, left
+        attrs = kept.attributes
+        fn = kernels.build_semijoin(
+            len(attrs),
+            tuple(attrs.index(a) for a in other.attributes),
+            tuple(attrs.index(a) for a in target.attributes),
+            self.base,
+            self.packed,
+        )
+        return PipelineNode(
+            target, "SemiJoin", fn, (self.build(kept), self.build(other))
+        )
+
+    @staticmethod
+    def _meet_halves(
+        plan: Plan, probe: tuple[str, ...]
+    ) -> tuple[Plan, Plan] | None:
+        """(B, C) when ``plan`` is π_S(B ⋈ C), S drops only attributes B
+        and C share, and every attribute of S is in ``probe``; ``None``
+        otherwise."""
+        if not (isinstance(plan, Project) and isinstance(plan.child, Join)):
+            return None
+        b, c = plan.child.left, plan.child.right
+        kept = set(plan.attributes)
+        if not kept <= set(probe) or set(b.attributes) - kept != set(c.attributes) - kept:
+            return None
+        return b, c
+
+    def _meet(
+        self,
+        target: Plan,
+        kept: Plan,
+        other: Plan,
+        halves: tuple[Plan, Plan],
+        keep_matching: bool,
+    ) -> PipelineNode:
+        """``kept ⋉ π_S(B ⋈ C)`` (▷ unless ``keep_matching``) as one step.
+
+        ``other`` is π_S(B ⋈ C); the projection and the join it covers
+        are fused into the step, whose children are kept, B and C.
+        """
+        attrs = kept.attributes
+        dropped = tuple(a for a in halves[0].attributes if a not in other.attributes)
+        sides = []
+        for half in halves:
+            names = half.attributes
+            stays = tuple(a for a in names if a in other.attributes)
+            sides.append(
+                (
+                    len(names),
+                    tuple(names.index(a) for a in stays),
+                    tuple(names.index(a) for a in dropped),
+                    tuple(attrs.index(a) for a in stays),
+                )
+            )
+        fn = kernels.build_meet(
+            len(attrs),
+            tuple(attrs.index(a) for a in target.attributes),
+            tuple(sides),
+            self.base,
+            self.packed,
+            keep_matching,
+        )
+        return PipelineNode(
+            target,
+            "SemiJoinMeet" if keep_matching else "AntiJoinMeet",
+            fn,
+            (self.build(kept), self.build(halves[0]), self.build(halves[1])),
         )
 
     def _complement_union(

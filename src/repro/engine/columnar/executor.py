@@ -17,7 +17,11 @@ What a run promises:
   attached, keyed by the outermost plan node the step realizes (nodes
   fused into a step get none; see :func:`~repro.engine.plan.fused_steps`);
 * budget semantics — ``CancelToken.consume_rows`` per materialized
-  step, so row budgets and deadlines trip at the operator that blew up;
+  step, so row budgets and deadlines trip at the operator that blew up
+  (a fused step is charged its output only: the semijoin steps charge
+  none of the matches they never build);
+* operator counts — ``ExecutionStats.joins`` and ``antijoins`` count
+  the plan's join and antijoin nodes, whichever step realizes them;
 * the semijoin pre-filter policy — ``semijoin_filtering`` plus the
   :data:`SEMIJOIN_THRESHOLD` size gate, counted in
   ``ExecutionStats.semijoin_filters`` — applied at run time so one
@@ -60,6 +64,15 @@ PIPELINE_CACHE_LIMIT = 256
 
 #: Minimum input size before a join bothers with a semijoin pre-filter.
 SEMIJOIN_THRESHOLD = 64
+
+#: (joins, antijoins) each half-join step kind realizes, so
+#: ``ExecutionStats`` counts plan operators as the tuple executor does.
+_HALF_JOINS = {
+    "SemiJoin": (1, 0),
+    "SemiJoinMeet": (2, 0),
+    "AntiJoin": (0, 1),
+    "AntiJoinMeet": (1, 1),
+}
 
 
 @dataclass
@@ -213,10 +226,11 @@ class ColumnarExecutor:
                     _counter("executor.semijoin.filters").inc()
                     _counter("executor.semijoin.rows_filtered").inc(before - after)
             rows = node.fn(left, right)
-        elif node.kind == "AntiJoin":
-            stats.antijoins += 1
-            rows = node.fn(self._exec(children[0]), self._exec(children[1]))
         else:
+            counted = _HALF_JOINS.get(node.kind)
+            if counted is not None:
+                stats.joins += counted[0]
+                stats.antijoins += counted[1]
             rows = node.fn(*[self._exec(child) for child in children])
         stats.rows_materialized += len(rows)
         return rows

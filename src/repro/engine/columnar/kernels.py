@@ -24,6 +24,15 @@ All kernels consume and produce ``set``\\ s (never mutating inputs), so
 hash joins, semijoins, antijoins, project-dedup, unions and domain
 complements all run as C-level set/dict operations with one generated
 expression per row.
+
+A step whose output is a subset of one input builds no join match:
+
+* a half-join whose other side has only shared attributes probes that
+  set in place, one C-level ``L & R`` / ``L - R`` when the key orders
+  agree (:func:`build_half_join`, :func:`build_semijoin`);
+* ``A ⋉ π_S(B ⋈ C)`` and its ▷ form index B and C by the attributes S
+  keeps and test each row of A with one ``isdisjoint`` of two indexed
+  sets, so B ⋈ C is never built (:func:`build_meet`).
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ __all__ = [
     "build_scan",
     "build_join",
     "build_half_join",
+    "build_semijoin",
+    "build_meet",
     "build_project",
     "build_extend",
     "build_extend_insert",
@@ -132,6 +143,34 @@ def _pair_emit(
         _elem(var, position, arity, base, packed) for var, position, arity in sources
     )
     return f"({elements},)"
+
+
+def _filter(
+    rows: str,
+    var: str,
+    other: str,
+    arity: int,
+    key: tuple[int, ...],
+    emit: tuple[int, ...],
+    base: int,
+    packed: bool,
+    keep_matching: bool,
+) -> str:
+    """Expression for the ``emit`` keys of the rows of ``rows`` whose
+    ``key`` is (``keep_matching``) or is not in the set ``other``.
+
+    A key that is the whole row in order makes the test one C-level
+    ``&`` (``-``); an ``emit`` that is the whole row leaves it at that.
+    """
+    if key == tuple(range(arity)):
+        rows = f"({rows} {'&' if keep_matching else '-'} {other})"
+        if emit == key:
+            return rows
+        guard = ""
+    else:
+        test = "in" if keep_matching else "not in"
+        guard = f" if {_subkey(var, key, arity, base, packed)} {test} {other}"
+    return f"{{{_subkey(var, emit, arity, base, packed)} for {var} in {rows}{guard}}}"
 
 
 # -- kernel builders ---------------------------------------------------------
@@ -266,9 +305,22 @@ def build_half_join(
 ) -> Callable:
     """Semijoin (⋉, ``keep_matching``) / antijoin (▷) kernel ``fn(L, R)``.
 
-    One generated key-set over the right side, one membership test per
-    left row — the hash-based realization of safe negation.
+    When every attribute of R is shared, R is already the key set: each
+    left row's key is built in R's attribute order and probed in R
+    itself, and when that key is the left row, the kernel is one C-level
+    ``L & R`` / ``L - R``. Otherwise one generated key-set over the
+    right side, one membership test per left row — the hash-based
+    realization of safe negation.
     """
+    if sorted(right_shared) == list(range(right_arity)):
+        key = [0] * right_arity
+        for left_position, right_position in zip(left_shared, right_shared):
+            key[right_position] = left_position
+        found = _filter(
+            "L", "lk", "R", left_arity, tuple(key), tuple(range(left_arity)),
+            base, packed, keep_matching,
+        )
+        return compile_source(f"def kernel(L, R):\n    return {found}\n", "kernel")
     lsub = _subkey("lk", left_shared, left_arity, base, packed)
     rsub = _subkey("rk", right_shared, right_arity, base, packed)
     test = "in" if keep_matching else "not in"
@@ -278,6 +330,63 @@ def build_half_join(
         f"    return {{lk for lk in L if {lsub} {test} keys}}\n"
     )
     return compile_source(source, "kernel")
+
+
+def build_semijoin(
+    arity: int, key: tuple[int, ...], emit: tuple[int, ...], base: int, packed: bool
+) -> Callable:
+    """Kernel ``fn(A, R)`` for a join that is a semijoin.
+
+    Every attribute of R is one of A's, so the output reads only A: the
+    ``emit`` keys of the rows of A whose ``key`` (A's positions of R's
+    attributes, in R's order) is in R. No match is ever built.
+    """
+    found = _filter("A", "ak", "R", arity, key, emit, base, packed, True)
+    return compile_source(f"def kernel(A, R):\n    return {found}\n", "kernel")
+
+
+def build_meet(
+    arity: int,
+    emit: tuple[int, ...],
+    sides: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...],
+    base: int,
+    packed: bool,
+    keep_matching: bool,
+) -> Callable:
+    """Kernel ``fn(A, B, C)`` for ``A ⋉ π_S(B ⋈ C)`` (▷ unless ``keep_matching``).
+
+    S keeps every attribute of B and C except some they share, D, and
+    every attribute of S is one of A's, so a row of A has a match iff
+    the D values of B's rows that agree with it on S meet those of C's.
+    ``sides`` holds ``(arity, kept, dropped, probe)`` for B, then C: its
+    positions of the attributes S keeps, its positions of D (in one
+    order for both), and A's positions of those kept attributes. The
+    kernel indexes B and C by their kept attributes, each to a set of D
+    keys, and tests each row of A with one C-level ``isdisjoint`` — the
+    join B ⋈ C is never built: O(|A| + |B| + |C|) Python steps.
+    """
+    lines = ["def kernel(A, B, C):", "    none = set()"]
+    probes = []
+    for rows, (side_arity, kept, dropped, probe) in zip("BC", sides):
+        index, var = f"index{rows}", f"{rows.lower()}k"
+        value = _subkey(var, dropped, side_arity, base, packed)
+        lines += [
+            f"    {index} = {{}}",
+            f"    for {var} in {rows}:",
+            f"        k = {_subkey(var, kept, side_arity, base, packed)}",
+            f"        s = {index}.get(k)",
+            "        if s is None:",
+            f"            {index}[k] = {{{value}}}",
+            "        else:",
+            f"            s.add({value})",
+        ]
+        probes.append(f"{index}.get({_subkey('ak', probe, arity, base, packed)}, none)")
+    meet = f"{probes[0]}.isdisjoint({probes[1]})"
+    guard = f"not {meet}" if keep_matching else meet
+    lines.append(
+        f"    return {{{_subkey('ak', emit, arity, base, packed)} for ak in A if {guard}}}"
+    )
+    return compile_source("\n".join(lines) + "\n", "kernel")
 
 
 def build_project(

@@ -273,6 +273,9 @@ class _Handler(socketserver.StreamRequestHandler):
         if length <= 0:
             raise ServerError("request body required")
         if length > _MAX_BODY_BYTES:
+            # The body is left unread, so it would be read as the next
+            # request: answer, then close.
+            self.close_connection = True
             raise ServerError(f"request body over {_MAX_BODY_BYTES} bytes", status=413)
         raw = self.rfile.read(length)
         try:

@@ -157,6 +157,17 @@ def test_a_chunked_body_is_a_typed_411(address):
     assert "Content-Length" in payload["error"]["message"]
 
 
+def test_an_over_large_body_is_one_typed_413_then_close(address):
+    """The declared body is never read, so the connection closes: its
+    bytes must not come back as a second request's 414."""
+    request = (
+        b"POST /v1/answers HTTP/1.1\r\nX-Trace-Id: 5eed02\r\n"
+        b"Content-Length: 34603008\r\n\r\n" + b"a" * 200_000
+    )
+    payload = _typed_refusal(address, request, 413)
+    assert payload["trace_id"] == "5eed02"
+
+
 def test_an_over_long_request_line_is_a_typed_414(address):
     request = b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n"
     _typed_refusal(address, request, 414)
@@ -355,13 +366,15 @@ def test_concurrent_connections_keep_their_framing_and_answers(address):
 
 def test_the_server_imports_no_stdlib_http_stack():
     """Serving needs neither ``http.server`` nor what it pulls in: the
-    ``email`` header parser, ``http.client`` and ``ssl``."""
+    ``email`` header parser, ``http.client`` and ``ssl``; nor the parts
+    of the toolbox no request reaches: the game solvers and the 0–1 law
+    deciders."""
     source = Path(repro.__file__).resolve().parents[1]
+    unused = ("http.server", "http.client", "email", "ssl", "repro.games", "repro.zero_one")
     probe = (
         "import sys\n"
         "import repro.server.cli, repro.telemetry.logs\n"
-        "print(sorted(name for name in ('http.server', 'http.client', 'email', 'ssl')"
-        " if name in sys.modules))\n"
+        f"print(sorted(name for name in {unused!r} if name in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(source))
     result = subprocess.run(
